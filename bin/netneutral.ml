@@ -13,18 +13,23 @@ let metrics_opt =
   Cmdliner.Arg.(
     value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
+(* Write [json] to [file], naming it [what] in the messages; an
+   unwritable path exits 1. *)
+let write_json what file json =
+  match open_out file with
+  | exception Sys_error msg ->
+    Printf.eprintf "netneutral: cannot write %s: %s\n" what msg;
+    exit 1
+  | oc ->
+    output_string oc json;
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "%s written to %s\n" what file
+
 let write_metrics = function
   | None -> ()
   | Some file ->
-    (match open_out file with
-     | exception Sys_error msg ->
-       Printf.eprintf "netneutral: cannot write metrics: %s\n" msg;
-       exit 1
-     | oc ->
-       output_string oc (Obs.Export.to_json Obs.Registry.default);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "metrics written to %s\n" file)
+    write_json "metrics" file (Obs.Export.to_json Obs.Registry.default)
 
 (* A short end-to-end neutralized exchange on the Fig. 1 world, run only
    to populate the metric families for `stats` / `--metrics`. *)
@@ -465,15 +470,7 @@ let run_bench quick out =
          exit 1
        end
    | _ -> ());
-  match open_out out with
-  | exception Sys_error msg ->
-    Printf.eprintf "netneutral: cannot write bench results: %s\n" msg;
-    exit 1
-  | oc ->
-    output_string oc (Experiments.Perf.to_json r);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "bench results written to %s\n" out
+  write_json "bench results" out (Experiments.Perf.to_json r)
 
 (* `netneutral par`: the domain-pool scaling sweep — E1/E2 throughput
    and sequential-equivalence digests at every pool size, written as
@@ -491,15 +488,7 @@ let run_par quick out =
     Printf.eprintf "netneutral: parallel output diverged from sequential\n";
     exit 1
   end;
-  match open_out out with
-  | exception Sys_error msg ->
-    Printf.eprintf "netneutral: cannot write par results: %s\n" msg;
-    exit 1
-  | oc ->
-    output_string oc (Experiments.Par_scaling.to_json r);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "par results written to %s\n" out
+  write_json "par results" out (Experiments.Par_scaling.to_json r)
 
 (* `netneutral pdes`: the sharded-engine scaling sweep — events/s and
    shard-count-equivalence digests at shard counts 1/2/4, written as
@@ -516,15 +505,7 @@ let run_pdes quick out =
       "netneutral: sharded engine diverged from the sequential reference\n";
     exit 1
   end;
-  match open_out out with
-  | exception Sys_error msg ->
-    Printf.eprintf "netneutral: cannot write pdes results: %s\n" msg;
-    exit 1
-  | oc ->
-    output_string oc (Experiments.Pdes_scaling.to_json r);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "pdes results written to %s\n" out
+  write_json "pdes results" out (Experiments.Pdes_scaling.to_json r)
 
 (* `netneutral scale`: the E14 fluid-aggregate capstone — equivalence
    gate, cross-shard digest gate, then the million-client run on a
@@ -545,23 +526,14 @@ let run_scale quick out =
       r.Experiments.E14_scale.eq_ok r.Experiments.E14_scale.inv_ok;
     exit 1
   end;
-  match open_out out with
-  | exception Sys_error msg ->
-    Printf.eprintf "netneutral: cannot write scale results: %s\n" msg;
-    exit 1
-  | oc ->
-    output_string oc (Experiments.E14_scale.to_json r);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "scale results written to %s\n" out
+  write_json "scale results" out (Experiments.E14_scale.to_json r)
 
 (* `netneutral fuzzpolicy`: the E15 differential policy fuzzer — sweep
    seeded DSL-generated discrimination regimes through the compiled
-   classifier tables (vs the reference interpreter and the legacy
-   Policy embedding) and through paired exposed-vs-neutralized Fig. 1
-   worlds with epoch-consistent mid-window swaps. Any neutralization
-   invariant violation exits 1, with the failing regime and its replay
-   recipe printed. *)
+   classifier tables (vs the reference interpreter) and through paired
+   exposed-vs-neutralized Fig. 1 worlds with epoch-consistent
+   mid-window swaps. Any neutralization invariant violation exits 1,
+   with the failing regime and its replay recipe printed. *)
 let run_fuzzpolicy quick seed regimes windows out =
   let seed =
     match seed with
@@ -602,15 +574,7 @@ let run_fuzzpolicy quick seed regimes windows out =
       (if quick then " --quick" else "");
     exit 1
   end;
-  match open_out out with
-  | exception Sys_error msg ->
-    Printf.eprintf "netneutral: cannot write fuzz results: %s\n" msg;
-    exit 1
-  | oc ->
-    output_string oc (Experiments.E15_regime_sweep.to_json r);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "fuzz results written to %s\n" out
+  write_json "fuzz results" out (Experiments.E15_regime_sweep.to_json r)
 
 (* `netneutral vectors`: regenerate or verify the golden wire vectors.
    Verification is a byte compare against Core.Vectors.render — any
@@ -768,8 +732,8 @@ let () =
          ~doc:
            "Perf regression harness: pooled vs cold one-time keys, \
             windowed vs binary Montgomery exponentiation, session vs \
-            stateless datapath, unboxed vs boxed event heap, sim \
-            events/s, and obs counter overhead")
+            stateless datapath, event-heap churn, sim events/s, and obs \
+            counter overhead")
       Term.(const run_bench $ quick_flag $ out_opt)
   in
   let par_cmd =
@@ -869,11 +833,11 @@ let () =
          ~doc:
            "E15 differential policy fuzzer: sweep seeded DSL-generated \
             discrimination regimes through compiled classifier tables \
-            (vs the reference interpreter and the legacy Policy \
-            embedding, byte for byte) and through paired \
-            exposed-vs-neutralized Fig. 1 worlds with epoch-consistent \
-            mid-window policy swaps; any neutralization-invariant \
-            violation exits 1 with the failing seed printed")
+            (vs the reference interpreter, byte for byte) and through \
+            paired exposed-vs-neutralized Fig. 1 worlds with \
+            epoch-consistent mid-window policy swaps; any \
+            neutralization-invariant violation exits 1 with the failing \
+            seed printed")
       Term.(
         const run_fuzzpolicy $ quick_flag $ seed_opt $ regimes_opt
         $ windows_opt $ out_opt)

@@ -47,40 +47,35 @@ let call ~label ~world ~neutralized ~dscp ~seconds =
     label r.received r.sent (100.0 *. r.loss) r.mean_latency_ms
     (Net.Flow.mos r)
 
+module Dsl = Discrimination.Dsl
+
+(* AT&T's policy lives in its own domain: every packet crossing it is
+   judged by the compiled rule table. *)
+let install world policy =
+  Dsl.Control.install world.Scenario.World.net
+    ~domains:[ world.Scenario.World.att ] policy
+
 let throttle_vonage world =
   let vonage = Scenario.World.site world "vonage" in
-  let shaper =
-    Discrimination.Shaper.create world.Scenario.World.engine ~rate_bps:24_000 ()
-  in
-  let policy =
-    Discrimination.Policy.create
-      [ Discrimination.Policy.rule ~label:"kill-vonage"
-          (Discrimination.Policy.Any_of
-             [ Discrimination.Policy.App Discrimination.Classifier.Voip;
-               Discrimination.Policy.Addr vonage.Scenario.World.node.addr
-             ])
-          (Discrimination.Policy.Throttle shaper)
-      ]
-  in
-  Net.Network.add_middleware world.Scenario.World.net world.Scenario.World.att
-    (Discrimination.Policy.middleware policy);
-  policy
+  install world
+    (Dsl.Rule
+       ( Dsl.Or
+           ( Dsl.App Discrimination.Classifier.Voip,
+             Dsl.Addr vonage.Scenario.World.node.addr ),
+         Dsl.throttle ~rate_bps:24_000 ))
 
 let tier_by_dscp world =
-  let shaper =
-    Discrimination.Shaper.create world.Scenario.World.engine ~rate_bps:48_000 ()
-  in
-  Net.Network.add_middleware world.Scenario.World.net world.Scenario.World.att
-    (Discrimination.Policy.middleware
-       (Discrimination.Policy.create
-          [ Discrimination.Policy.rule ~label:"best-effort-class"
-              (Discrimination.Policy.All_of
-                 [ Discrimination.Policy.Encrypted;
-                   Discrimination.Policy.Not
-                     (Discrimination.Policy.Dscp Core.Protocol.dscp_ef)
-                 ])
-              (Discrimination.Policy.Throttle shaper)
-          ]))
+  ignore
+    (install world
+       (Dsl.Rule
+          ( Dsl.And
+              (Dsl.Looks_encrypted, Dsl.Not (Dsl.Dscp Core.Protocol.dscp_ef)),
+            Dsl.throttle ~rate_bps:48_000 ))
+      : Dsl.Control.t)
+
+let report_hits ctl =
+  Printf.printf "    policy rule %S matched %d packets\n" "kill-vonage"
+    (Dsl.Control.hits ctl)
 
 let () =
   let seconds = 8 in
@@ -94,17 +89,13 @@ let () =
   let policy = throttle_vonage w2 in
   call ~label:"AT&T throttles Vonage, plain UDP" ~world:w2 ~neutralized:false
     ~dscp:0 ~seconds;
-  List.iter
-    (fun (label, hits) -> Printf.printf "    policy rule %S matched %d packets\n" label hits)
-    (Discrimination.Policy.hits policy);
+  report_hits policy;
 
   let w3 = Scenario.World.create () in
   let policy = throttle_vonage w3 in
   call ~label:"AT&T throttles Vonage, NEUTRALIZED" ~world:w3 ~neutralized:true
     ~dscp:0 ~seconds;
-  List.iter
-    (fun (label, hits) -> Printf.printf "    policy rule %S matched %d packets\n" label hits)
-    (Discrimination.Policy.hits policy);
+  report_hits policy;
 
   print_endline "\nTiered service survives neutralization (paper 3.4):";
   let w4 = Scenario.World.create () in

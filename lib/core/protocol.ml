@@ -16,8 +16,8 @@ type costs = {
   vanilla_forward : int64;
 }
 
-(* Measured on the repository's own crypto code (bench/main.ml, groups E1
-   and E2): a full key-setup response — parse the one-time key, derive
+(* Measured on the repository's own crypto code ([netneutral e1] and
+   [netneutral e2]): a full key-setup response — parse the one-time key, derive
    Ks, pad and RSA-encrypt with e=3 — lands near 55 us; the symmetric
    per-packet transform near 3 us; a vanilla forwarding decision against
    a 4k-entry FIB near 2.5 us. *)

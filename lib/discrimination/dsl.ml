@@ -37,6 +37,9 @@ type act =
 
 let scavenger_dscp = 8
 
+let throttle ~rate_bps =
+  Throttle { rate_bps; burst_bytes = 16 * 1024; max_delay_ns = 500_000_000L }
+
 type policy =
   | Nil
   | Rule of pred * act
@@ -390,7 +393,7 @@ let compile ?engine ?domain p =
         | Some e ->
             Some
               (Shaper.create e ~rate_bps:s.rate_bps
-                 ~burst_bytes:s.burst_bytes ~max_delay:s.max_delay_ns ()))
+                 ~burst_bytes:s.burst_bytes ~max_delay:s.max_delay_ns))
       l.shaper_specs
   in
   { table; cmeters = Array.map meter_create l.meter_specs; cshapers }
@@ -420,44 +423,6 @@ let action_of c (o : Net.Observation.t) = function
       | None -> invalid_arg "Dsl.action_of: table compiled without ~engine")
 
 let middleware c (o : Net.Observation.t) = action_of c o (verdict c o)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy embedding                                                   *)
-
-let of_legacy (rules : Policy.rule list) =
-  let rec pred_of = function
-    | Policy.Any -> True
-    | Policy.App c -> App c
-    | Policy.Src_in p -> Src_in p
-    | Policy.Dst_in p -> Dst_in p
-    | Policy.Addr a -> Addr a
-    | Policy.Dst_port p -> Dst_port p
-    | Policy.Dscp d -> Dscp d
-    | Policy.Encrypted -> Looks_encrypted
-    | Policy.Key_setup_packets -> Key_setup
-    | Policy.Size_at_least n -> Size_at_least n
-    | Policy.Not m -> Not (pred_of m)
-    | Policy.All_of ms ->
-        List.fold_left (fun acc m -> And (acc, pred_of m)) True ms
-    | Policy.Any_of ms ->
-        List.fold_left (fun acc m -> Or (acc, pred_of m)) False ms
-  in
-  let act_of = function
-    | Policy.Allow -> Allow
-    | Policy.Block -> Drop
-    | Policy.Delay_by d -> Delay d
-    | Policy.Throttle s ->
-        Throttle
-          { rate_bps = Shaper.rate_bps s;
-            burst_bytes = Shaper.burst_bytes s;
-            max_delay_ns = Shaper.max_delay s
-          }
-    | Policy.Set_dscp d -> Set_dscp d
-  in
-  List.fold_right
-    (fun (r : Policy.rule) acc ->
-      Union (Rule (pred_of r.matcher, act_of r.behaviour), acc))
-    rules Nil
 
 (* ------------------------------------------------------------------ *)
 (* Per-packet consistent installation                                 *)

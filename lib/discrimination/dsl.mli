@@ -1,15 +1,19 @@
-(** Compositional discrimination-policy DSL (NetCore-shaped).
+(** Compositional discrimination-policy DSL (NetCore-shaped): the
+    adversary's rulebook.
 
-    The ad-hoc {!Policy} rule lists cover a handful of hand-written
-    regimes; this DSL makes the whole §3.6 policy space {e generatable}:
-    a small predicate/action language with combinators — union,
+    A small predicate/action language with combinators — union,
     sequencing, negation, per-domain restriction — compiled into flat
     per-router classifier tables installed as {!Net.Network.middleware}.
-    A seeded generator ({!Dsl_gen}) can then sweep thousands of
-    machine-made regimes against the neutralizer (experiment E15,
-    [netneutral fuzzpolicy]).
+    Predicates cover every vector the paper discusses: application type
+    (§1, via the classifier), specific sources or destinations ("slow
+    down a customer's VoIP traffic from Vonage"), encrypted traffic and
+    key-setup packets (§3.6), and DSCP tiers (§3.4 — the legitimate
+    kind). Hand-written regimes (experiments E5, E10, E11) and the
+    seeded generator {!Dsl_gen}, which sweeps thousands of machine-made
+    regimes against the neutralizer (experiment E15,
+    [netneutral fuzzpolicy]), run on this one engine.
 
-    Three artifacts share one semantics and keep each other honest:
+    Two artifacts share one semantics and keep each other honest:
 
     - {!interpret}: a naive reference interpreter walking the policy
       tree — small enough to audit by eye;
@@ -17,10 +21,7 @@
       composition is cross-producted with DSCP specialization so the
       table is a first-match-wins scan, the shape a real router TCAM
       holds; the differential fuzzer asserts bit-identical verdicts
-      against the interpreter on random policies x random observations;
-    - {!of_legacy}: embeds legacy {!Policy} rule lists, so qcheck can
-      pin that the DSL preserves the old engine's behaviour on its
-      expressible subset.
+      against the interpreter on random policies x random observations.
 
     {!Control} installs compiled tables with {e per-packet consistent}
     swaps: a two-version epoch scheme (the SIGCOMM'12 consistent-updates
@@ -72,6 +73,10 @@ type act =
 
 val scavenger_dscp : int
 (** The "lower-effort" class {!Deprioritize} remarks into (CS1 = 8). *)
+
+val throttle : rate_bps:int -> act
+(** [Throttle] at [rate_bps] with the default bucket: a 16 KiB burst and
+    500 ms of virtual queue before packets drop. *)
 
 type policy =
   | Nil  (** matches nothing; every packet forwards *)
@@ -155,13 +160,6 @@ val action_of : compiled -> Net.Observation.t -> verdict -> Net.Network.action
 
 val middleware : compiled -> Net.Network.middleware
 (** [fun o -> action_of c o (verdict c o)]. *)
-
-val of_legacy : Policy.rule list -> policy
-(** Embed a legacy first-match-wins rule list as a [Union] chain.
-    Throttle rules copy the shaper's parameters into a
-    {!throttle_spec}; the compiled table then owns fresh shapers with
-    identical parameters, so both engines driven by the same
-    observation stream render identical actions. *)
 
 (** {2 Per-packet consistent installation} *)
 

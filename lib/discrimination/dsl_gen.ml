@@ -186,55 +186,3 @@ let gen_obs rng ~at : Net.Observation.t =
       ~src:(gen_addr rng) ~dst:(gen_addr rng) (gen_payload rng)
   in
   Net.Observation.of_packet ~now:at p
-
-(* ------------------------------------------------------------------ *)
-(* Legacy rule lists (the embeddable subset)                          *)
-
-let rec gen_matcher rng ~depth : Policy.matcher =
-  let atom () : Policy.matcher =
-    match Prng.int rng 10 with
-    | 0 -> Any
-    | 1 -> App (pick rng app_classes)
-    | 2 -> Src_in (gen_prefix rng)
-    | 3 -> Dst_in (gen_prefix rng)
-    | 4 -> Addr (gen_addr rng)
-    | 5 -> Dst_port (pick rng port_values)
-    | 6 -> Dscp (pick rng dscp_values)
-    | 7 -> Encrypted
-    | 8 -> Key_setup_packets
-    | _ -> Size_at_least (pick rng size_grid)
-  in
-  if depth <= 0 then atom ()
-  else
-    match Prng.int rng 8 with
-    | 0 -> Not (gen_matcher rng ~depth:(depth - 1))
-    | 1 ->
-        All_of
-          (List.init
-             (Prng.int rng 3)
-             (fun _ -> gen_matcher rng ~depth:(depth - 1)))
-    | 2 ->
-        Any_of
-          (List.init
-             (Prng.int rng 3)
-             (fun _ -> gen_matcher rng ~depth:(depth - 1)))
-    | _ -> atom ()
-
-let gen_legacy_rules engine rng : Policy.rule list =
-  let n = 1 + Prng.int rng 5 in
-  List.init n (fun i ->
-      let behaviour : Policy.behaviour =
-        match Prng.int rng 5 with
-        | 0 -> Allow
-        | 1 -> Block
-        | 2 -> Delay_by (pick rng delay_grid)
-        | 3 ->
-            let s : Dsl.throttle_spec = gen_throttle_spec rng in
-            Throttle
-              (Shaper.create engine ~rate_bps:s.rate_bps
-                 ~burst_bytes:s.burst_bytes ~max_delay:s.max_delay_ns ())
-        | _ -> Set_dscp (pick rng dscp_values)
-      in
-      Policy.rule
-        ~label:(Printf.sprintf "r%d" i)
-        (gen_matcher rng ~depth:2) behaviour)

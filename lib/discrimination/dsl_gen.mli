@@ -1,10 +1,10 @@
-(** Seeded generators over the {!Dsl} policy grammar, the observation
-    space, and the legacy rule subset — the shared substrate of the
-    differential policy fuzzer.
+(** Seeded generators over the {!Dsl} policy grammar and the
+    observation space — the shared substrate of the differential policy
+    fuzzer.
 
     Deterministic by construction: every generator draws from a
     {!Fault.Prng.t} stream, so [POLICY_SEED] (plus a regime index) fully
-    reproduces any policy, observation batch, or legacy rule list —
+    reproduces any policy or observation batch —
     whether drawn from the qcheck suites in [test/test_dsl.ml] or from
     [netneutral fuzzpolicy] (experiment E15), which is why this lives in
     the library and not the test tree.
@@ -38,9 +38,3 @@ val gen_obs : Fault.Prng.t -> at:int64 -> Net.Observation.t
     anycast neutralizer address), the well-known port pool, and payload
     variants spanning empty, plaintext with DPI markers (SIP/HTTP),
     high-entropy bytes, and shim frames of key-setup and data kinds. *)
-
-val gen_matcher : Fault.Prng.t -> depth:int -> Policy.matcher
-
-val gen_legacy_rules : Net.Engine.t -> Fault.Prng.t -> Policy.rule list
-(** 1-5 legacy rules; throttle behaviours get fresh shapers on the given
-    engine, whose parameters {!Dsl.of_legacy} can clone exactly. *)

@@ -12,8 +12,7 @@ type t = {
   mutable n_dropped : int;
 }
 
-let create engine ~rate_bps ?(burst_bytes = 16 * 1024)
-    ?(max_delay = 500_000_000L) () =
+let create engine ~rate_bps ~burst_bytes ~max_delay =
   if rate_bps <= 0 then invalid_arg "Shaper.create: rate must be positive";
   { engine;
     rate_bps;
@@ -63,12 +62,6 @@ let decide t ~size =
     end
   end
 
-let middleware t matches (o : Net.Observation.t) =
-  if matches o then decide t ~size:o.size else Net.Network.Forward
-
 let passed t = t.n_passed
 let delayed t = t.n_delayed
 let dropped t = t.n_dropped
-let rate_bps t = t.rate_bps
-let burst_bytes t = t.burst_bytes
-let max_delay t = t.max_delay

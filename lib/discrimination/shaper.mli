@@ -9,30 +9,13 @@
 type t
 
 val create :
-  Net.Engine.t ->
-  rate_bps:int ->
-  ?burst_bytes:int ->
-  ?max_delay:int64 ->
-  unit ->
-  t
-(** [burst_bytes] defaults to 16 KiB, [max_delay] to 500 ms of virtual
-    queue, after which packets drop. *)
+  Net.Engine.t -> rate_bps:int -> burst_bytes:int -> max_delay:int64 -> t
+(** [max_delay] bounds the virtual queue, in ns; packets that would wait
+    longer drop. {!Dsl.throttle} holds the defaults policies use. *)
 
 val decide : t -> size:int -> Net.Network.action
 (** Charge a packet of [size] bytes against the bucket. *)
 
-val middleware :
-  t -> (Net.Observation.t -> bool) -> Net.Network.middleware
-(** [middleware t matches] shapes matching packets and forwards the
-    rest untouched. *)
-
 val passed : t -> int
 val delayed : t -> int
 val dropped : t -> int
-
-(** Configured parameters, readable so {!Dsl.of_legacy} can clone a
-    legacy shaper's behaviour into a [throttle_spec]. *)
-
-val rate_bps : t -> int
-val burst_bytes : t -> int
-val max_delay : t -> int64

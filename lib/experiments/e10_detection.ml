@@ -10,34 +10,22 @@ type result = { rows : row list }
 
 type policy_kind = Clean | Throttle_voip | Throttle_everything
 
-let install world = function
-  | Clean -> ()
-  | Throttle_voip ->
-    let shaper =
-      Discrimination.Shaper.create world.Scenario.World.engine
-        ~rate_bps:24_000 ()
-    in
-    Net.Network.add_middleware world.Scenario.World.net
-      world.Scenario.World.att
-      (Discrimination.Policy.middleware
-         (Discrimination.Policy.create
-            [ Discrimination.Policy.rule ~label:"throttle-voip"
-                (Discrimination.Policy.App Discrimination.Classifier.Voip)
-                (Discrimination.Policy.Throttle shaper)
-            ]))
-  | Throttle_everything ->
-    let shaper =
-      Discrimination.Shaper.create world.Scenario.World.engine
-        ~rate_bps:60_000 ()
-    in
-    Net.Network.add_middleware world.Scenario.World.net
-      world.Scenario.World.att
-      (Discrimination.Policy.middleware
-         (Discrimination.Policy.create
-            [ Discrimination.Policy.rule ~label:"throttle-all"
-                Discrimination.Policy.Any
-                (Discrimination.Policy.Throttle shaper)
-            ]))
+let install world kind =
+  let open Discrimination.Dsl in
+  let policy =
+    match kind with
+    | Clean -> None
+    | Throttle_voip ->
+      Some
+        (Rule (App Discrimination.Classifier.Voip, throttle ~rate_bps:24_000))
+    | Throttle_everything -> Some (Rule (True, throttle ~rate_bps:60_000))
+  in
+  Option.iter
+    (fun p ->
+      Net.Network.add_middleware world.Scenario.World.net
+        world.Scenario.World.att
+        (middleware (compile ~engine:world.Scenario.World.engine p)))
+    policy
 
 let probe_from ~vantage ~policy ~use_ben ~duration_s =
   let world = Scenario.World.create () in

@@ -24,30 +24,22 @@ let policy_name = function
 let neutralized = function Target_vonage_plain -> false | _ -> true
 
 let install world kind =
-  let open Discrimination.Policy in
-  let throttle () =
-    Throttle
-      (Discrimination.Shaper.create world.Scenario.World.engine
-         ~rate_bps:24_000 ())
-  in
+  let open Discrimination.Dsl in
+  let throttle = throttle ~rate_bps:24_000 in
   let vonage = (Scenario.World.site world "vonage").Scenario.World.node in
-  let rules =
+  let policy =
     match kind with
     | Target_vonage_plain | Target_vonage_neutralized ->
       (* the surgical strike of §1: single out the competitor's address
          (both of Ann's calls are VoIP, so only the address separates the
          target from the bystander) *)
-      [ rule ~label:"target" (Addr vonage.Net.Topology.addr) (throttle ()) ]
-    | Throttle_anycast ->
-      [ rule ~label:"anycast"
-          (Addr world.Scenario.World.anycast)
-          (throttle ())
-      ]
-    | Throttle_encrypted -> [ rule ~label:"encrypted" Encrypted (throttle ()) ]
-    | Drop_key_setups -> [ rule ~label:"key-setup" Key_setup_packets Block ]
+      Rule (Addr vonage.Net.Topology.addr, throttle)
+    | Throttle_anycast -> Rule (Addr world.Scenario.World.anycast, throttle)
+    | Throttle_encrypted -> Rule (Looks_encrypted, throttle)
+    | Drop_key_setups -> Rule (Key_setup, Drop)
   in
   Net.Network.add_middleware world.Scenario.World.net world.Scenario.World.att
-    (middleware (create rules))
+    (middleware (compile ~engine:world.Scenario.World.engine policy))
 
 let run_policy ~kind ~duration_s =
   let world = Scenario.World.create () in

@@ -6,9 +6,7 @@
    1. Semantic tier: per regime, a generated policy is compiled to a
       classifier table and run against the naive reference interpreter
       over a batch of generated wire observations — verdicts must be
-      byte-identical. Each regime also generates a legacy Policy rule
-      list and checks the DSL embedding (of_legacy) renders the same
-      network action as the legacy engine on the same stream.
+      byte-identical.
 
    2. End-to-end tier: two long-lived Figure-1 worlds — exposed (plain
       UDP from Ann to vonage:5060 and google:80) and neutralized (the
@@ -46,9 +44,7 @@ type result = {
   (* semantic tier *)
   regimes : int;
   obs_per_regime : int;
-  legacy_obs_per_regime : int;
   compiled_mismatches : int;
-  legacy_mismatches : int;
   max_table_rules : int;
   (* e2e tier *)
   e2e_windows : int;
@@ -72,21 +68,11 @@ type result = {
   ok : bool;
 }
 
-let action_str = function
-  | Net.Network.Forward -> "F"
-  | Net.Network.Drop -> "D"
-  | Net.Network.Delay d -> Printf.sprintf "d%Ld" d
-  | Net.Network.Remark d -> Printf.sprintf "r%d" d
-
 (* ------------------------------------------------------------------ *)
 (* Semantic tier                                                      *)
 
-let semantic_tier buf ~root ~regimes ~obs_per_regime ~legacy_obs =
-  (* An idle engine anchors the legacy shapers' clock; the DSL clones
-     run on the same engine, so both sides see identical token-bucket
-     evolution. *)
-  let engine = Net.Engine.create ~obs:(Obs.Registry.create ()) () in
-  let compiled_mismatches = ref 0 and legacy_mismatches = ref 0 in
+let semantic_tier buf ~root ~regimes ~obs_per_regime =
+  let compiled_mismatches = ref 0 in
   let max_rules = ref 0 in
   let violations = ref [] in
   let note regime kind detail =
@@ -117,29 +103,9 @@ let semantic_tier buf ~root ~regimes ~obs_per_regime ~legacy_obs =
              (Format.asprintf "%a" Dsl.pp_policy pol))
       end
     done;
-    (* Legacy embedding: same engine, same observation stream, network
-       actions must coincide. *)
-    let lrng = Prng.split rng ~label:"legacy" in
-    let rules = Dsl_gen.gen_legacy_rules engine lrng in
-    let legacy = Discrimination.Policy.create rules in
-    let dsl = Dsl.compile ~engine (Dsl.of_legacy rules) in
-    let lorng = Prng.split rng ~label:"legacy-obs" in
-    for k = 0 to legacy_obs - 1 do
-      let at = Int64.of_int ((k * 1_000_000) + Prng.int lorng 999_983) in
-      let o = Dsl_gen.gen_obs lorng ~at in
-      let al = Discrimination.Policy.middleware legacy o in
-      let ad = Dsl.middleware dsl o in
-      Buffer.add_string buf (action_str ad);
-      if al <> ad then begin
-        incr legacy_mismatches;
-        note i "legacy-vs-dsl"
-          (Printf.sprintf "obs %d: legacy=%s dsl=%s" k (action_str al)
-             (action_str ad))
-      end
-    done;
     Buffer.add_char buf '\n'
   done;
-  (!compiled_mismatches, !legacy_mismatches, !max_rules, List.rev !violations)
+  (!compiled_mismatches, !max_rules, List.rev !violations)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end tier                                                    *)
@@ -366,14 +332,14 @@ let e2e_tier buf ~root ~windows ~packets =
 (* ------------------------------------------------------------------ *)
 
 let run ?(seed = 2006) ?(regimes = 1200) ?(obs_per_regime = 48)
-    ?(legacy_obs = 24) ?(e2e_windows = 160) ?(packets_per_window = 24) () =
+    ?(e2e_windows = 160) ?(packets_per_window = 24) () =
   let t0 = Unix.gettimeofday () in
   let buf = Buffer.create (1 lsl 20) in
   let root = Prng.create ~seed in
-  let compiled_mismatches, legacy_mismatches, max_rules, sem_violations =
+  let compiled_mismatches, max_rules, sem_violations =
     semantic_tier buf
       ~root:(Prng.split root ~label:"semantic")
-      ~regimes ~obs_per_regime ~legacy_obs
+      ~regimes ~obs_per_regime
   in
   let ( base_n,
         base_x,
@@ -396,9 +362,7 @@ let run ?(seed = 2006) ?(regimes = 1200) ?(obs_per_regime = 48)
   { seed;
     regimes;
     obs_per_regime;
-    legacy_obs_per_regime = legacy_obs;
     compiled_mismatches;
-    legacy_mismatches;
     max_table_rules = max_rules;
     e2e_windows;
     packets_per_window;
@@ -419,9 +383,8 @@ let run ?(seed = 2006) ?(regimes = 1200) ?(obs_per_regime = 48)
     digest = Crypto.Sha256.digest_hex (Buffer.contents buf);
     seconds;
     ok =
-      compiled_mismatches = 0 && legacy_mismatches = 0
-      && neutral_selective = 0 && goodput_violations = 0
-      && collapse_violations = 0 && mixed = 0
+      compiled_mismatches = 0 && neutral_selective = 0
+      && goodput_violations = 0 && collapse_violations = 0 && mixed = 0
   }
 
 let print r =
@@ -437,7 +400,6 @@ let print r =
       [ "compiled vs interpreter mismatches";
         string_of_int r.compiled_mismatches
       ];
-      [ "legacy vs DSL mismatches"; string_of_int r.legacy_mismatches ];
       [ "largest compiled table"; Printf.sprintf "%d rules" r.max_table_rules ]
     ];
   Table.print
@@ -483,8 +445,7 @@ let print r =
 let to_json r =
   Printf.sprintf
     "{\"bench\": \"dsl\", \"seed\": %d, \"semantic\": {\"regimes\": %d, \
-     \"obs_per_regime\": %d, \"legacy_obs_per_regime\": %d, \
-     \"compiled_mismatches\": %d, \"legacy_mismatches\": %d, \
+     \"obs_per_regime\": %d, \"compiled_mismatches\": %d, \
      \"max_table_rules\": %d}, \"e2e\": {\"windows\": %d, \
      \"packets_per_window\": %d, \"baseline_target\": %d, \
      \"baseline_bystander\": %d, \"baseline_exposed_target\": %d, \
@@ -494,14 +455,13 @@ let to_json r =
      \"collapse_violations\": %d, \"mixed_epoch_verdicts\": %d, \"epochs\": \
      %d, \"stamped_keys\": %d}, \"digest\": \"%s\", \"wall_s\": %.3f, \
      \"ok\": %b, \"note\": \"semantic tier: DSL-compiled classifier tables \
-     must render verdicts byte-identical to the reference interpreter and \
-     to the legacy Policy engine on its expressible subset; e2e tier: \
-     generated regimes swapped epoch-consistently mid-window against \
-     paired exposed/neutralized Figure-1 worlds must not discriminate \
-     selectively, degrade inert-window goodput, leak classifiable \
-     verdicts, or mix epochs\"}"
-    r.seed r.regimes r.obs_per_regime r.legacy_obs_per_regime
-    r.compiled_mismatches r.legacy_mismatches r.max_table_rules r.e2e_windows
+     must render verdicts byte-identical to the reference interpreter; \
+     e2e tier: generated regimes swapped epoch-consistently mid-window \
+     against paired exposed/neutralized Figure-1 worlds must not \
+     discriminate selectively, degrade inert-window goodput, leak \
+     classifiable verdicts, or mix epochs\"}"
+    r.seed r.regimes r.obs_per_regime
+    r.compiled_mismatches r.max_table_rules r.e2e_windows
     r.packets_per_window r.baseline_target r.baseline_bystander
     r.baseline_x_target r.baseline_x_bystander r.active_windows
     r.inert_windows r.exposed_selective r.neutral_selective

@@ -3,12 +3,12 @@
     Sweeps thousands of {!Discrimination.Dsl_gen}-generated
     discrimination regimes, in two tiers sharing one [POLICY_SEED]:
     a semantic tier (compiled classifier tables vs the reference
-    interpreter, byte-for-byte, plus the legacy {!Discrimination.Policy}
-    embedding) and an end-to-end tier (paired exposed-vs-neutralized
-    Figure-1 worlds with epoch-consistent mid-window policy swaps,
-    asserting the paper's §3.6 invariants: selectivity collapses,
-    inert regimes cost nothing, classifier verdicts collapse to
-    [Key_setup]/[Encrypted], and no packet sees a mixed epoch). *)
+    interpreter, byte-for-byte) and an end-to-end tier (paired
+    exposed-vs-neutralized Figure-1 worlds with epoch-consistent
+    mid-window policy swaps, asserting the paper's §3.6 invariants:
+    selectivity collapses, inert regimes cost nothing, classifier
+    verdicts collapse to [Key_setup]/[Encrypted], and no packet sees a
+    mixed epoch). *)
 
 type violation = { v_regime : int; v_kind : string; v_detail : string }
 
@@ -16,9 +16,7 @@ type result = {
   seed : int;
   regimes : int;
   obs_per_regime : int;
-  legacy_obs_per_regime : int;
   compiled_mismatches : int;
-  legacy_mismatches : int;
   max_table_rules : int;
   e2e_windows : int;
   packets_per_window : int;
@@ -45,13 +43,12 @@ val run :
   ?seed:int ->
   ?regimes:int ->
   ?obs_per_regime:int ->
-  ?legacy_obs:int ->
   ?e2e_windows:int ->
   ?packets_per_window:int ->
   unit ->
   result
-(** Defaults: seed 2006, 1200 semantic regimes x 48 observations (+24
-    legacy-subset observations each), 160 e2e windows x 24 packets.
+(** Defaults: seed 2006, 1200 semantic regimes x 48 observations, 160
+    e2e windows x 24 packets.
     Fully deterministic for a given seed; [result.digest] folds every
     verdict and per-window integer. *)
 

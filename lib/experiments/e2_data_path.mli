@@ -25,10 +25,6 @@ type result = {
 val run : ?min_time:float -> unit -> result
 val print : result -> unit
 
-val forward_op : unit -> unit -> unit
-val return_op : unit -> unit -> unit
-val vanilla_op : unit -> unit -> unit
-
 val golden_rows : unit -> string list list
 (** A deterministic observation table — the fixed-seed blind output and
     a chain of forwarded/returned packets with wire-byte digests.

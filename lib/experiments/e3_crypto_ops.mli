@@ -14,6 +14,3 @@ type result = { rows : row list; paper_aes_ops : float }
 
 val run : ?min_time:float -> unit -> result
 val print : result -> unit
-
-val ops : (string * (unit -> unit -> unit)) list
-(** Named closures, also benched by bechamel. *)

@@ -19,49 +19,33 @@ type mode =
 type policy_kind = No_policy | Target_vonage | Tier_by_dscp
 
 let install_policy world kind =
+  let open Discrimination.Dsl in
   let vonage = (Scenario.World.site world "vonage").Scenario.World.node in
-  match kind with
-  | No_policy -> ()
-  | Target_vonage ->
-    (* 24 kbit/s strangles a 75 kbit/s call. *)
-    let shaper =
-      Discrimination.Shaper.create world.Scenario.World.engine
-        ~rate_bps:24_000 ()
-    in
-    let policy =
-      Discrimination.Policy.create
-        [ Discrimination.Policy.rule ~label:"throttle-vonage"
-            (Discrimination.Policy.Any_of
-               [ Discrimination.Policy.App Discrimination.Classifier.Voip;
-                 Discrimination.Policy.Addr vonage.Net.Topology.addr
-               ])
-            (Discrimination.Policy.Throttle shaper)
-        ]
-    in
-    Net.Network.add_middleware world.Scenario.World.net
-      world.Scenario.World.att
-      (Discrimination.Policy.middleware policy)
-  | Tier_by_dscp ->
-    (* §3.4: the ISP may still tier by DSCP; best-effort encrypted
-       traffic shares a congested 48 kbit/s class, EF is untouched. *)
-    let shaper =
-      Discrimination.Shaper.create world.Scenario.World.engine
-        ~rate_bps:48_000 ()
-    in
-    let policy =
-      Discrimination.Policy.create
-        [ Discrimination.Policy.rule ~label:"be-class"
-            (Discrimination.Policy.All_of
-               [ Discrimination.Policy.Encrypted;
-                 Discrimination.Policy.Not
-                   (Discrimination.Policy.Dscp Core.Protocol.dscp_ef)
-               ])
-            (Discrimination.Policy.Throttle shaper)
-        ]
-    in
-    Net.Network.add_middleware world.Scenario.World.net
-      world.Scenario.World.att
-      (Discrimination.Policy.middleware policy)
+  let policy =
+    match kind with
+    | No_policy -> None
+    | Target_vonage ->
+      (* 24 kbit/s strangles a 75 kbit/s call. *)
+      Some
+        (Rule
+           ( Or
+               ( App Discrimination.Classifier.Voip,
+                 Addr vonage.Net.Topology.addr ),
+             throttle ~rate_bps:24_000 ))
+    | Tier_by_dscp ->
+      (* §3.4: the ISP may still tier by DSCP; best-effort encrypted
+         traffic shares a congested 48 kbit/s class, EF is untouched. *)
+      Some
+        (Rule
+           ( And (Looks_encrypted, Not (Dscp Core.Protocol.dscp_ef)),
+             throttle ~rate_bps:48_000 ))
+  in
+  Option.iter
+    (fun p ->
+      Net.Network.add_middleware world.Scenario.World.net
+        world.Scenario.World.att
+        (middleware (compile ~engine:world.Scenario.World.engine p)))
+    policy
 
 let run_condition ~condition ~mode ~policy ~duration_s ~pps =
   let world = Scenario.World.create () in

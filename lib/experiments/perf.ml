@@ -2,72 +2,9 @@
    the performance pass touched, measured in one process on one machine
    so the ratios are apples to apples. The "before" sides are live
    reference implementations — the binary exponentiation ladder kept in
-   Nat.Montgomery, the stateless datapath transforms, and a boxed copy
-   of the old event heap kept below — so every run re-derives the
-   speedups instead of trusting numbers recorded on some other box. *)
-
-(* The event heap as it was before the unboxing: one record per entry,
-   boxed int64 timestamp. Kept as the measured baseline. *)
-module Boxed_pqueue = struct
-  type 'a entry = { time : int64; seq : int; value : 'a }
-  type 'a t = { mutable arr : 'a entry array; mutable len : int }
-
-  let create () = { arr = [||]; len = 0 }
-
-  let less a b =
-    match Int64.compare a.time b.time with
-    | 0 -> a.seq < b.seq
-    | c -> c < 0
-
-  let push q time seq value =
-    let entry = { time; seq; value } in
-    let cap = Array.length q.arr in
-    if q.len = cap then begin
-      let narr = Array.make (max 16 (2 * cap)) entry in
-      Array.blit q.arr 0 narr 0 q.len;
-      q.arr <- narr
-    end;
-    q.arr.(q.len) <- entry;
-    q.len <- q.len + 1;
-    let i = ref (q.len - 1) in
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if less q.arr.(!i) q.arr.(parent) then begin
-        let tmp = q.arr.(!i) in
-        q.arr.(!i) <- q.arr.(parent);
-        q.arr.(parent) <- tmp;
-        i := parent
-      end
-      else continue := false
-    done
-
-  let pop_min q =
-    if q.len = 0 then None
-    else begin
-      let top = q.arr.(0) in
-      q.len <- q.len - 1;
-      if q.len > 0 then begin
-        q.arr.(0) <- q.arr.(q.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < q.len && less q.arr.(l) q.arr.(!smallest) then smallest := l;
-          if r < q.len && less q.arr.(r) q.arr.(!smallest) then smallest := r;
-          if !smallest <> !i then begin
-            let tmp = q.arr.(!i) in
-            q.arr.(!i) <- q.arr.(!smallest);
-            q.arr.(!smallest) <- tmp;
-            i := !smallest
-          end
-          else continue := false
-        done
-      end;
-      Some (top.time, top.seq, top.value)
-    end
-end
+   Nat.Montgomery and the stateless datapath transforms — so every run
+   re-derives the speedups instead of trusting numbers recorded on some
+   other box. *)
 
 type row = { name : string; ops_per_sec : float; note : string }
 
@@ -77,7 +14,6 @@ type result = {
   pooled_vs_cold : float;
   windowed_vs_binary : float;
   session_vs_stateless : float;
-  unboxed_vs_boxed_heap : float;
   sim_events_per_s : float;
   pdes_events_per_s : float;
   counter_resolved_ns : float;
@@ -148,7 +84,7 @@ let unblind_session_op () =
     | Some _ -> ()
     | None -> failwith "perf: unblind failed"
 
-(* ---- event heap: unboxed parallel arrays vs boxed records ---- *)
+(* ---- event heap ---- *)
 
 (* Churn at a constant population: one pseudo-random push plus one pop
    per op, over a heap preloaded with [population] entries. *)
@@ -160,7 +96,7 @@ let lcg seed =
     s := (!s * 2685821657736338717) + 1442695040888963407;
     !s land 0x3fffffffffff
 
-let unboxed_heap_op () =
+let heap_churn_op () =
   let q = Net.Pqueue.create ~capacity:(heap_population + 1) () in
   let next = lcg 42 in
   for i = 0 to heap_population - 1 do
@@ -171,18 +107,6 @@ let unboxed_heap_op () =
     Net.Pqueue.push q (Int64.of_int (next ())) !seq ();
     incr seq;
     ignore (Net.Pqueue.pop_min q)
-
-let boxed_heap_op () =
-  let q = Boxed_pqueue.create () in
-  let next = lcg 42 in
-  for i = 0 to heap_population - 1 do
-    Boxed_pqueue.push q (Int64.of_int (next ())) i ()
-  done;
-  let seq = ref heap_population in
-  fun () ->
-    Boxed_pqueue.push q (Int64.of_int (next ())) !seq ();
-    incr seq;
-    ignore (Boxed_pqueue.pop_min q)
 
 (* ---- whole-engine event rate ---- *)
 
@@ -259,8 +183,7 @@ let run ?(min_time = 0.4) () =
   let blind_stateless = m blind_stateless_op in
   let blind_session = m blind_session_op in
   let unblind_session = m unblind_session_op in
-  let heap_unboxed = m unboxed_heap_op in
-  let heap_boxed = m boxed_heap_op in
+  let heap_churn = m heap_churn_op in
   let events = sim_events_per_s ~min_time in
   let pdes_events = pdes_events_per_s ~min_time in
   let ctr_resolved = m counter_resolved_op in
@@ -300,13 +223,9 @@ let run ?(min_time = 0.4) () =
           ops_per_sec = unblind_session;
           note = "after: session verify + unmask"
         };
-        { name = "pqueue-boxed-churn";
-          ops_per_sec = heap_boxed;
-          note = "before: record entries (push+pop @1023)"
-        };
         { name = "pqueue-unboxed-churn";
-          ops_per_sec = heap_unboxed;
-          note = "after: parallel int arrays (push+pop @1023)"
+          ops_per_sec = heap_churn;
+          note = "engine event heap: parallel int arrays (push+pop @1023)"
         };
         { name = "counter-inc-resolved";
           ops_per_sec = ctr_resolved *. float_of_int counter_batch;
@@ -320,7 +239,6 @@ let run ?(min_time = 0.4) () =
     pooled_vs_cold = keypool_take /. keygen_cold;
     windowed_vs_binary = pow_windowed /. pow_binary;
     session_vs_stateless = blind_session /. blind_stateless;
-    unboxed_vs_boxed_heap = heap_unboxed /. heap_boxed;
     sim_events_per_s = events;
     pdes_events_per_s = pdes_events;
     counter_resolved_ns = ns_per_inc ctr_resolved;
@@ -339,7 +257,6 @@ let print r =
     [ [ "pooled key vs cold keygen"; Table.f0 r.pooled_vs_cold ^ "x" ];
       [ "windowed vs binary pow_mod"; Table.f2 r.windowed_vs_binary ^ "x" ];
       [ "session vs stateless blind"; Table.f2 r.session_vs_stateless ^ "x" ];
-      [ "unboxed vs boxed heap"; Table.f2 r.unboxed_vs_boxed_heap ^ "x" ];
       [ "sim events/s"; Table.kops r.sim_events_per_s ];
       [ "pdes events/s (4 shards)"; Table.kops r.pdes_events_per_s ];
       [ "counter inc (resolved)"; Table.f2 r.counter_resolved_ns ^ " ns" ];
@@ -362,14 +279,13 @@ let to_json r =
     (Printf.sprintf
        "], \"speedups\": {\"pooled_key_vs_cold_keygen\": %.2f, \
         \"windowed_vs_binary_pow_mod\": %.3f, \
-        \"session_vs_stateless_blind\": %.3f, \
-        \"unboxed_vs_boxed_heap\": %.3f}, \
+        \"session_vs_stateless_blind\": %.3f}, \
         \"sim_events_per_s\": %.1f, \"pdes_events_per_s\": %.1f, \
         \"metrics_overhead\": {\"counter_inc_resolved_ns\": %.2f, \
         \"counter_inc_lookup_ns\": %.2f, \"note\": \"per-packet obs bump \
         cost with counters pre-resolved at attach vs a registry lookup \
         per bump\"}}"
        r.pooled_vs_cold r.windowed_vs_binary r.session_vs_stateless
-       r.unboxed_vs_boxed_heap r.sim_events_per_s r.pdes_events_per_s
+       r.sim_events_per_s r.pdes_events_per_s
        r.counter_resolved_ns r.counter_lookup_ns);
   Buffer.contents buf

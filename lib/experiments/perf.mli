@@ -3,13 +3,12 @@
     Measures before/after pairs in one process — cold RSA-512 keygen vs
     a pooled take, the binary Montgomery ladder vs the fixed-window
     exponentiation, stateless datapath transforms vs a precomputed
-    session, a boxed reference event heap vs the unboxed parallel-array
-    one — plus key-setup responses/s, whole-engine sim events/s, and the
-    per-increment cost of obs counters (pre-resolved vs registry
-    lookup). The "before" implementations are kept live (in
-    {!Nat.Montgomery}, {!Core.Datapath}, and a boxed heap inside this
-    module) so every run re-derives the speedups on the current
-    machine. *)
+    session — plus the engine's event-heap churn, key-setup
+    responses/s, whole-engine sim events/s, and the per-increment cost
+    of obs counters (pre-resolved vs registry lookup). The "before"
+    implementations are kept live (in {!Nat.Montgomery} and
+    {!Core.Datapath}) so every run re-derives the speedups on the
+    current machine. *)
 
 type row = { name : string; ops_per_sec : float; note : string }
 
@@ -19,7 +18,6 @@ type result = {
   pooled_vs_cold : float;  (** keypool take ops/s over cold keygen ops/s *)
   windowed_vs_binary : float;
   session_vs_stateless : float;
-  unboxed_vs_boxed_heap : float;
   sim_events_per_s : float;
   pdes_events_per_s : float;
       (** the sharded engine on the pdes token workload, 4 shards *)

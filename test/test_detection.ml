@@ -236,17 +236,15 @@ let test_probe_clean_path () =
 
 let test_probe_catches_classifier () =
   let rig = make_rig () in
-  let shaper =
-    Discrimination.Shaper.create rig.engine ~rate_bps:24_000
-      ~burst_bytes:2_000 ()
+  let throttle =
+    Discrimination.Dsl.Throttle
+      { rate_bps = 24_000; burst_bytes = 2_000; max_delay_ns = 500_000_000L }
   in
   Net.Network.add_middleware rig.net rig.isp
-    (Discrimination.Policy.middleware
-       (Discrimination.Policy.create
-          [ Discrimination.Policy.rule
-              (Discrimination.Policy.App Discrimination.Classifier.Voip)
-              (Discrimination.Policy.Throttle shaper)
-          ]));
+    (Discrimination.Dsl.middleware
+       (Discrimination.Dsl.compile ~engine:rig.engine
+          (Discrimination.Dsl.Rule
+             (Discrimination.Dsl.App Discrimination.Classifier.Voip, throttle))));
   let verdict = ref None in
   Detection.Probe.run rig.net ~client:rig.client ~server:rig.server
     ~duration_s:2.0 Detection.Probe.voip_profile (fun v -> verdict := Some v);

@@ -99,58 +99,95 @@ let test_looks_encrypted () =
 
 (* ---- policy ---- *)
 
+let verdict =
+  Alcotest.testable
+    (fun fmt v -> Format.pp_print_string fmt (Dsl.verdict_to_string v))
+    ( = )
+
+(* Each case is judged by the reference interpreter, by the compiled
+   table's verdict and by its middleware action, every one against the
+   expected value written here rather than only against each other. *)
+let check_policy name pol o want action =
+  let table = Dsl.compile pol in
+  Alcotest.check verdict (name ^ " (interpreter)") want
+    (Dsl.interpret (Dsl.interp_create pol) o);
+  Alcotest.check verdict (name ^ " (compiled)") want (Dsl.verdict table o);
+  Alcotest.(check bool) (name ^ " (middleware)") true
+    (Dsl.middleware table o = action)
+
 let test_policy_matchers () =
-  let open Policy in
+  let open Dsl in
   let o = obs ~dscp:46 ~dst_port:5060 ~payload:"x" () in
-  Alcotest.(check bool) "any" true (matches Any o);
-  Alcotest.(check bool) "dscp" true (matches (Dscp 46) o);
-  Alcotest.(check bool) "port" true (matches (Dst_port 5060) o);
-  Alcotest.(check bool) "addr src" true (matches (Addr (Net.Ipaddr.of_string "10.1.0.2")) o);
-  Alcotest.(check bool) "addr other" false (matches (Addr (Net.Ipaddr.of_string "9.9.9.9")) o);
-  Alcotest.(check bool) "src_in" true (matches (Src_in (Net.Ipaddr.Prefix.of_string "10.1.0.0/16")) o);
-  Alcotest.(check bool) "dst_in" true (matches (Dst_in (Net.Ipaddr.Prefix.of_string "10.2.0.0/16")) o);
-  Alcotest.(check bool) "not" false (matches (Not Any) o);
-  Alcotest.(check bool) "all_of" true (matches (All_of [ Dscp 46; Dst_port 5060 ]) o);
-  Alcotest.(check bool) "any_of" true (matches (Any_of [ Dscp 9; Dst_port 5060 ]) o);
-  Alcotest.(check bool) "size" true (matches (Size_at_least 20) o)
+  let matches name want pred =
+    let v, action =
+      if want then (V_drop, Net.Network.Drop)
+      else (V_forward, Net.Network.Forward)
+    in
+    check_policy name (Rule (pred, Drop)) o v action
+  in
+  let addr = Net.Ipaddr.of_string and prefix = Net.Ipaddr.Prefix.of_string in
+  matches "true" true True;
+  matches "dscp" true (Dscp 46);
+  matches "port" true (Dst_port 5060);
+  matches "addr src" true (Addr (addr "10.1.0.2"));
+  matches "addr dst" true (Addr (addr "10.2.0.3"));
+  matches "addr other" false (Addr (addr "9.9.9.9"));
+  matches "src_in" true (Src_in (prefix "10.1.0.0/16"));
+  matches "src_in is not dst" false (Src_in (prefix "10.2.0.0/16"));
+  matches "dst_in" true (Dst_in (prefix "10.2.0.0/16"));
+  matches "dst_in is not src" false (Dst_in (prefix "10.1.0.0/16"));
+  matches "not" false (Not True);
+  matches "and" true (And (Dscp 46, Dst_port 5060));
+  matches "and needs both" false (And (Dscp 9, Dst_port 5060));
+  matches "or" true (Or (Dscp 9, Dst_port 5060));
+  matches "size" true (Size_at_least 20);
+  matches "size too small" false (Size_at_least 10_000)
 
 let test_policy_first_match_wins () =
-  let open Policy in
-  let p =
-    create
-      [ rule ~label:"allow-ef" (Dscp 46) Allow;
-        rule ~label:"block-voip" (App Classifier.Voip) Block
-      ]
-  in
-  let mw = middleware p in
-  Alcotest.(check bool) "ef voip allowed" true
-    (mw (obs ~dscp:46 ~dst_port:5060 ()) = Net.Network.Forward);
-  Alcotest.(check bool) "plain voip blocked" true
-    (mw (obs ~dst_port:5060 ()) = Net.Network.Drop);
-  Alcotest.(check bool) "unmatched forwards" true
-    (mw (obs ~dst_port:9999 ()) = Net.Network.Forward);
-  Alcotest.(check (list (pair string int))) "hit counting"
-    [ ("allow-ef", 1); ("block-voip", 1) ]
-    (hits p)
+  let open Dsl in
+  let pol = Union (Rule (Dscp 46, Allow), Rule (App Classifier.Voip, Drop)) in
+  check_policy "ef voip allowed" pol (obs ~dscp:46 ~dst_port:5060 ()) V_allow
+    Net.Network.Forward;
+  check_policy "plain voip blocked" pol (obs ~dst_port:5060 ()) V_drop
+    Net.Network.Drop;
+  check_policy "unmatched forwards" pol (obs ~dst_port:9999 ()) V_forward
+    Net.Network.Forward;
+  (* Hit counting on an installed table: two hosts of one domain, each
+     packet judged once at ingress delivery. *)
+  let topo = Net.Topology.create () in
+  let d = Net.Topology.add_domain topo ~name:"isp" ~prefix:"10.1.0.0/16" in
+  let a = Net.Topology.add_node topo ~domain:d ~kind:Host ~name:"a" in
+  let b = Net.Topology.add_node topo ~domain:d ~kind:Host ~name:"b" in
+  Net.Topology.add_link topo a.nid b.nid ~bandwidth_bps:1_000_000_000
+    ~latency:1_000_000L ();
+  let net = Net.Network.create (Net.Engine.create ()) topo in
+  let ctl = Control.install net ~domains:[ d ] pol in
+  List.iter
+    (fun (dscp, dst_port) ->
+      Net.Network.send net ~from:a.nid
+        (Net.Packet.make ~dscp ~dst_port ~src:a.addr ~dst:b.addr
+           (Printf.sprintf "%d/%d" dscp dst_port)))
+    [ (46, 5060); (0, 5060); (0, 9999) ];
+  Net.Network.run net;
+  Alcotest.(check int) "every packet judged" 3 (Control.verdicts ctl);
+  Alcotest.(check int) "allow and no-match are not hits" 1 (Control.hits ctl)
 
 let test_policy_actions () =
-  let open Policy in
-  let p =
-    create
-      [ rule (Dscp 1) (Delay_by 5_000_000L);
-        rule (Dscp 2) (Set_dscp 0)
-      ]
+  let open Dsl in
+  let pol =
+    Union (Rule (Dscp 1, Delay 5_000_000L), Rule (Dscp 2, Set_dscp 0))
   in
-  let mw = middleware p in
-  Alcotest.(check bool) "delay" true (mw (obs ~dscp:1 ()) = Net.Network.Delay 5_000_000L);
-  Alcotest.(check bool) "remark" true (mw (obs ~dscp:2 ()) = Net.Network.Remark 0)
+  check_policy "delay" pol (obs ~dscp:1 ()) (V_delay 5_000_000L)
+    (Net.Network.Delay 5_000_000L);
+  check_policy "remark" pol (obs ~dscp:2 ()) (V_remark 0)
+    (Net.Network.Remark 0)
 
 (* ---- shaper ---- *)
 
 let test_shaper_pass_and_throttle () =
   let e = Net.Engine.create () in
   (* 80 kbit/s = 10 kB/s, burst 2 kB *)
-  let s = Shaper.create e ~rate_bps:80_000 ~burst_bytes:2_000 ~max_delay:100_000_000L () in
+  let s = Shaper.create e ~rate_bps:80_000 ~burst_bytes:2_000 ~max_delay:100_000_000L in
   (* Within the burst everything passes. *)
   for _ = 1 to 10 do
     match Shaper.decide s ~size:100 with
@@ -172,7 +209,9 @@ let test_shaper_pass_and_throttle () =
 
 let test_shaper_refills_over_time () =
   let e = Net.Engine.create () in
-  let s = Shaper.create e ~rate_bps:80_000 ~burst_bytes:1_000 () in
+  let s =
+    Shaper.create e ~rate_bps:80_000 ~burst_bytes:1_000 ~max_delay:500_000_000L
+  in
   (* exhaust *)
   for _ = 1 to 50 do
     ignore (Shaper.decide s ~size:100)

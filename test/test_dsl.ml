@@ -1,13 +1,10 @@
 (* Property suite for the compositional policy DSL.
 
-   Three contracts pinned with qcheck over seeded Dsl_gen draws:
+   Two contracts pinned with qcheck over seeded Dsl_gen draws:
 
    - the classifier-table compiler is byte-identical to the reference
      interpreter on whole-grammar random policies x random observations
      (the same differential the E15 fuzzer sweeps at scale);
-   - the legacy Policy engine's behaviour is preserved by of_legacy on
-     its expressible subset, rendered all the way to network actions
-     (shapers included);
    - an epoch-consistent swap never lets a packet see two policy
      versions: mixed_epoch_verdicts stays 0 on random policy pairs and
      flip times, while naive mode (consistent:false) demonstrably
@@ -65,53 +62,6 @@ let test_compiled_eq_interp =
         let a = Dsl.verdict_to_string (Dsl.interpret ?domain it o) in
         let b = Dsl.verdict_to_string (Dsl.verdict ct o) in
         if a <> b then ok := false
-      done;
-      !ok)
-
-(* ---- legacy Policy preserved on the embeddable subset ---- *)
-
-let action_to_string : Net.Network.action -> string = function
-  | Net.Network.Forward -> "forward"
-  | Net.Network.Drop -> "drop"
-  | Net.Network.Delay d -> Printf.sprintf "delay:%Ld" d
-  | Net.Network.Remark d -> Printf.sprintf "remark:%d" d
-
-let test_legacy_embedding =
-  prop ~count:300 ~name:"of_legacy preserves Policy.middleware"
-    ~print:string_of_int offset_gen
-    (fun offset ->
-      let engine = Net.Engine.create ~obs:(Obs.Registry.create ()) () in
-      let rng = rng_for "legacy" offset in
-      let rules = Dsl_gen.gen_legacy_rules engine rng in
-      let legacy = Policy.middleware (Policy.create rules) in
-      let dsl = Dsl.middleware (Dsl.compile ~engine (Dsl.of_legacy rules)) in
-      let ok = ref true in
-      for k = 0 to 39 do
-        let at = Int64.of_int (k * 1_000_000) in
-        let o = Dsl_gen.gen_obs rng ~at in
-        if action_to_string (legacy o) <> action_to_string (dsl o) then
-          ok := false
-      done;
-      !ok)
-
-let test_legacy_matches_subset =
-  prop ~count:300 ~name:"of_legacy preserves Policy.matches per matcher"
-    ~print:string_of_int offset_gen
-    (fun offset ->
-      (* A single matcher embedded as [Rule (pred, Drop)]: the DSL
-         verdict is V_drop iff the legacy matcher matches. *)
-      let rng = rng_for "matches" offset in
-      let m = Dsl_gen.gen_matcher rng ~depth:2 in
-      let pol =
-        Dsl.of_legacy [ Policy.rule m Policy.Block ]
-      in
-      let ct = Dsl.compile pol in
-      let ok = ref true in
-      for k = 0 to 39 do
-        let o = Dsl_gen.gen_obs rng ~at:(Int64.of_int (k * 1_000_000)) in
-        let want = Policy.matches m o in
-        let got = Dsl.verdict ct o = Dsl.V_drop in
-        if want <> got then ok := false
       done;
       !ok)
 
@@ -266,10 +216,7 @@ let test_swap_validation () =
 let () =
   Alcotest.run "dsl"
     [ ( "differential",
-        [ test_compiled_eq_interp;
-          test_legacy_embedding;
-          test_legacy_matches_subset
-        ] );
+        [ test_compiled_eq_interp ] );
       ( "consistent-updates",
         [ Alcotest.test_case "naive swap tears" `Quick test_naive_swap_tears;
           Alcotest.test_case "consistent swap holds" `Quick

@@ -157,12 +157,10 @@ let test_e15_fuzz_smoke () =
   Alcotest.(check bool) "all invariants hold" true r.Experiments.E15_regime_sweep.ok;
   Alcotest.(check int) "no compiler/interpreter mismatches" 0
     r.Experiments.E15_regime_sweep.compiled_mismatches;
-  Alcotest.(check int) "no legacy-embedding mismatches" 0
-    r.Experiments.E15_regime_sweep.legacy_mismatches;
   Alcotest.(check int) "no mixed-epoch verdicts" 0
     r.Experiments.E15_regime_sweep.mixed_epochs;
   Alcotest.(check string) "E15 sweep digest (seed 2006)"
-    "0bfd7ace6fcd3b9bf5a61c90aa48b041655cf749f97e42125cf975e0d3f54b3e"
+    "1ccb819de7afdc0de8357e01a39184b031b36290d16450253ff0dfc164321a3b"
     r.Experiments.E15_regime_sweep.digest
 
 let () =

@@ -9,8 +9,9 @@ val sub_mod : Nat.t -> Nat.t -> Nat.t -> Nat.t
 (** [mul_mod a b m] is [(a * b) mod m]. *)
 val mul_mod : Nat.t -> Nat.t -> Nat.t -> Nat.t
 
-(** [pow_mod b e m] is [b^e mod m]: Montgomery (CIOS) for odd moduli,
-    left-to-right square-and-multiply otherwise. Raises
+(** [pow_mod b e m] is [b^e mod m]: {!Nat.Montgomery.pow_mod} for odd
+    moduli and exponents over 20 bits, left-to-right square-and-multiply
+    over Euclidean division otherwise. Raises
     [Division_by_zero] if [m] is zero; [pow_mod _ _ one = zero]. *)
 val pow_mod : Nat.t -> Nat.t -> Nat.t -> Nat.t
 

@@ -1,6 +1,7 @@
 (* Little-endian arrays of 26-bit limbs, canonical (no trailing zeros).
-   26-bit limbs keep every intermediate product below 2^53, far inside the
-   63-bit native [int], so no overflow checks are needed anywhere. *)
+   26-bit limbs keep every limb product below 2^52, far inside the 63-bit
+   native [int], so no overflow checks are needed anywhere; the Montgomery
+   kernel, which sums many products before carrying, states its bound. *)
 
 let base_bits = 26
 let base = 1 lsl base_bits
@@ -276,10 +277,20 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* Byte i from the end lands at bit 8i, straddling a limb boundary when
+   its offset is past 18 (the mirror of [byte_at] below). *)
 let of_bytes_be s =
-  let r = ref zero in
-  String.iter (fun c -> r := add_small (mul_small !r 256) (Char.code c)) s;
-  !r
+  let len = String.length s in
+  let r = Array.make (((8 * len) + base_bits - 1) / base_bits) 0 in
+  for i = 0 to len - 1 do
+    let v = Char.code s.[len - 1 - i] in
+    let bit = 8 * i in
+    let li = bit / base_bits and off = bit mod base_bits in
+    r.(li) <- r.(li) lor ((v lsl off) land mask);
+    if off > base_bits - 8 then
+      r.(li + 1) <- r.(li + 1) lor (v lsr (base_bits - off))
+  done;
+  norm r
 
 let byte_at a i =
   let bit = 8 * i in
@@ -363,9 +374,6 @@ let to_string a =
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 module Montgomery = struct
-  (* CIOS (coarsely integrated operand scanning) over 26-bit limbs.
-     Invariant bounds: limb products are < 2^52 and every accumulator
-     below stays under 2^53, inside the 63-bit native int. *)
   type ctx = {
     m : int array; (* modulus limbs, length n *)
     n : int;
@@ -386,6 +394,12 @@ module Montgomery = struct
     done;
     !x land mask
 
+  (* [a] zero-extended to [n] limbs. *)
+  let pad n a =
+    let r = Array.make n 0 in
+    Array.blit a 0 r 0 (Array.length a);
+    r
+
   let create m_nat =
     if is_even m_nat || compare m_nat (of_int 3) < 0 then None
     else begin
@@ -393,181 +407,129 @@ module Montgomery = struct
       let n = Array.length m in
       let m' = base - inv_limb m.(0) land mask in
       let r2 = rem (shift_left one (2 * n * base_bits)) m_nat in
-      let pad a = Array.append a (Array.make (n - Array.length a) 0) in
-      Some { m; n; m' = m' land mask; r2 = pad r2; m_nat }
+      Some { m; n; m' = m' land mask; r2 = pad n r2; m_nat }
     end
 
-  (* t := mont(a, b) = a * b * R^{-1} mod m, where a b are n-limb arrays.
-     Returns a fresh n-limb array (fully reduced). *)
-  let mont ctx a b =
+  (* Unchecked limb access for the kernel below, which validates every
+     length once at entry. *)
+  external get : int array -> int -> int = "%array_unsafe_get"
+  external set : int array -> int -> int -> unit = "%array_unsafe_set"
+
+  (* Carry bound. The kernel adds limb products, each below 2^52, into
+     unnormalized accumulators and carries only the limb a round shifts
+     out. Over one product an accumulator receives at most 2n of them (a
+     doubled cross product counts as two) plus one shifted-out carry
+     below 2^36, so up to n = 256 limbs (6656-bit moduli) it stays below
+     2^61 + 2^36, inside the 63-bit native int. A round adds at most
+     three products' worth to an accumulator, so wider moduli stay exact
+     with a carry pass every 256 rounds. *)
+  let carry_rounds = 256
+
+  (* Normalizes t.(lo) .. t.(hi - 1) to limbs, carrying into t.(hi).
+     Unchecked: callers pass indices inside [t]. *)
+  let carry t lo hi =
+    for j = lo to hi - 1 do
+      let s = get t j in
+      set t j (s land mask);
+      set t (j + 1) (get t (j + 1) + (s lsr base_bits))
+    done
+
+  (* Limbs j .. 0 of [t] read as a number are at least those of [m]. *)
+  let rec at_least t m j =
+    j < 0
+    || get t j > get m j
+    || (get t j = get m j && at_least t m (j - 1))
+
+  (* The accumulators t.(0) .. t.(n) hold a value below 2m: one
+     normalizing pass, then [dst] := that value, minus m when it is at
+     least m. Unchecked, like [carry]. *)
+  let finish ctx t dst =
     let n = ctx.n and m = ctx.m in
-    let t = Array.make (n + 2) 0 in
+    carry t 0 n;
+    let sel = if get t n > 0 || at_least t m (n - 1) then -1 else 0 in
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = get t j - (get m j land sel) - !borrow in
+      set dst j (d land mask);
+      borrow := -(d asr base_bits)
+    done
+
+  let scratch ctx = Array.make (ctx.n + 1) 0
+
+  (* The kernel: [dst] := a * b * R^{-1} mod m, R = 2^(26n), for n-limb
+     [a] and [b] below m, with [t] from [scratch]. Round i adds
+     a_i * b + u * m, where u makes the low limb zero, then shifts down
+     one limb. When [a == b] the round skips the products below the
+     diagonal and doubles those above it. [dst] is written only after
+     [a] and [b] are read, so it may be either of them, and it comes out
+     fully reduced, ready to feed the next product. *)
+  let mul_into ctx t dst a b =
+    let n = ctx.n and m = ctx.m and m' = ctx.m' in
+    if
+      Array.length a < n
+      || Array.length b < n
+      || Array.length dst < n
+      || Array.length t < n + 1
+    then invalid_arg "Nat.Montgomery: operand or scratch too short";
+    let sq = a == b in
+    for j = 0 to n do
+      set t j 0
+    done;
     for i = 0 to n - 1 do
-      let ai = a.(i) in
-      (* t += ai * b *)
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        let s = t.(j) + (ai * b.(j)) + !c in
-        t.(j) <- s land mask;
-        c := s lsr base_bits
+      let ai = get a i in
+      let first = if sq then i else 0 in
+      let f = if sq then 2 * ai else ai in
+      set t first (get t first + (ai * get b first));
+      let s = get t 0 in
+      let u = (s land mask) * m' land mask in
+      let c = (s + (u * get m 0)) lsr base_bits in
+      for j = 1 to first do
+        set t (j - 1) (get t j + (u * get m j))
       done;
-      let s = t.(n) + !c in
-      t.(n) <- s land mask;
-      t.(n + 1) <- t.(n + 1) + (s lsr base_bits);
-      (* u makes t divisible by the base; shift down one limb *)
-      let u = t.(0) * ctx.m' land mask in
-      let s0 = t.(0) + (u * m.(0)) in
-      let c = ref (s0 lsr base_bits) in
-      for j = 1 to n - 1 do
-        let s = t.(j) + (u * m.(j)) + !c in
-        t.(j - 1) <- s land mask;
-        c := s lsr base_bits
+      for j = first + 1 to n - 1 do
+        set t (j - 1) (get t j + (f * get b j) + (u * get m j))
       done;
-      let s = t.(n) + !c in
-      t.(n - 1) <- s land mask;
-      t.(n) <- t.(n + 1) + (s lsr base_bits);
-      t.(n + 1) <- 0
+      set t (n - 1) 0;
+      set t 0 (get t 0 + c);
+      if i land (carry_rounds - 1) = carry_rounds - 1 then carry t 0 (n - 1)
     done;
-    (* t may exceed m by a small multiple: subtract until reduced. *)
-    let ge_m () =
-      if t.(n) > 0 then true
-      else begin
-        let rec cmp i =
-          if i < 0 then true (* equal *)
-          else if t.(i) > m.(i) then true
-          else if t.(i) < m.(i) then false
-          else cmp (i - 1)
-        in
-        cmp (n - 1)
-      end
-    in
-    while ge_m () do
-      let borrow = ref 0 in
-      for j = 0 to n - 1 do
-        let d = t.(j) - m.(j) - !borrow in
-        if d < 0 then begin
-          t.(j) <- d + base;
-          borrow := 1
-        end
-        else begin
-          t.(j) <- d;
-          borrow := 0
-        end
-      done;
-      t.(n) <- t.(n) - !borrow
-    done;
-    Array.sub t 0 n
+    finish ctx t dst
 
-  let pad ctx a = Array.append a (Array.make (ctx.n - Array.length a) 0)
+  let to_mont ctx t a =
+    let r = pad ctx.n (rem a ctx.m_nat) in
+    mul_into ctx t r r ctx.r2;
+    r
 
-  let to_mont ctx a =
-    let a = rem a ctx.m_nat in
-    mont ctx (pad ctx a) ctx.r2
-
-  let from_mont ctx a =
-    let one_limbs = Array.make ctx.n 0 in
-    one_limbs.(0) <- 1;
-    norm (mont ctx a one_limbs)
+  let from_mont ctx t a =
+    let r = Array.make ctx.n 0 in
+    r.(0) <- 1;
+    mul_into ctx t r a r;
+    norm r
 
   let mul_mod ctx a b =
     (* mont(aR, b) = a*b mod m: one conversion in, none out. *)
-    norm (mont ctx (to_mont ctx a) (pad ctx (rem b ctx.m_nat)))
-
-  (* Dedicated squaring path: a product-scanning square computing the
-     full 2n-limb product with the symmetry a_i*a_j = a_j*a_i (roughly
-     half the limb multiplications of [mont a a]), followed by a
-     word-by-word Montgomery reduction. Bounds: a doubled limb product
-     is < 2^53, every accumulator stays under 2^55, inside the 63-bit
-     native int. *)
-  let mont_sqr ctx a =
-    let n = ctx.n and m = ctx.m in
-    let t = Array.make ((2 * n) + 1) 0 in
-    for i = 0 to n - 1 do
-      let ai = a.(i) in
-      if ai <> 0 then begin
-        (* Diagonal term, then the doubled off-diagonal row. *)
-        let s = t.(2 * i) + (ai * ai) in
-        t.(2 * i) <- s land mask;
-        let carry = ref (s lsr base_bits) in
-        for j = i + 1 to n - 1 do
-          let s = t.(i + j) + (2 * ai * a.(j)) + !carry in
-          t.(i + j) <- s land mask;
-          carry := s lsr base_bits
-        done;
-        let k = ref (i + n) in
-        while !carry <> 0 do
-          let s = t.(!k) + !carry in
-          t.(!k) <- s land mask;
-          carry := s lsr base_bits;
-          incr k
-        done
-      end
-    done;
-    (* Montgomery reduction: make t divisible by base^n, shift down. *)
-    for i = 0 to n - 1 do
-      let u = t.(i) * ctx.m' land mask in
-      if u <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to n - 1 do
-          let s = t.(i + j) + (u * m.(j)) + !carry in
-          t.(i + j) <- s land mask;
-          carry := s lsr base_bits
-        done;
-        let k = ref (i + n) in
-        while !carry <> 0 do
-          let s = t.(!k) + !carry in
-          t.(!k) <- s land mask;
-          carry := s lsr base_bits;
-          incr k
-        done
-      end
-    done;
-    (* The reduced value lives in limbs n .. 2n and is < 2m: subtract m
-       until fully reduced (at most twice, as in [mont]). *)
-    let r = Array.sub t n (n + 1) in
-    let ge_m () =
-      if r.(n) > 0 then true
-      else begin
-        let rec cmp i =
-          if i < 0 then true
-          else if r.(i) > m.(i) then true
-          else if r.(i) < m.(i) then false
-          else cmp (i - 1)
-        in
-        cmp (n - 1)
-      end
-    in
-    while ge_m () do
-      let borrow = ref 0 in
-      for j = 0 to n - 1 do
-        let d = r.(j) - m.(j) - !borrow in
-        if d < 0 then begin
-          r.(j) <- d + base;
-          borrow := 1
-        end
-        else begin
-          r.(j) <- d;
-          borrow := 0
-        end
-      done;
-      r.(n) <- r.(n) - !borrow
-    done;
-    Array.sub r 0 n
+    let t = scratch ctx in
+    let x = to_mont ctx t a in
+    mul_into ctx t x x (pad ctx.n (rem b ctx.m_nat));
+    norm x
 
   let sqr_mod ctx a =
-    from_mont ctx (mont_sqr ctx (to_mont ctx (rem a ctx.m_nat)))
+    let t = scratch ctx in
+    let x = to_mont ctx t a in
+    mul_into ctx t x x x;
+    from_mont ctx t x
 
-  (* Binary square-and-multiply, kept as the measured baseline for the
-     windowed ladder below (bench/perf) and as the small-exponent path
-     where a 16-entry table would cost more than it saves. *)
+  (* Binary square-and-multiply: the path for exponents too short for
+     the windowed ladder's 16-entry table to pay. *)
   let pow_mod_binary ctx b e =
-    let b = to_mont ctx b in
-    let acc = ref (to_mont ctx one) in
+    let t = scratch ctx in
+    let b = to_mont ctx t b in
+    let acc = to_mont ctx t one in
     for i = bit_length e - 1 downto 0 do
-      acc := mont_sqr ctx !acc;
-      if testbit e i then acc := mont ctx !acc b
+      mul_into ctx t acc acc acc;
+      if testbit e i then mul_into ctx t acc acc b
     done;
-    from_mont ctx !acc
+    from_mont ctx t acc
 
   let window_bits = 4
 
@@ -591,25 +553,30 @@ module Montgomery = struct
        the saved per-bit multiplies. *)
     if nbits <= 12 then pow_mod_binary ctx b e
     else begin
-      let b = to_mont ctx b in
+      let t = scratch ctx in
+      let b = to_mont ctx t b in
       (* g.(d) = b^d in the Montgomery domain, d = 1 .. 15. *)
       let g = Array.make 16 b in
-      let b2 = mont_sqr ctx b in
+      let b2 = Array.make ctx.n 0 in
+      mul_into ctx t b2 b b;
       for d = 2 to 15 do
-        g.(d) <- (if d land 1 = 0 then mont ctx g.(d - 1) b else mont ctx g.(d - 2) b2)
+        let x = Array.make ctx.n 0 in
+        if d land 1 = 0 then mul_into ctx t x g.(d - 1) b
+        else mul_into ctx t x g.(d - 2) b2;
+        g.(d) <- x
       done;
       let top = (nbits - 1) / window_bits in
       (* The top window contains the exponent's leading set bit, so its
          digit is non-zero and seeds the accumulator directly. *)
-      let acc = ref g.(digit e top) in
+      let acc = Array.copy g.(digit e top) in
       for w = top - 1 downto 0 do
-        acc := mont_sqr ctx !acc;
-        acc := mont_sqr ctx !acc;
-        acc := mont_sqr ctx !acc;
-        acc := mont_sqr ctx !acc;
+        mul_into ctx t acc acc acc;
+        mul_into ctx t acc acc acc;
+        mul_into ctx t acc acc acc;
+        mul_into ctx t acc acc acc;
         let d = digit e w in
-        if d <> 0 then acc := mont ctx !acc g.(d)
+        if d <> 0 then mul_into ctx t acc acc g.(d)
       done;
-      from_mont ctx !acc
+      from_mont ctx t acc
     end
 end

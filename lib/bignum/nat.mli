@@ -92,8 +92,13 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** Montgomery-form modular exponentiation for odd moduli — the engine
-    under RSA. Replaces the per-step Euclidean division of the generic
-    square-and-multiply with CIOS Montgomery multiplications. *)
+    under RSA. Every product runs through one deferred-carry kernel: n
+    rounds add [a_i * b + u * m] into unnormalized accumulators and
+    carry only the limb each round shifts out (squares skip the products
+    below the diagonal), then one normalizing pass and one conditional
+    subtraction. Exact at every width: past 256 limbs the kernel adds a
+    carry pass every 256 rounds. Each call below allocates its own
+    scratch, a few arrays per exponentiation. *)
 module Montgomery : sig
   type ctx
 
@@ -107,18 +112,18 @@ module Montgomery : sig
       reduced. *)
 
   val sqr_mod : ctx -> t -> t
-  (** [a^2 mod m] through the dedicated squaring path (product-scanning
-      square, about half the limb multiplications of a general
-      multiplication, then a word-by-word Montgomery reduction). *)
+  (** [a^2 mod m] through the kernel's squaring rounds, which skip the
+      products below the diagonal (about three quarters of the limb
+      multiplications of a general product). *)
 
   val pow_mod : ctx -> t -> t -> t
   (** [b^e mod m]. Fixed-window (4-bit) left-to-right ladder over a
-      16-entry table of powers, with all squarings on the dedicated
-      squaring path; falls back to {!pow_mod_binary} for exponents short
-      enough that the table setup would dominate. *)
+      16-entry table of powers, with every squaring on the kernel's
+      squaring rounds; exponents of 12 bits or fewer, too short for the
+      table to pay, take {!pow_mod_binary}. *)
 
   val pow_mod_binary : ctx -> t -> t -> t
-  (** The classic binary square-and-multiply ladder — the measured
-      baseline the windowed {!pow_mod} is property-tested and benchmarked
-      against. *)
+  (** The binary square-and-multiply ladder on the same kernel: the path
+      {!pow_mod} takes for short exponents, and the reference the
+      windowed ladder is property-tested against. *)
 end

@@ -40,18 +40,24 @@ let handle server host (p : Net.Packet.t) =
     match (server.decryption_key, server.rng) with
     | Some priv, Some rng ->
       let blob = String.sub p.payload 1 (len - 1) in
-      (match
-         ( Crypto.Seal.recover_secret ~priv blob,
-           Crypto.Seal.unseal ~priv blob )
-       with
-       | Some secret, Some body ->
-         (match Message.decode_query body with
+      (* One RSA decryption per query: open the body with the recovered
+         secret, not [Seal.unseal], which would decrypt it again. *)
+      (match Crypto.Seal.recover_secret ~priv blob with
+       | Some secret when String.length secret = 32 ->
+         let ctlen = Crypto.Bytes_util.get_u32 blob 1 in
+         (match
+            Crypto.Seal.unseal_sym ~secret
+              (Crypto.Bytes_util.drop (5 + ctlen) blob)
+          with
           | None -> ()
-          | Some q ->
-            server.served <- server.served + 1;
-            let resp = Message.encode_response (answer server q) in
-            reply ("E" ^ Crypto.Seal.seal_sym ~rng ~secret resp))
-       | _ -> ())
+          | Some body ->
+            (match Message.decode_query body with
+             | None -> ()
+             | Some q ->
+               server.served <- server.served + 1;
+               let resp = Message.encode_response (answer server q) in
+               reply ("E" ^ Crypto.Seal.seal_sym ~rng ~secret resp)))
+       | Some _ | None -> ())
     | _ -> ()
   end
   else serve_plain p.payload

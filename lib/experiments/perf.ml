@@ -1,10 +1,10 @@
 (* The perf regression harness: before/after rates for every hot path
    the performance pass touched, measured in one process on one machine
    so the ratios are apples to apples. The "before" sides are live
-   reference implementations — the binary exponentiation ladder kept in
-   Nat.Montgomery and the stateless datapath transforms — so every run
-   re-derives the speedups instead of trusting numbers recorded on some
-   other box. *)
+   implementations — the binary exponentiation ladder (Nat.Montgomery's
+   short-exponent path) and the stateless datapath transforms — so every
+   run re-derives the speedups instead of trusting numbers recorded on
+   some other box. *)
 
 type row = { name : string; ops_per_sec : float; note : string }
 
@@ -55,6 +55,15 @@ let pow_mod_binary_op () =
 let pow_mod_windowed_op () =
   let ctx, b, e = pow_mod_fixture () in
   fun () -> ignore (Bignum.Nat.Montgomery.pow_mod ctx b e)
+
+(* ---- RSA-1024 private operation ---- *)
+
+let rsa1024_decrypt_op () =
+  let key = Scenario.Keyring.e2e 0 in
+  let drbg = Crypto.Drbg.create ~seed:"perf-rsa" in
+  let rng n = Crypto.Drbg.generate drbg n in
+  let ct = Crypto.Rsa.encrypt key.Crypto.Rsa.public ~rng (rng 32) in
+  fun () -> ignore (Crypto.Rsa.decrypt key ct)
 
 (* ---- datapath: stateless transforms vs precomputed session ---- *)
 
@@ -179,6 +188,7 @@ let run ?(min_time = 0.4) () =
   let keypool_take = m keypool_take_op in
   let pow_binary = m pow_mod_binary_op in
   let pow_windowed = m pow_mod_windowed_op in
+  let rsa1024_decrypt = m rsa1024_decrypt_op in
   let key_setup = m E1_key_setup.processing_op in
   let blind_stateless = m blind_stateless_op in
   let blind_session = m blind_session_op in
@@ -201,11 +211,15 @@ let run ?(min_time = 0.4) () =
         };
         { name = "pow-mod-binary-512";
           ops_per_sec = pow_binary;
-          note = "before: square-and-multiply ladder"
+          note = "before: binary ladder (short-exponent path)"
         };
         { name = "pow-mod-windowed-512";
           ops_per_sec = pow_windowed;
-          note = "after: fixed-window k=4 + dedicated squaring"
+          note = "after: fixed-window k=4 + squaring rounds"
+        };
+        { name = "rsa1024-crt-decrypt";
+          ops_per_sec = rsa1024_decrypt;
+          note = "private op; a fig1-churn flow pays three at 1024 bits"
         };
         { name = "key-setup-response";
           ops_per_sec = key_setup;

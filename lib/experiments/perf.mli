@@ -3,12 +3,12 @@
     Measures before/after pairs in one process — cold RSA-512 keygen vs
     a pooled take, the binary Montgomery ladder vs the fixed-window
     exponentiation, stateless datapath transforms vs a precomputed
-    session — plus the engine's event-heap churn, key-setup
-    responses/s, whole-engine sim events/s, and the per-increment cost
-    of obs counters (pre-resolved vs registry lookup). The "before"
-    implementations are kept live (in {!Nat.Montgomery} and
-    {!Core.Datapath}) so every run re-derives the speedups on the
-    current machine. *)
+    session — plus RSA-1024 CRT decryptions/s, the engine's event-heap
+    churn, key-setup responses/s, whole-engine sim events/s, and the
+    per-increment cost of obs counters (pre-resolved vs registry
+    lookup). The "before" implementations are kept live (in
+    {!Nat.Montgomery} and {!Core.Datapath}) so every run re-derives the
+    speedups on the current machine. *)
 
 type row = { name : string; ops_per_sec : float; note : string }
 

@@ -193,6 +193,39 @@ let division_props =
         N.equal r (N.rem a b))
   ]
 
+(* ---- octet-string codec ---- *)
+
+(* 0-200 bytes, some with a run of leading zero bytes. *)
+let gen_bytes =
+  let open QCheck2.Gen in
+  let* zeros = oneof [ return 0; int_bound 8 ] in
+  let* body = string_size ~gen:char (int_bound (200 - zeros)) in
+  return (String.make zeros '\x00' ^ body)
+
+(* An independent reference: one shift and one add per byte. *)
+let of_bytes_reference s =
+  String.fold_left
+    (fun acc c -> N.add (N.shift_left acc 8) (N.of_int (Char.code c)))
+    N.zero s
+
+let print_bytes s = Printf.sprintf "%S (%d bytes)" s (String.length s)
+
+let test_of_bytes_edges () =
+  check_nat "empty" N.zero (N.of_bytes_be "");
+  check_nat "zero bytes" N.zero (N.of_bytes_be "\x00\x00\x00");
+  check_nat "leading zeros" (N.of_int 0x0102) (N.of_bytes_be "\x00\x00\x01\x02");
+  (* 13 bytes: the last one straddles the 26-bit limb boundary at bit 78 *)
+  check_nat "limb straddle"
+    (N.of_hex "ff0123456789abcdef01234567")
+    (N.of_bytes_be (N.to_bytes_be (N.of_hex "ff0123456789abcdef01234567")))
+
+let bytes_props =
+  [ prop "of_bytes_be = shift/add reference" gen_bytes print_bytes (fun s ->
+        N.equal (N.of_bytes_be s) (of_bytes_reference s));
+    prop "to_bytes_be inverts of_bytes_be" gen_bytes print_bytes (fun s ->
+        N.to_bytes_be ~len:(String.length s) (N.of_bytes_be s) = s)
+  ]
+
 (* ---- modular ---- *)
 
 let test_pow_mod_vs_naive () =
@@ -342,6 +375,61 @@ let test_montgomery_rsa_sized () =
         (N.equal (M.pow_mod b e p) (M.pow_mod_generic b e p)))
     [ 128; 256 ]
 
+(* The kernel's worst case: m = 2^(26k) - 1 has every limb all ones, R
+   mod m = 1, so m - 1 stays all ones in the Montgomery domain and every
+   limb product and every u = t_0 mod 2^26 is near its maximum. Each
+   Montgomery entry point must match the Euclidean reference. *)
+let check_kernel label m a e =
+  let ctx = Option.get (N.Montgomery.create m) in
+  let pow_ref = M.pow_mod_generic a e m in
+  check_nat (label ^ " mul_mod") (N.rem (N.mul a a) m)
+    (N.Montgomery.mul_mod ctx a a);
+  check_nat (label ^ " mul_mod, distinct operands")
+    (N.rem (N.mul a (N.pred a)) m)
+    (N.Montgomery.mul_mod ctx a (N.pred a));
+  check_nat (label ^ " sqr_mod") (N.rem (N.mul a a) m) (N.Montgomery.sqr_mod ctx a);
+  check_nat (label ^ " pow_mod") pow_ref (N.Montgomery.pow_mod ctx a e);
+  check_nat (label ^ " pow_mod_binary") pow_ref (N.Montgomery.pow_mod_binary ctx a e)
+
+let all_ones bits = N.pred (N.shift_left N.one bits)
+
+let test_kernel_all_ones_moduli () =
+  for k = 1 to 41 do
+    let m = all_ones (26 * k) in
+    let a = N.pred m in
+    (* All-ones exponents: every window digit is 15 (pow_mod multiplies
+       by the table's last entry each window), and the 12-bit one takes
+       the binary path. *)
+    List.iter
+      (fun ebits ->
+        check_kernel (Printf.sprintf "k=%d e=2^%d-1" k ebits) m a (all_ones ebits))
+      [ 12; 64 ];
+    check_kernel (Printf.sprintf "k=%d e=m-1" k) m a (N.pred m)
+  done
+
+let test_kernel_random_rsa_widths () =
+  let st = Random.State.make [| 0x1024; 7 |] in
+  List.iter
+    (fun bits ->
+      for i = 1 to 2 do
+        let m =
+          let c = N.add (N.random ~bits:(bits - 1) st) (N.shift_left N.one (bits - 1)) in
+          if N.is_even c then N.succ c else c
+        in
+        let a = N.random ~bits st in
+        let label = Printf.sprintf "%d-bit #%d" bits i in
+        check_kernel label m a (N.random ~bits st);
+        check_kernel (label ^ " all-ones e") m a (all_ones bits)
+      done)
+    [ 512; 1024 ]
+
+(* 800 limbs, past the 256-limb carry bound: the kernel's carry passes
+   keep the worst-case accumulators exact. *)
+let test_kernel_past_carry_bound () =
+  let m = all_ones (26 * 800) in
+  check_kernel "k=800" m (N.pred m) (all_ones 16);
+  check_kernel "k=800 e=2^12-1" m (N.pred m) (all_ones 12)
+
 (* ---- primality ---- *)
 
 let test_small_primes () =
@@ -410,11 +498,12 @@ let () =
           Alcotest.test_case "shifts" `Quick test_shifts;
           Alcotest.test_case "bits" `Quick test_bits;
           Alcotest.test_case "bytes codec" `Quick test_bytes_codec;
+          Alcotest.test_case "of_bytes_be edges" `Quick test_of_bytes_edges;
           Alcotest.test_case "hex codec" `Quick test_hex_codec;
           Alcotest.test_case "decimal" `Quick test_decimal;
           Alcotest.test_case "random bounds" `Quick test_random_bounds
         ] );
-      ("nat-properties", properties);
+      ("nat-properties", properties @ bytes_props);
       ("division-properties", division_props);
       ( "modular",
         [ Alcotest.test_case "pow_mod vs naive" `Quick test_pow_mod_vs_naive;
@@ -427,6 +516,12 @@ let () =
         Alcotest.test_case "rsa-sized agreement" `Slow test_montgomery_rsa_sized
         :: Alcotest.test_case "512-bit windowed agreement" `Slow
              test_windowed_512
+        :: Alcotest.test_case "kernel: all-ones moduli, k = 1..41" `Slow
+             test_kernel_all_ones_moduli
+        :: Alcotest.test_case "kernel: random 512/1024-bit moduli" `Slow
+             test_kernel_random_rsa_widths
+        :: Alcotest.test_case "kernel: 800 limbs, past the carry bound" `Slow
+             test_kernel_past_carry_bound
         :: montgomery_props );
       ( "prime",
         [ Alcotest.test_case "small primes" `Quick test_small_primes;

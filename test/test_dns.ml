@@ -213,6 +213,31 @@ let test_resolve_encrypted_hides_qname () =
     (Net.Trace.exists rig.isp_trace (fun o ->
          has_sub o.Net.Observation.payload "site.example"))
 
+(* The resolver opens an encrypted query with one RSA decryption: the
+   recovered secret opens the body and seals the reply. *)
+let test_encrypted_one_decrypt () =
+  let rig = make_rig () in
+  let decrypts =
+    Obs.Registry.counter Obs.Registry.default "crypto.rsa.decrypts"
+  in
+  let rng = client_rng "enc-dns-count" in
+  let answered = ref 0 in
+  for i = 1 to 3 do
+    let before = Obs.Counter.value decrypts in
+    Dns.Resolver.resolve rig.client_host ~server:rig.server_addr
+      ~encrypt_to:rig.key.Crypto.Rsa.public ~rng ~name:"site.example"
+      ~qtype:Dns.Record.Q_A (function
+      | Ok [ Dns.Record.A _ ] -> incr answered
+      | Ok _ | Error _ -> ());
+    Net.Network.run rig.net;
+    Alcotest.(check int)
+      (Printf.sprintf "query %d: one decryption" i)
+      1
+      (Obs.Counter.value decrypts - before)
+  done;
+  Alcotest.(check int) "answered" 3 !answered;
+  Alcotest.(check int) "served" 3 (Dns.Resolver.queries_served rig.server)
+
 let test_resolve_timeout () =
   let rig = make_rig () in
   (* Point at an address that routes nowhere near a resolver. *)
@@ -260,6 +285,8 @@ let () =
           Alcotest.test_case "signatures" `Quick test_resolve_signature;
           Alcotest.test_case "encrypted hides qname" `Quick
             test_resolve_encrypted_hides_qname;
+          Alcotest.test_case "encrypted: one decryption per query" `Quick
+            test_encrypted_one_decrypt;
           Alcotest.test_case "timeout" `Quick test_resolve_timeout;
           Alcotest.test_case "bootstrap" `Quick test_bootstrap
         ] )

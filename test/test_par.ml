@@ -263,6 +263,34 @@ let test_crypto_reentrant_kats () =
     "SHA-256 RFC 6234 vectors from 4 domains" true
     (run_from_domains ~domains:4 ~iters:50 sha256_kat)
 
+(* The Montgomery kernel writes into scratch: four domains sharing one
+   RSA-1024 key, and one [Montgomery.ctx], must each get the sequential
+   result. A kernel keeping its scratch in the ctx or in a global fails
+   here. *)
+let test_bignum_reentrant () =
+  let key = Scenario.Keyring.e2e 0 in
+  let drbg = Crypto.Drbg.create ~seed:"par-rsa" in
+  let rng n = Crypto.Drbg.generate drbg n in
+  let msg = "shared key, four domains" in
+  let ct = Crypto.Rsa.encrypt key.Crypto.Rsa.public ~rng msg in
+  let sign = Crypto.Rsa.sign key msg in
+  let m = key.Crypto.Rsa.p in
+  let ctx = Option.get (Bignum.Nat.Montgomery.create m) in
+  let b = Bignum.Nat.of_bytes_be (rng 64) and e = key.Crypto.Rsa.dp in
+  let pow = Bignum.Nat.Montgomery.pow_mod ctx b e in
+  Alcotest.(check bool)
+    "RSA-1024 decrypt from 4 domains" true
+    (run_from_domains ~domains:4 ~iters:8 (fun () ->
+         Crypto.Rsa.decrypt key ct = Some msg));
+  Alcotest.(check bool)
+    "RSA-1024 sign from 4 domains" true
+    (run_from_domains ~domains:4 ~iters:8 (fun () ->
+         Crypto.Rsa.sign key msg = sign));
+  Alcotest.(check bool)
+    "pow_mod on one shared ctx from 4 domains" true
+    (run_from_domains ~domains:4 ~iters:16 (fun () ->
+         Bignum.Nat.equal (Bignum.Nat.Montgomery.pow_mod ctx b e) pow))
+
 (* ---- regressions for the specific hazards the reentrancy pass fixed ---- *)
 
 let test_aes_decrypt_shared_key () =
@@ -480,6 +508,8 @@ let () =
       ( "reentrancy",
         [ Alcotest.test_case "crypto KATs from 4 domains" `Quick
             test_crypto_reentrant_kats;
+          Alcotest.test_case "bignum: RSA-1024 and shared ctx from 4 domains"
+            `Quick test_bignum_reentrant;
           Alcotest.test_case "aes: shared-key decrypt (regression)" `Quick
             test_aes_decrypt_shared_key;
           Alcotest.test_case "datapath: shared session (regression)" `Quick

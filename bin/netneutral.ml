@@ -263,9 +263,10 @@ let fig2 () =
   in
   let google_key = Scenario.Keyring.e2e 1 in
   let secret = rng 32 in
+  let keys = Crypto.Seal.keys secret in
   let payload3 =
     Core.Session.initial_payload ~rng ~peer_key:google_key.Crypto.Rsa.public
-      ~secret (Core.Session.plain "GET /")
+      ~secret ~keys (Core.Session.plain "GET /")
   in
   let p3 =
     Net.Packet.make ~protocol:Net.Packet.Shim
@@ -301,11 +302,12 @@ let fig2 () =
           { Core.Session.refresh = Some r; reverse_key = None; app = "200 OK" }
         in
         let g_sessions = Core.Session.create_table () in
-        let secret', _ =
+        let secret', keys', _ =
           Option.get (Core.Session.accept_initial ~private_key:google_key payload3)
         in
         let g_session =
-          Core.Session.register g_sessions ~secret:secret' ~peer:ann ~now:0L
+          Core.Session.register g_sessions ~secret:secret' ~keys:keys' ~peer:ann
+            ~now:0L
         in
         let payload5 = Core.Session.data_payload ~rng g_session reply_inner in
         let p5 =
@@ -342,7 +344,9 @@ let fig2 () =
                 "  ann unblinds with Ks -> %s; locates the session; reads %S\n"
                 (Net.Ipaddr.to_string peer)
                 (let a_sessions = Core.Session.create_table () in
-                 let _ = Core.Session.register a_sessions ~secret ~peer ~now:0L in
+                 let _ =
+                   Core.Session.register a_sessions ~secret ~keys ~peer ~now:0L
+                 in
                  match Core.Session.open_data a_sessions ~now:0L p6.payload with
                  | Some (_, inner) -> inner.Core.Session.app
                  | None -> "<failed>");

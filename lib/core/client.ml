@@ -333,10 +333,11 @@ let rec send_to t ~dest ~peer_key ~neutralizers ?(dscp = 0) ?(app = "")
             Session.data_payload ~rng:(rng t) session (Session.plain payload)
           | None ->
             let secret = rng t 32 in
+            let keys = Crypto.Seal.keys secret in
             let _session =
-              Session.register t.sessions ~secret ~peer:dest ~now:(now t)
+              Session.register t.sessions ~secret ~keys ~peer:dest ~now:(now t)
             in
-            Session.initial_payload ~rng:(rng t) ~peer_key ~secret
+            Session.initial_payload ~rng:(rng t) ~peer_key ~secret ~keys
               (Session.plain payload)
         in
         send_data t ~neutralizer ~grant ~dest ~payload:session_payload ~dscp
@@ -445,7 +446,7 @@ let handle_incoming_data t (p : Net.Packet.t) (d : Shim.data) =
      | Some private_key ->
        (match Session.accept_initial ~private_key p.payload with
         | None -> ()
-        | Some (secret, inner) ->
+        | Some (secret, keys, inner) ->
           (match inner.reverse_key with
            | None -> ()
            | Some (epoch, nonce, key) ->
@@ -459,7 +460,7 @@ let handle_incoming_data t (p : Net.Packet.t) (d : Shim.data) =
               | None -> ()
               | Some peer ->
                 let session =
-                  Session.register t.sessions ~secret ~peer ~now:(now t)
+                  Session.register t.sessions ~secret ~keys ~peer ~now:(now t)
                 in
                 t.ctrs.reverse_accepted <- t.ctrs.reverse_accepted + 1;
                 deliver session inner))))

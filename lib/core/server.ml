@@ -97,9 +97,9 @@ let handle_data t (p : Net.Packet.t) (d : Shim.data) =
     t.responder t ~peer:session inner.app
   | None ->
     (match Session.accept_initial ~private_key:t.private_key p.payload with
-     | Some (secret, inner) ->
+     | Some (secret, keys, inner) ->
        let session =
-         Session.register t.sessions ~secret ~peer:p.src ~now:(now t)
+         Session.register t.sessions ~secret ~keys ~peer:p.src ~now:(now t)
        in
        record session;
        t.ctrs.requests <- t.ctrs.requests + 1;
@@ -130,8 +130,9 @@ let initiate t ~outside ~peer_key ?(app = "") ?on_error payload =
     match Shim.decode grant_raw with
     | Some (Shim.Reverse_key_response { epoch; nonce; key }) ->
       let secret = rng t 32 in
+      let keys = Crypto.Seal.keys secret in
       let session =
-        Session.register t.sessions ~secret ~peer:outside ~now:(now t)
+        Session.register t.sessions ~secret ~keys ~peer:outside ~now:(now t)
       in
       let st = peer_state t session in
       st.initiator <- outside;
@@ -144,7 +145,9 @@ let initiate t ~outside ~peer_key ?(app = "") ?on_error payload =
           app = payload
         }
       in
-      let body = Session.initial_payload ~rng:(rng t) ~peer_key ~secret inner in
+      let body =
+        Session.initial_payload ~rng:(rng t) ~peer_key ~secret ~keys inner
+      in
       t.ctrs.reverse_initiated <- t.ctrs.reverse_initiated + 1;
       send_shim t ~dst:(neutralizer t) ~app
         (Shim.Return { epoch; nonce; initiator = outside })

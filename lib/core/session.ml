@@ -78,7 +78,7 @@ let decode_inner s =
   end
 
 type session = {
-  secret : string;
+  keys : Crypto.Seal.keys;
   sid : string;
   peer : Net.Ipaddr.t;
   mutable last_used : int64;
@@ -98,8 +98,8 @@ let clear_table t =
 let sid_of_secret secret =
   Crypto.Bytes_util.take 8 (Crypto.Sha256.digest ("nn-sid" ^ secret))
 
-let register t ~secret ~peer ~now =
-  let s = { secret; sid = sid_of_secret secret; peer; last_used = now } in
+let register t ~secret ~keys ~peer ~now =
+  let s = { keys; sid = sid_of_secret secret; peer; last_used = now } in
   Hashtbl.replace t.by_sid s.sid s;
   Hashtbl.replace t.by_peer peer s;
   s
@@ -128,37 +128,19 @@ let count t = Hashtbl.length t.by_sid
 let find_by_peer t ~peer = Hashtbl.find_opt t.by_peer peer
 let sessions t = Hashtbl.fold (fun _ s acc -> s :: acc) t.by_sid []
 
-let initial_payload ~rng ~peer_key ~secret inner =
-  (* Mirrors the Seal format but with a caller-chosen secret, so the
-     initiator can derive the session id before the first reply. *)
-  let rsa_ct = Crypto.Rsa.encrypt peer_key ~rng secret in
-  let buf = Buffer.create 160 in
-  Buffer.add_char buf 'N';
-  Buffer.add_char buf 'S';
-  Crypto.Bytes_util.put_u32 buf (String.length rsa_ct);
-  Buffer.add_string buf rsa_ct;
-  Buffer.add_string buf (Crypto.Seal.seal_sym ~rng ~secret (encode_inner inner));
-  Buffer.contents buf
+let initial_payload ~rng ~peer_key ~secret ~keys inner =
+  "N" ^ Crypto.Seal.seal ~rng ~pub:peer_key ~secret keys (encode_inner inner)
 
 let data_payload ~rng session inner =
-  "D" ^ session.sid
-  ^ Crypto.Seal.seal_sym ~rng ~secret:session.secret (encode_inner inner)
+  "D" ^ session.sid ^ Crypto.Seal.seal_sym ~rng session.keys (encode_inner inner)
 
 let accept_initial ~private_key payload =
   if String.length payload < 2 || payload.[0] <> 'N' then None
-  else begin
-    let blob = Crypto.Bytes_util.drop 1 payload in
-    match Crypto.Seal.recover_secret ~priv:private_key blob with
+  else
+    match Crypto.Seal.unseal ~priv:private_key (Crypto.Bytes_util.drop 1 payload) with
     | None -> None
-    | Some secret when String.length secret = 32 ->
-      let ctlen = Crypto.Bytes_util.get_u32 blob 1 in
-      (match
-         Crypto.Seal.unseal_sym ~secret (Crypto.Bytes_util.drop (5 + ctlen) blob)
-       with
-       | None -> None
-       | Some body -> Option.map (fun i -> (secret, i)) (decode_inner body))
-    | Some _ -> None
-  end
+    | Some (secret, keys, body) ->
+      Option.map (fun i -> (secret, keys, i)) (decode_inner body)
 
 let open_data t ~now payload =
   if String.length payload < 9 || payload.[0] <> 'D' then None
@@ -168,8 +150,7 @@ let open_data t ~now payload =
     | None -> None
     | Some session ->
       (match
-         Crypto.Seal.unseal_sym ~secret:session.secret
-           (Crypto.Bytes_util.drop 9 payload)
+         Crypto.Seal.unseal_sym session.keys (Crypto.Bytes_util.drop 9 payload)
        with
        | None -> None
        | Some body ->

@@ -2,10 +2,13 @@
 
     The paper uses e2e encryption as a black box (§3.1); this module is
     the box: a first packet sealed to the peer's long-term RSA-1024 key
-    establishes a 32-byte session secret, subsequent packets ride on
-    symmetric crypto under that secret. Sessions are located by an opaque
-    8-byte session id derived from the secret — {e not} by addresses,
-    which are blurred in both directions.
+    ({!Crypto.Seal.seal}) establishes a 32-byte session secret, subsequent
+    packets ride on symmetric crypto under that secret. Each side derives
+    the secret's {!Crypto.Seal.keys} once and the session holds them, so a
+    steady-state packet pays only its own bytes: AES-CTR over the body and
+    an HMAC over nonce ‖ ciphertext, no key derivation or expansion.
+    Sessions are located by an opaque 8-byte session id derived from the
+    secret — {e not} by addresses, which are blurred in both directions.
 
     The encrypted inner message also carries the protocol's key material
     side-channels: the refresh grant echo (§3.2) and the reverse-direction
@@ -29,7 +32,7 @@ val encode_inner : inner -> string
 val decode_inner : string -> inner option
 
 type session = private {
-  secret : string;
+  keys : Crypto.Seal.keys;  (** the secret's keys; the secret is not kept *)
   sid : string;  (** 8 bytes, [H(secret)] truncated *)
   peer : Net.Ipaddr.t;  (** real address of the other endpoint *)
   mutable last_used : int64;
@@ -45,7 +48,13 @@ val clear_table : table -> unit
 
 val sid_of_secret : string -> string
 
-val register : table -> secret:string -> peer:Net.Ipaddr.t -> now:int64 -> session
+val register :
+  table -> secret:string -> keys:Crypto.Seal.keys -> peer:Net.Ipaddr.t ->
+  now:int64 -> session
+(** [keys] is [Crypto.Seal.keys secret], derived by the caller, which also
+    needs it for the first packet ({!initial_payload}) or got it from
+    {!accept_initial}. *)
+
 val find : table -> sid:string -> session option
 val find_by_peer : table -> peer:Net.Ipaddr.t -> session option
 val sessions : table -> session list
@@ -54,17 +63,18 @@ val sessions : table -> session list
 
 val initial_payload :
   rng:(int -> string) -> peer_key:Crypto.Rsa.public -> secret:string ->
-  inner -> string
-(** First packet of a session: ['N'] + hybrid envelope to the peer's
-    long-term key, carrying [secret] and the inner message. *)
+  keys:Crypto.Seal.keys -> inner -> string
+(** First packet of a session: ['N'] + {!Crypto.Seal.seal} envelope to the
+    peer's long-term key, carrying [secret] and the inner message. *)
 
 val data_payload : rng:(int -> string) -> session -> inner -> string
 (** Steady-state packet: ['D'] + sid + symmetric envelope. *)
 
 val accept_initial :
-  private_key:Crypto.Rsa.private_key -> string -> (string * inner) option
-(** Destination side: open an ['N'] payload, returning [(secret, inner)].
-    The caller registers the session. *)
+  private_key:Crypto.Rsa.private_key -> string ->
+  (string * Crypto.Seal.keys * inner) option
+(** Destination side: open an ['N'] payload with one RSA decryption,
+    returning [(secret, keys, inner)]. The caller registers the session. *)
 
 val open_data : table -> now:int64 -> string -> (session * inner) option
 (** Open a ['D'] payload against the table (verifies the MAC and bumps

@@ -199,11 +199,17 @@ let encrypt_block_reference key block =
   add_round_key st rk.(10);
   string_of_state st
 
+external tget : int array -> int -> int = "%array_unsafe_get"
+
+(* Tables and round keys are read unchecked: every table index is a byte
+   of a 32-bit state word, so below 256, and [rkw] is checked once to
+   hold the 44 words [expand_key] always builds. *)
 let encrypt_bytes { rkw; _ } ~src ~dst =
   if Bytes.length src <> block_size then
     invalid_arg "Aes.encrypt_bytes: src needs 16 bytes";
   if Bytes.length dst <> block_size then
     invalid_arg "Aes.encrypt_bytes: dst needs 16 bytes";
+  if Array.length rkw <> 44 then invalid_arg "Aes.encrypt_bytes: bad key";
   Obs.Counter.inc c_enc_blocks;
   let word off =
     (Char.code (Bytes.unsafe_get src off) lsl 24)
@@ -211,35 +217,35 @@ let encrypt_bytes { rkw; _ } ~src ~dst =
     lor (Char.code (Bytes.unsafe_get src (off + 2)) lsl 8)
     lor Char.code (Bytes.unsafe_get src (off + 3))
   in
-  let c0 = ref (word 0 lxor rkw.(0))
-  and c1 = ref (word 4 lxor rkw.(1))
-  and c2 = ref (word 8 lxor rkw.(2))
-  and c3 = ref (word 12 lxor rkw.(3)) in
+  let c0 = ref (word 0 lxor tget rkw 0)
+  and c1 = ref (word 4 lxor tget rkw 1)
+  and c2 = ref (word 8 lxor tget rkw 2)
+  and c3 = ref (word 12 lxor tget rkw 3) in
   for round = 1 to 9 do
     let t0 =
-      te0.(!c0 lsr 24)
-      lxor te1.((!c1 lsr 16) land 0xff)
-      lxor te2.((!c2 lsr 8) land 0xff)
-      lxor te3.(!c3 land 0xff)
-      lxor rkw.(4 * round)
+      tget te0 (!c0 lsr 24)
+      lxor tget te1 ((!c1 lsr 16) land 0xff)
+      lxor tget te2 ((!c2 lsr 8) land 0xff)
+      lxor tget te3 (!c3 land 0xff)
+      lxor tget rkw (4 * round)
     and t1 =
-      te0.(!c1 lsr 24)
-      lxor te1.((!c2 lsr 16) land 0xff)
-      lxor te2.((!c3 lsr 8) land 0xff)
-      lxor te3.(!c0 land 0xff)
-      lxor rkw.((4 * round) + 1)
+      tget te0 (!c1 lsr 24)
+      lxor tget te1 ((!c2 lsr 16) land 0xff)
+      lxor tget te2 ((!c3 lsr 8) land 0xff)
+      lxor tget te3 (!c0 land 0xff)
+      lxor tget rkw ((4 * round) + 1)
     and t2 =
-      te0.(!c2 lsr 24)
-      lxor te1.((!c3 lsr 16) land 0xff)
-      lxor te2.((!c0 lsr 8) land 0xff)
-      lxor te3.(!c1 land 0xff)
-      lxor rkw.((4 * round) + 2)
+      tget te0 (!c2 lsr 24)
+      lxor tget te1 ((!c3 lsr 16) land 0xff)
+      lxor tget te2 ((!c0 lsr 8) land 0xff)
+      lxor tget te3 (!c1 land 0xff)
+      lxor tget rkw ((4 * round) + 2)
     and t3 =
-      te0.(!c3 lsr 24)
-      lxor te1.((!c0 lsr 16) land 0xff)
-      lxor te2.((!c1 lsr 8) land 0xff)
-      lxor te3.(!c2 land 0xff)
-      lxor rkw.((4 * round) + 3)
+      tget te0 (!c3 lsr 24)
+      lxor tget te1 ((!c0 lsr 16) land 0xff)
+      lxor tget te2 ((!c1 lsr 8) land 0xff)
+      lxor tget te3 (!c2 land 0xff)
+      lxor tget rkw ((4 * round) + 3)
     in
     c0 := t0;
     c1 := t1;
@@ -248,16 +254,16 @@ let encrypt_bytes { rkw; _ } ~src ~dst =
   done;
   (* Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns. *)
   let final w0 w1 w2 w3 rk =
-    ((sbox.(w0 lsr 24) lsl 24)
-    lor (sbox.((w1 lsr 16) land 0xff) lsl 16)
-    lor (sbox.((w2 lsr 8) land 0xff) lsl 8)
-    lor sbox.(w3 land 0xff))
+    ((tget sbox (w0 lsr 24) lsl 24)
+    lor (tget sbox ((w1 lsr 16) land 0xff) lsl 16)
+    lor (tget sbox ((w2 lsr 8) land 0xff) lsl 8)
+    lor tget sbox (w3 land 0xff))
     lxor rk
   in
-  let o0 = final !c0 !c1 !c2 !c3 rkw.(40)
-  and o1 = final !c1 !c2 !c3 !c0 rkw.(41)
-  and o2 = final !c2 !c3 !c0 !c1 rkw.(42)
-  and o3 = final !c3 !c0 !c1 !c2 rkw.(43) in
+  let o0 = final !c0 !c1 !c2 !c3 (tget rkw 40)
+  and o1 = final !c1 !c2 !c3 !c0 (tget rkw 41)
+  and o2 = final !c2 !c3 !c0 !c1 (tget rkw 42)
+  and o3 = final !c3 !c0 !c1 !c2 (tget rkw 43) in
   (* [src] may alias [dst]: all reads happened above. *)
   let put off v =
     Bytes.unsafe_set dst off (Char.unsafe_chr ((v lsr 24) land 0xff));

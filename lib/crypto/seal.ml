@@ -1,56 +1,53 @@
-let derive_keys secret =
-  ( Aes.expand_key (Hmac.derive ~secret ~label:"seal-enc" ~length:16),
-    Hmac.derive ~secret ~label:"seal-mac" ~length:16 )
+type keys = { enc : Aes.key; mac : Hmac.key }
 
+let keys secret =
+  { enc = Aes.expand_key (Hmac.derive ~secret ~label:"seal-enc" ~length:16);
+    mac = Hmac.key (Hmac.derive ~secret ~label:"seal-mac" ~length:16)
+  }
+
+let secret_len = 32
+let nonce_len = 16
 let tag_len = 16
 
-let body_sym ~rng ~secret plaintext =
-  let enc_key, mac_key = derive_keys secret in
-  let nonce = rng 16 in
-  let ct = Mode.ctr ~key:enc_key ~nonce plaintext in
-  let tag = Bytes_util.take tag_len (Hmac.mac ~key:mac_key (nonce ^ ct)) in
-  nonce ^ ct ^ tag
+let seal_sym ~rng keys plaintext =
+  let nonce = rng nonce_len in
+  let body = nonce ^ Mode.ctr ~key:keys.enc ~nonce plaintext in
+  body ^ Bytes_util.take tag_len (Hmac.mac keys.mac body)
 
-let open_sym ~secret blob =
-  if String.length blob < 16 + tag_len then None
+let unseal_sym keys blob =
+  let len = String.length blob in
+  if len < nonce_len + tag_len then None
   else begin
-    let enc_key, mac_key = derive_keys secret in
-    let nonce = Bytes_util.take 16 blob in
-    let rest = Bytes_util.drop 16 blob in
-    let ct = String.sub rest 0 (String.length rest - tag_len) in
-    let tag = Bytes_util.drop (String.length rest - tag_len) rest in
-    let expect = Bytes_util.take tag_len (Hmac.mac ~key:mac_key (nonce ^ ct)) in
-    if Bytes_util.equal_ct tag expect then Some (Mode.ctr ~key:enc_key ~nonce ct)
+    let body = String.sub blob 0 (len - tag_len) in
+    let expect = Bytes_util.take tag_len (Hmac.mac keys.mac body) in
+    if Bytes_util.equal_ct (Bytes_util.drop (len - tag_len) blob) expect then
+      Some
+        (Mode.ctr ~key:keys.enc ~nonce:(String.sub body 0 nonce_len)
+           (Bytes_util.drop nonce_len body))
     else None
   end
 
-let seal ~rng ~pub plaintext =
-  let secret = rng 32 in
+(* 'S' ‖ u32 length ‖ RSA ciphertext of the secret ‖ nonce ‖ ct ‖ tag. *)
+let seal ~rng ~pub ~secret keys plaintext =
   let rsa_ct = Rsa.encrypt pub ~rng secret in
   let buf = Buffer.create (String.length plaintext + 96) in
   Buffer.add_char buf 'S';
   Bytes_util.put_u32 buf (String.length rsa_ct);
   Buffer.add_string buf rsa_ct;
-  Buffer.add_string buf (body_sym ~rng ~secret plaintext);
+  Buffer.add_string buf (seal_sym ~rng keys plaintext);
   Buffer.contents buf
 
-let recover_secret ~priv blob =
+let unseal ~priv blob =
   if String.length blob < 5 || blob.[0] <> 'S' then None
   else begin
     let ctlen = Bytes_util.get_u32 blob 1 in
     if ctlen <= 0 || 5 + ctlen > String.length blob then None
-    else Rsa.decrypt priv (String.sub blob 5 ctlen)
+    else
+      match Rsa.decrypt priv (String.sub blob 5 ctlen) with
+      | Some secret when String.length secret = secret_len ->
+        let keys = keys secret in
+        Option.map
+          (fun plaintext -> (secret, keys, plaintext))
+          (unseal_sym keys (Bytes_util.drop (5 + ctlen) blob))
+      | Some _ | None -> None
   end
-
-let unseal ~priv blob =
-  match recover_secret ~priv blob with
-  | None -> None
-  | Some secret ->
-    if String.length secret <> 32 then None
-    else begin
-      let ctlen = Bytes_util.get_u32 blob 1 in
-      open_sym ~secret (Bytes_util.drop (5 + ctlen) blob)
-    end
-
-let seal_sym ~rng ~secret plaintext = body_sym ~rng ~secret plaintext
-let unseal_sym ~secret blob = open_sym ~secret blob

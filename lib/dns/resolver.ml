@@ -39,25 +39,17 @@ let handle server host (p : Net.Packet.t) =
   if len > 0 && p.payload.[0] = 'E' then begin
     match (server.decryption_key, server.rng) with
     | Some priv, Some rng ->
-      let blob = String.sub p.payload 1 (len - 1) in
-      (* One RSA decryption per query: open the body with the recovered
-         secret, not [Seal.unseal], which would decrypt it again. *)
-      (match Crypto.Seal.recover_secret ~priv blob with
-       | Some secret when String.length secret = 32 ->
-         let ctlen = Crypto.Bytes_util.get_u32 blob 1 in
-         (match
-            Crypto.Seal.unseal_sym ~secret
-              (Crypto.Bytes_util.drop (5 + ctlen) blob)
-          with
+      (* One RSA decryption per query, and the keys it yields seal the
+         answer. *)
+      (match Crypto.Seal.unseal ~priv (String.sub p.payload 1 (len - 1)) with
+       | None -> ()
+       | Some (_, keys, body) ->
+         (match Message.decode_query body with
           | None -> ()
-          | Some body ->
-            (match Message.decode_query body with
-             | None -> ()
-             | Some q ->
-               server.served <- server.served + 1;
-               let resp = Message.encode_response (answer server q) in
-               reply ("E" ^ Crypto.Seal.seal_sym ~rng ~secret resp)))
-       | Some _ | None -> ())
+          | Some q ->
+            server.served <- server.served + 1;
+            let resp = Message.encode_response (answer server q) in
+            reply ("E" ^ Crypto.Seal.seal_sym ~rng keys resp)))
     | _ -> ()
   end
   else serve_plain p.payload
@@ -82,7 +74,7 @@ let resolve host ~server ?(port = default_port) ?encrypt_to ?rng ?verify
   incr query_id;
   let q = { Message.id = !query_id; qname = name; qtype } in
   let body = Message.encode_query q in
-  let secret = ref None in
+  let keys = ref None in
   let payload =
     match encrypt_to with
     | None -> body
@@ -92,26 +84,20 @@ let resolve host ~server ?(port = default_port) ?encrypt_to ?rng ?verify
         | Some r -> r
         | None -> invalid_arg "Resolver.resolve: encrypt_to requires rng"
       in
-      (* Remember the exchange secret to open the sealed response. *)
-      let s = rng 32 in
-      secret := Some s;
-      let rsa_ct = Crypto.Rsa.encrypt pub ~rng s in
-      let buf = Buffer.create 128 in
-      Buffer.add_char buf 'S';
-      Crypto.Bytes_util.put_u32 buf (String.length rsa_ct);
-      Buffer.add_string buf rsa_ct;
-      Buffer.add_string buf (Crypto.Seal.seal_sym ~rng ~secret:s body);
-      "E" ^ Buffer.contents buf
+      (* Remember the exchange's keys to open the sealed response. *)
+      let secret = rng 32 in
+      let k = Crypto.Seal.keys secret in
+      keys := Some k;
+      "E" ^ Crypto.Seal.seal ~rng ~pub ~secret k body
   in
   let decode_reply (p : Net.Packet.t) =
     let raw = p.payload in
     let body =
-      match !secret with
+      match !keys with
       | None -> Some raw
-      | Some s ->
+      | Some k ->
         if String.length raw > 1 && raw.[0] = 'E' then
-          Crypto.Seal.unseal_sym ~secret:s
-            (String.sub raw 1 (String.length raw - 1))
+          Crypto.Seal.unseal_sym k (String.sub raw 1 (String.length raw - 1))
         else None
     in
     match body with

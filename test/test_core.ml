@@ -14,6 +14,10 @@ let drbg_rng seed =
   let d = Crypto.Drbg.create ~seed in
   fun n -> Crypto.Drbg.generate d n
 
+(* Registers a session under [secret], deriving its keys. *)
+let register t ~secret ~peer ~now =
+  Core.Session.register t ~secret ~keys:(Crypto.Seal.keys secret) ~peer ~now
+
 (* ---- shim codec ---- *)
 
 let gen_bytes n = QCheck2.Gen.(string_size ~gen:char (return n))
@@ -510,17 +514,19 @@ let test_session_lifecycle () =
   let responder_table = Session.create_table () in
   let peer = addr "10.2.0.3" in
   let secret = rng 32 in
-  let s_client = Session.register initiator_table ~secret ~peer ~now:0L in
+  let keys = Crypto.Seal.keys secret in
+  let s_client = Session.register initiator_table ~secret ~keys ~peer ~now:0L in
   let first =
-    Session.initial_payload ~rng ~peer_key:key.Crypto.Rsa.public ~secret
+    Session.initial_payload ~rng ~peer_key:key.Crypto.Rsa.public ~secret ~keys
       (Session.plain "request-1")
   in
   (match Session.accept_initial ~private_key:key first with
-   | Some (secret', inner) ->
+   | Some (secret', keys', inner) ->
      Alcotest.(check string) "secret recovered" secret secret';
      Alcotest.(check string) "app" "request-1" inner.Session.app;
      let s_server =
-       Session.register responder_table ~secret:secret' ~peer:(addr "10.1.0.2") ~now:0L
+       Session.register responder_table ~secret:secret' ~keys:keys'
+         ~peer:(addr "10.1.0.2") ~now:0L
      in
      Alcotest.(check string) "same sid" s_client.Session.sid s_server.Session.sid
    | None -> Alcotest.fail "accept failed");
@@ -535,7 +541,7 @@ let test_session_lifecycle () =
   Alcotest.(check bool) "tamper rejected" true
     (Session.open_data responder_table ~now:6L (Bytes.to_string broken) = None);
   (* unknown sid *)
-  let other = Session.register (Session.create_table ()) ~secret:(rng 32) ~peer ~now:0L in
+  let other = register (Session.create_table ()) ~secret:(rng 32) ~peer ~now:0L in
   let d2 = Session.data_payload ~rng other (Session.plain "x") in
   Alcotest.(check bool) "unknown sid" true
     (Session.open_data responder_table ~now:7L d2 = None);
@@ -547,8 +553,8 @@ let test_session_expiry () =
   let open Core in
   let rng = drbg_rng "exp" in
   let t = Session.create_table () in
-  let s1 = Session.register t ~secret:(rng 32) ~peer:(addr "10.2.0.1") ~now:0L in
-  let s2 = Session.register t ~secret:(rng 32) ~peer:(addr "10.2.0.2") ~now:0L in
+  let s1 = register t ~secret:(rng 32) ~peer:(addr "10.2.0.1") ~now:0L in
+  let s2 = register t ~secret:(rng 32) ~peer:(addr "10.2.0.2") ~now:0L in
   (* keep s2 warm *)
   let d = Session.data_payload ~rng s2 (Session.plain "keepalive") in
   ignore (Session.open_data t ~now:900L d);
@@ -575,7 +581,7 @@ let test_session_churn () =
   for i = 0 to cycles - 1 do
     let now = Int64.of_int (i * 300) in
     let peer = addr (Printf.sprintf "10.2.%d.%d" (i / 250) (1 + (i mod 250))) in
-    let s = Session.register t ~secret:(rng 32) ~peer ~now in
+    let s = register t ~secret:(rng 32) ~peer ~now in
     if Hashtbl.mem seen s.Session.sid then
       Alcotest.failf "sid reused at cycle %d" i;
     Hashtbl.replace seen s.Session.sid ();
@@ -626,8 +632,7 @@ let test_server_gc_churn () =
              addr (Printf.sprintf "10.2.%d.%d" (i / 250) (1 + (i mod 250)))
            in
            ignore
-             (Session.register tbl ~secret:(rng 32) ~peer
-                ~now:(Net.Engine.now eng));
+             (register tbl ~secret:(rng 32) ~peer ~now:(Net.Engine.now eng));
            collected := !collected + Server.gc srv ~idle:5_000_000L;
            max_live := max !max_live (Session.count tbl)))
   done;
@@ -645,12 +650,82 @@ let test_accept_initial_wrong_key () =
   let key = Scenario.Keyring.e2e 3 in
   let other = Scenario.Keyring.e2e 4 in
   let rng = drbg_rng "sess2" in
+  let secret = rng 32 in
   let first =
-    Session.initial_payload ~rng ~peer_key:key.Crypto.Rsa.public ~secret:(rng 32)
-      (Session.plain "x")
+    Session.initial_payload ~rng ~peer_key:key.Crypto.Rsa.public ~secret
+      ~keys:(Crypto.Seal.keys secret) (Session.plain "x")
   in
   Alcotest.(check bool) "wrong key" true
     (Session.accept_initial ~private_key:other first = None)
+
+(* The wire bytes of both payload kinds under a fixed rng, as the
+   derive-per-message implementation produced them: deriving a secret's
+   keys once changes no byte. *)
+let test_session_bytes_pinned () =
+  let open Core in
+  let key = Scenario.Keyring.onetime 0 in
+  let rng = drbg_rng "pin-session" in
+  let secret = rng 32 in
+  let keys = Crypto.Seal.keys secret in
+  let s =
+    Session.register (Session.create_table ()) ~secret ~keys
+      ~peer:(addr "10.2.0.3") ~now:0L
+  in
+  let hex = Crypto.Bytes_util.to_hex in
+  Alcotest.(check string) "data payload"
+    "44fd3de20d987913278edab7237cbd15392a01488e65afa2df61b61c24888b0079966fa8\
+     696a904d607c4571589a5ed6b102b9e12a6ccc91ae1ad77f2336743c8ae8cf70c4"
+    (hex (Session.data_payload ~rng s (Session.plain "pinned steady-state request")));
+  Alcotest.(check string) "initial payload"
+    "4e53000000407868be1f8b943db51ef4ee1f6ff0a6765c50614872f08bf1ab2ea0ea9ddc\
+     a8ee58a3be23793fc8e3baa059fd70f4b259c392b391d1f90185f168bc7d9874f1e769ba\
+     32d9b8979aa00cda1f805eff936e94f249400dd5aba9243c173274b51d46d2c8affef45a\
+     165cd5f25bdbc719887faefa08eb4b"
+    (hex
+       (Session.initial_payload ~rng ~peer_key:key.Crypto.Rsa.public ~secret ~keys
+          (Session.plain "pinned first request")))
+
+(* Steady state derives nothing: sealing and opening on an established
+   pair expand no AES key. The rng is not the DRBG, which expands a key
+   per draw. *)
+let test_session_steady_state_no_expansion () =
+  let open Core in
+  let expansions =
+    Obs.Registry.counter Obs.Registry.default "crypto.aes.key_expansions"
+  in
+  let ctr = ref 0 in
+  let rng n =
+    incr ctr;
+    String.init n (fun i -> Char.chr (((!ctr * 31) + i) land 0xff))
+  in
+  let secret = rng 32 in
+  let a = Session.create_table () and b = Session.create_table () in
+  let sa = register a ~secret ~peer:(addr "10.1.0.2") ~now:0L in
+  let sb = register b ~secret ~peer:(addr "10.2.0.3") ~now:0L in
+  let delta f =
+    let before = Obs.Counter.value expansions in
+    let r = f () in
+    (r, Obs.Counter.value expansions - before)
+  in
+  for i = 1 to 3 do
+    let req, d1 =
+      delta (fun () -> Session.data_payload ~rng sa (Session.plain "ping"))
+    in
+    Alcotest.(check int) (Printf.sprintf "seal %d" i) 0 d1;
+    let opened, d2 = delta (fun () -> Session.open_data b ~now:1L req) in
+    Alcotest.(check int) (Printf.sprintf "open %d" i) 0 d2;
+    (match opened with
+     | Some (s, inner) ->
+       Alcotest.(check bool) "right session" true (s == sb);
+       Alcotest.(check string) "app" "ping" inner.Session.app
+     | None -> Alcotest.fail "open failed");
+    let rep, d3 =
+      delta (fun () -> Session.data_payload ~rng sb (Session.plain "pong"))
+    in
+    let back, d4 = delta (fun () -> Session.open_data a ~now:2L rep) in
+    Alcotest.(check int) (Printf.sprintf "reply %d" i) 0 (d3 + d4);
+    Alcotest.(check bool) "reply opens" true (back <> None)
+  done
 
 (* ---- multihome ---- *)
 
@@ -767,7 +842,11 @@ let () =
           Alcotest.test_case "churn keeps table bounded" `Quick
             test_session_churn;
           Alcotest.test_case "server gc churn" `Quick test_server_gc_churn;
-          Alcotest.test_case "wrong key" `Quick test_accept_initial_wrong_key
+          Alcotest.test_case "wrong key" `Quick test_accept_initial_wrong_key;
+          Alcotest.test_case "payload bytes pinned" `Quick
+            test_session_bytes_pinned;
+          Alcotest.test_case "steady state expands no key" `Quick
+            test_session_steady_state_no_expansion
         ] );
       ( "multihome",
         [ Alcotest.test_case "strategies" `Quick test_multihome_strategies;

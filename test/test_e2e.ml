@@ -32,6 +32,29 @@ let test_basic_exchange () =
   Alcotest.(check bool) "refresh applied" true (ctrs.refreshes_applied >= 1);
   Alcotest.(check int) "no errors" 0 ctrs.errors
 
+(* What an echoed request costs in SHA-256 once grant and session exist:
+   the session layer's HMAC over nonce ‖ ciphertext, at both ends, in
+   both directions, and nothing else. A 64 B request takes 3
+   compressions per MAC (two inner, one outer), so 12; a 1200 B request
+   takes 21 per MAC, so 84. *)
+let test_steady_state_compressions () =
+  let w = world () in
+  let c = client w "sha-count" in
+  let got = ref 0 in
+  Core.Client.set_receiver c (fun ~peer:_ _ -> incr got);
+  let blocks = Obs.Registry.counter Obs.Registry.default "crypto.sha256.blocks" in
+  let echo size =
+    let before = Obs.Counter.value blocks and replies = !got in
+    Core.Client.send_to_name c ~name:"google.example" (String.make size 'r');
+    run w;
+    Alcotest.(check int) (Printf.sprintf "%d B echoed" size) (replies + 1) !got;
+    Obs.Counter.value blocks - before
+  in
+  ignore (echo 64);
+  Alcotest.(check int) "64 B echo" 12 (echo 64);
+  Alcotest.(check int) "1200 B echo" 84 (echo 1200);
+  Alcotest.(check int) "64 B echo again" 12 (echo 64)
+
 let test_opacity_inside_access_isp () =
   let w = world () in
   let c = client w "opaque" in
@@ -481,6 +504,8 @@ let () =
           Alcotest.test_case "two access ISPs" `Quick test_two_access_isps;
           Alcotest.test_case "master rotation" `Quick
             test_session_survives_master_rotation;
+          Alcotest.test_case "steady-state echo compressions" `Quick
+            test_steady_state_compressions;
           Alcotest.test_case "dscp preserved" `Quick
             test_dscp_preserved_end_to_end
         ] );

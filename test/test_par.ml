@@ -240,6 +240,33 @@ let sha256_kat () =
   && Crypto.Sha256.digest_hex ""
      = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
+(* RFC 4231 cases 1-4, 6 and 7, each key prepared once: the prepared
+   keys (SHA-256 chaining states) are what every domain shares. *)
+let hmac_prepared_kats =
+  List.map
+    (fun (k, msg, tag) -> (Crypto.Hmac.key k, msg, hex tag))
+    [ (String.make 20 '\x0b', "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+      ("Jefe", "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+      (String.make 20 '\xaa', String.make 50 '\xdd',
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+      (String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+      (String.make 131 '\xaa',
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+      (String.make 131 '\xaa',
+       "This is a test using a larger than block-size key and a larger than \
+        block-size data. The key needs to be hashed before being used by the \
+        HMAC algorithm.",
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2")
+    ]
+
+let hmac_kat () =
+  List.for_all (fun (key, msg, tag) -> Crypto.Hmac.mac key msg = tag)
+    hmac_prepared_kats
+
 let run_from_domains ~domains ~iters f =
   let spawned =
     List.init domains (fun _ ->
@@ -261,7 +288,25 @@ let test_crypto_reentrant_kats () =
     (run_from_domains ~domains:4 ~iters:50 cmac_kat);
   Alcotest.(check bool)
     "SHA-256 RFC 6234 vectors from 4 domains" true
-    (run_from_domains ~domains:4 ~iters:50 sha256_kat)
+    (run_from_domains ~domains:4 ~iters:50 sha256_kat);
+  Alcotest.(check bool) "HMAC RFC 4231 sequentially" true (hmac_kat ());
+  Alcotest.(check bool)
+    "HMAC RFC 4231 through shared prepared keys from 4 domains" true
+    (run_from_domains ~domains:4 ~iters:50 hmac_kat);
+  (* One session's keys, shared: every domain opens the same blob to the
+     sequential plaintext. *)
+  let drbg = Crypto.Drbg.create ~seed:"par-seal" in
+  let rng n = Crypto.Drbg.generate drbg n in
+  let keys = Crypto.Seal.keys (rng 32) in
+  let plaintext = String.init 1200 (fun i -> Char.chr (i land 0xff)) in
+  let blob = Crypto.Seal.seal_sym ~rng keys plaintext in
+  let sequential = Crypto.Seal.unseal_sym keys blob in
+  Alcotest.(check (option string)) "Seal keys open sequentially"
+    (Some plaintext) sequential;
+  Alcotest.(check bool)
+    "Seal keys shared by 4 domains open one blob" true
+    (run_from_domains ~domains:4 ~iters:50 (fun () ->
+         Crypto.Seal.unseal_sym keys blob = sequential))
 
 (* The Montgomery kernel writes into scratch: four domains sharing one
    RSA-1024 key, and one [Montgomery.ctx], must each get the sequential

@@ -137,7 +137,7 @@ let handle_key_setup t (p : Net.Packet.t) pubkey ~deadline =
     && Int64.compare deadline (Net.Engine.now (engine t)) < 0
   then shed t ~reason:"deadline" ~klass:Overload.Admission.Setup
   else
-  Net.Network.service ~kind:"key_setup" t.net t.node.Net.Topology.nid
+  Net.Network.service ~kind:Net.Network.Key_setup t.net t.node.Net.Topology.nid
     ~cost:t.config.costs.key_setup (fun () ->
       match t.config.offload_helper with
       | Some helper ->
@@ -172,68 +172,8 @@ let handle_key_setup t (p : Net.Packet.t) pubkey ~deadline =
                 ~sent_at:(Net.Engine.now (engine t))
                 ~app:"neutralizer" "")))
 
-(* Batched key setup: the multicore variant of {!handle_key_setup}.
-   The engine thread draws one batch seed from the box's DRBG (so the
-   box's own randomness advances exactly once per batch, independent of
-   pool size), fans the RSA work out over [pool], then emits the
-   responses in arrival order — each still paying its key_setup service
-   cost, which serializes per-node CPU exactly like the one-at-a-time
-   path. Offload and deadline shedding are features of the event-driven
-   path and are not consulted here. *)
-let setup_batch ?pool ?chunk t (ps : Net.Packet.t array) =
-  let seed = Crypto.Bytes_util.to_hex (t.config.rng 16) in
-  let decoded =
-    Array.map
-      (fun (p : Net.Packet.t) ->
-        match decode_gated t ~src:p.src p.shim with
-        | Error _ -> None
-        | Ok (Shim.Key_setup_request { pubkey; _ }) ->
-          Some { Setup_batch.src = p.src; pubkey }
-        | Ok _ ->
-          (* Well-formed, just not a setup request: a semantic reject,
-             not a wire-level one. *)
-          reject t "malformed";
-          None)
-      ps
-  in
-  (* Compact the well-formed requests (their position in the compacted
-     array is the index the per-request DRBG is split on — the same
-     whatever the pool size), keeping each one's arrival slot. *)
-  let slots = ref [] and reqs = ref [] in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Some r ->
-        slots := i :: !slots;
-        reqs := r :: !reqs
-      | None -> ())
-    decoded;
-  let slots = Array.of_list (List.rev !slots) in
-  let reqs = Array.of_list (List.rev !reqs) in
-  let answers =
-    Setup_batch.process ?pool ?chunk ~master:t.config.master ~seed reqs
-  in
-  let by_slot = Array.make (Array.length ps) None in
-  Array.iteri (fun j slot -> by_slot.(slot) <- Some answers.(j)) slots;
-  Array.iteri
-    (fun i (p : Net.Packet.t) ->
-      match by_slot.(i) with
-      | None -> () (* already counted when decoding *)
-      | Some None -> reject t "bad-pubkey"
-      | Some (Some shim) ->
-        Net.Network.service ~kind:"key_setup" t.net t.node.Net.Topology.nid
-          ~cost:t.config.costs.key_setup (fun () ->
-            t.ctrs.key_setups <- t.ctrs.key_setups + 1;
-            Obs.Counter.inc t.c_key_setups;
-            send t
-              (Net.Packet.make ~protocol:Net.Packet.Shim ~shim
-                 ~src:t.config.anycast ~dst:p.src ~dscp:p.dscp
-                 ~sent_at:(Net.Engine.now (engine t))
-                 ~app:"neutralizer" "")))
-    ps
-
 let handle_outside_data t (p : Net.Packet.t) (d : Shim.data) =
-  Net.Network.service ~kind:"data_forward" t.net t.node.Net.Topology.nid
+  Net.Network.service ~kind:Net.Network.Data_forward t.net t.node.Net.Topology.nid
     ~cost:t.config.costs.data_forward (fun () ->
       match
         Datapath.forward_outside_data ~master:t.config.master
@@ -264,7 +204,7 @@ let handle_outside_data t (p : Net.Packet.t) (d : Shim.data) =
 let handle_return t (p : Net.Packet.t) ~epoch ~nonce ~initiator =
   if not (in_own_domain t p.src) then reject t "return-from-outside"
   else
-    Net.Network.service ~kind:"data_return" t.net t.node.Net.Topology.nid
+    Net.Network.service ~kind:Net.Network.Data_return t.net t.node.Net.Topology.nid
       ~cost:t.config.costs.data_return (fun () ->
         match
           Datapath.forward_return_data ~master:t.config.master
@@ -328,7 +268,7 @@ let handle_qos_nat t (p : Net.Packet.t) entry =
     reject t "qos-expired"
   end
   else
-    Net.Network.service ~kind:"vanilla_forward" t.net t.node.Net.Topology.nid
+    Net.Network.service ~kind:Net.Network.Vanilla_forward t.net t.node.Net.Topology.nid
       ~cost:t.config.costs.vanilla_forward (fun () ->
         t.ctrs.qos_natted <- t.ctrs.qos_natted + 1;
         Obs.Counter.inc t.c_qos_natted;

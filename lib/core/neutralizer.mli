@@ -54,19 +54,6 @@ val attach : Net.Network.t -> Net.Topology.node -> config -> t
 val counters : t -> counters
 val node : t -> Net.Topology.node
 
-val setup_batch : ?pool:Par.pool -> ?chunk:int -> t -> Net.Packet.t array -> unit
-(** Answer a batch of key-setup requests, fanning the per-request RSA
-    work out over [pool] (sequential without one) and emitting responses
-    in arrival order. Response bytes are bit-identical for every pool
-    size: the box draws one batch seed from its DRBG on the calling
-    thread and each request's randomness is split from it by index
-    (see {!Setup_batch.process}). Packets that are not well-formed
-    key-setup requests are rejected ([malformed]), undecodable or
-    too-small public keys as [bad-pubkey]. Each response still pays the
-    [key_setup] service cost, so simulated throughput accounting matches
-    the one-at-a-time path. Offload and deadline shedding apply only to
-    the event-driven path. *)
-
 val add_customer : t -> Net.Ipaddr.Prefix.t -> unit
 (** Register an additional customer prefix. The box normally tells
     customers apart "from the source address field" (§3.2) by its own

@@ -38,7 +38,8 @@ val run_workload :
 
 type point = {
   shards : int;
-  events_per_s : float;  (** parallel run, pool size = shard count *)
+  pool : int;  (** pool size of the parallel run: [min shards (Par.recommended ())] *)
+  events_per_s : float;  (** parallel run on that pool *)
   rounds : int;  (** conservative rounds the pooled run executed *)
   events_per_round : float;  (** barrier amortization: higher is cheaper *)
   us_per_round : float;  (** wall-clock per round, barrier included *)

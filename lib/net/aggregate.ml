@@ -44,17 +44,15 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-(* Arrival counters at a spill target, keyed by cohort (= flow id). All
-   mutation happens on the station node's shard: the injection event
-   resets the cell, delivered probe packets bump it, the harvest event
-   reads it half a step later. *)
+(* Arrival counters of one cohort at one spill target. All mutation
+   happens on the station node's shard: the injection event resets the
+   cell, delivered probe packets bump it, the harvest event reads it
+   half a step later. *)
 type cell = {
   mutable a_count : int;
   mutable a_bytes : int;
   mutable a_lat_ns : int64;
 }
-
-type station = { cells : (int, cell) Hashtbl.t }
 
 type spill = {
   entry : int;  (* path index where the boundary domain is entered *)
@@ -64,6 +62,15 @@ type spill = {
   station_node : Topology.node_id;
   entry_node : Topology.node_id;
   entry_shard : int;
+  cell : cell;  (* shared by the cohort's spills with this station *)
+}
+
+type dir_edge = {
+  cap_step : int;  (* bytes the channel carries per dt *)
+  e_lat : int64;
+  queue : int;
+  bw : int;
+  idx : int;  (* index into the load buffers *)
 }
 
 type cohort = {
@@ -77,6 +84,7 @@ type cohort = {
   src : Topology.node_id;
   dst : Ipaddr.t;
   path : Topology.node_id array;
+  edges : dir_edge array;  (* edges.(i) carries path.(i) -> path.(i + 1) *)
   spills : spill array;  (* ascending entry index *)
   shard : int;
   per_step : int;  (* offered bytes per grid step *)
@@ -88,14 +96,6 @@ type cohort = {
   spill_back : int Atomic.t;
   lat_prod : int Atomic.t;  (* sum of delivered-KiB * latency-us chunks *)
   max_lat_us : int Atomic.t;
-}
-
-type dir_edge = {
-  cap_step : int;  (* bytes the channel carries per dt *)
-  e_lat : int64;
-  queue : int;
-  bw : int;
-  idx : int;  (* index into the load buffers *)
 }
 
 type stats = {
@@ -122,8 +122,8 @@ type t = {
   pkt_bytes : int;
   payload : string;
   dirs : (Topology.node_id * Topology.node_id, dir_edge) Hashtbl.t;
+      (* read only by [add_cohort]: a cohort keeps its path's records *)
   loads : int Atomic.t array array;  (* 3 rotating buffers x directed edge *)
-  stations : (Topology.node_id, station) Hashtbl.t;
   box_goodput : int Atomic.t;
   mutable cohorts_rev : cohort list;
   mutable cohorts : cohort array;
@@ -181,7 +181,6 @@ let create ?(spill_pkts = 8) ?(pkt_bytes = 1200) ~dt ~steps net =
     payload = String.make (pkt_bytes - 28) 'f';
     dirs;
     loads = Array.init 3 (fun _ -> Array.init ndirs (fun _ -> Atomic.make 0));
-    stations = Hashtbl.create 8;
     box_goodput = Atomic.make 0;
     cohorts_rev = [];
     cohorts = [||];
@@ -200,14 +199,18 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
     | Some nodes -> Array.of_list nodes
   in
   let n = Array.length path in
-  let path_lat = ref 0L in
-  for i = 0 to n - 2 do
-    match Hashtbl.find_opt t.dirs (path.(i), path.(i + 1)) with
-    | Some de -> path_lat := Int64.add !path_lat de.e_lat
-    | None ->
-      invalid_arg
-        "Aggregate.add_cohort: path uses a link added after Aggregate.create"
-  done;
+  let edges =
+    Array.init (n - 1) (fun i ->
+        match Hashtbl.find_opt t.dirs (path.(i), path.(i + 1)) with
+        | Some de -> de
+        | None ->
+          invalid_arg
+            "Aggregate.add_cohort: path uses a link added after \
+             Aggregate.create")
+  in
+  let path_lat =
+    Array.fold_left (fun acc de -> Int64.add acc de.e_lat) 0L edges
+  in
   let per_client =
     Int64.to_int
       (Int64.div (Int64.mul (Int64.of_int (rate_bps / 8)) t.dt) 1_000_000_000L)
@@ -234,6 +237,11 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
     then begin
       let entry_node = path.(!i) in
       let station_node = if terminal then path.(n - 1) else entry_node in
+      let cell =
+        match List.find_opt (fun sp -> sp.station_node = station_node) !spills with
+        | Some sp -> sp.cell
+        | None -> { a_count = 0; a_bytes = 0; a_lat_ns = 0L }
+      in
       spills :=
         { entry = !i;
           egress = !j;
@@ -241,7 +249,8 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
           target = (Topology.node t.topo station_node).Topology.addr;
           station_node;
           entry_node;
-          entry_shard = Topology.shard_of t.topo ~shards entry_node
+          entry_shard = Topology.shard_of t.topo ~shards entry_node;
+          cell
         }
         :: !spills
     end;
@@ -260,10 +269,11 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
       src;
       dst;
       path;
+      edges;
       spills = Array.of_list (List.rev !spills);
       shard = Topology.shard_of t.topo ~shards src;
       per_step;
-      path_lat_ns = !path_lat;
+      path_lat_ns = path_lat;
       offered_bytes = 0;
       delivered_bytes = Atomic.make 0;
       spilled_bytes = Atomic.make 0;
@@ -300,7 +310,7 @@ let rec walk t c ~step ~s ~idx ~through ~seg_lat ~lat_ns =
       spill t c ~s ~through ~seg_lat ~lat_ns
     else if idx = Array.length c.path - 1 then record_delivery c ~through ~lat_ns
     else begin
-      let de = Hashtbl.find t.dirs (c.path.(idx), c.path.(idx + 1)) in
+      let de = c.edges.(idx) in
       ignore (Atomic.fetch_and_add t.loads.(step mod 3).(de.idx) through);
       let prev = Atomic.get t.loads.((step + 2) mod 3).(de.idx) in
       let through, qdelay =
@@ -331,7 +341,7 @@ and spill t c ~s ~through ~seg_lat ~lat_ns =
 
 and inject t c ~s ~through ~lat_ns =
   let sp = c.spills.(s) in
-  let cell = Hashtbl.find (Hashtbl.find t.stations sp.station_node).cells c.id in
+  let cell = sp.cell in
   cell.a_count <- 0;
   cell.a_bytes <- 0;
   cell.a_lat_ns <- 0L;
@@ -353,7 +363,7 @@ and inject t c ~s ~through ~lat_ns =
 
 and harvest t c ~s ~through ~lat_ns =
   let sp = c.spills.(s) in
-  let cell = Hashtbl.find (Hashtbl.find t.stations sp.station_node).cells c.id in
+  let cell = sp.cell in
   let back = cell.a_count in
   ignore (Atomic.fetch_and_add c.spill_back back);
   let pass_ppm =
@@ -383,36 +393,37 @@ and harvest t c ~s ~through ~lat_ns =
                ~lat_ns:(Int64.add (Int64.add lat_ns probe_lat) wait)))
     end
 
-let ensure_station t nid =
-  match Hashtbl.find_opt t.stations nid with
-  | Some st -> st
-  | None ->
-    let st = { cells = Hashtbl.create 16 } in
-    Hashtbl.replace t.stations nid st;
-    Network.set_handler t.net nid (fun _net _nid p ->
-        match Hashtbl.find_opt st.cells p.Packet.meta.flow_id with
-        | None -> ()
-        | Some cell ->
-          cell.a_count <- cell.a_count + 1;
-          cell.a_bytes <- cell.a_bytes + Packet.size p;
-          cell.a_lat_ns <-
-            Int64.add cell.a_lat_ns
-              (Int64.sub (Engine.now t.engine) p.Packet.meta.sent_at));
-    st
+(* A station's arrivals land in the cell of the cohort named by the
+   packet's flow id, when that cohort spills at this node; anything else
+   delivered here is ignored. *)
+let station_handler t _net nid (p : Packet.t) =
+  let id = p.Packet.meta.flow_id in
+  if id >= 0 && id < Array.length t.cohorts then
+    match
+      Array.find_opt (fun sp -> sp.station_node = nid) t.cohorts.(id).spills
+    with
+    | None -> ()
+    | Some { cell; _ } ->
+      cell.a_count <- cell.a_count + 1;
+      cell.a_bytes <- cell.a_bytes + Packet.size p;
+      cell.a_lat_ns <-
+        Int64.add cell.a_lat_ns
+          (Int64.sub (Engine.now t.engine) p.Packet.meta.sent_at)
 
 let launch t =
   if t.launched then invalid_arg "Aggregate.launch: already launched";
   t.launched <- true;
   let cohorts = Array.of_list (List.rev t.cohorts_rev) in
   t.cohorts <- cohorts;
+  let stations = Hashtbl.create 8 in
   Array.iter
     (fun c ->
       Array.iter
         (fun sp ->
-          let st = ensure_station t sp.station_node in
-          if not (Hashtbl.mem st.cells c.id) then
-            Hashtbl.replace st.cells c.id
-              { a_count = 0; a_bytes = 0; a_lat_ns = 0L })
+          if not (Hashtbl.mem stations sp.station_node) then begin
+            Hashtbl.replace stations sp.station_node ();
+            Network.set_handler t.net sp.station_node (station_handler t)
+          end)
         c.spills)
     cohorts;
   (* The ticker (shard 0) zeroes the buffer step k+1 will write. It

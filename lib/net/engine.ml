@@ -14,33 +14,41 @@
 
 type event = { f : unit -> unit; mutable cancelled : bool }
 
+(* Clocks are native ints (simulated ns, the heap's own timestamp type)
+   so that advancing one per event stores no boxed [int64]. *)
 type shard = {
   id : int;
   q : event Pqueue.t;
-  mutable sclock : int64;
+  mutable sclock : int;
   mutable sseq : int;
   mutable sprocessed : int;
   mutable sscheduled : int;
   mutable spopped : int;
+  (* How much of [sprocessed]/[sscheduled] the obs counters have seen:
+     the loops count in these plain fields and {!publish} adds the
+     difference at each barrier and at the end of a run, instead of an
+     atomic bump per event. *)
+  mutable pub_processed : int;
+  mutable pub_scheduled : int;
   (* Cross-shard events posted while this shard executes a round:
      (destination shard, absolute time, event), FIFO. Only this shard
      appends during a round; only the coordinator drains at the
      barrier. *)
   outbox : (int * int64 * event) Queue.t;
   (* Per-shard processed counter, resolved on the coordinator at
-     [create] (registry mutation is not domain-safe) and bumped from
-     whichever domain runs the shard (counter increments are atomic). *)
+     [create] (registry mutation is not domain-safe). *)
   c_shard : Obs.Counter.t option;
 }
 
 type t = {
   shards : shard array;
   lookahead : int64; (* 0 when single-shard; > 0 otherwise *)
-  mutable clock : int64; (* coordinator clock: per event when
-                            single-shard, per round otherwise *)
+  window : int; (* [lookahead] as a native int, saturated at max_int *)
+  mutable clock : int; (* coordinator clock: per event when
+                          single-shard, per round otherwise *)
   mutable nrounds : int; (* barrier rounds completed (sharded only) *)
   mutable in_round : bool;
-  mutable horizon : int64; (* exclusive bound of the round in flight *)
+  mutable horizon : int; (* exclusive bound of the round in flight *)
   obs : Obs.Registry.t;
   c_processed : Obs.Counter.t;
   c_scheduled : Obs.Counter.t;
@@ -75,6 +83,14 @@ let () =
    calls made from inside event handlers to the shard that owns the
    caller, without threading a context through every closure. *)
 let executing_shard : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+
+(* An [int64] time as a native int, saturated: heap timestamps are
+   non-negative native ints, so comparisons against the result agree
+   with comparisons against the original. *)
+let to_native l =
+  if Int64.compare l (Int64.of_int max_int) >= 0 then max_int
+  else if Int64.compare l (Int64.of_int min_int) <= 0 then min_int
+  else Int64.to_int l
 
 let create ?(obs = Obs.Registry.default) ?capacity ?(shards = 1) ?lookahead
     ?topo () =
@@ -122,11 +138,13 @@ let create ?(obs = Obs.Registry.default) ?capacity ?(shards = 1) ?lookahead
         Array.init shards (fun id ->
             { id;
               q = Pqueue.create ~capacity ();
-              sclock = 0L;
+              sclock = 0;
               sseq = 0;
               sprocessed = 0;
               sscheduled = 0;
               spopped = 0;
+              pub_processed = 0;
+              pub_scheduled = 0;
               outbox = Queue.create ();
               c_shard =
                 (if shards = 1 then None
@@ -137,10 +155,11 @@ let create ?(obs = Obs.Registry.default) ?capacity ?(shards = 1) ?lookahead
                         "net.engine.shard_processed"))
             });
       lookahead = (if shards = 1 then 0L else lookahead);
-      clock = 0L;
+      window = (if shards = 1 then 0 else to_native lookahead);
+      clock = 0;
       nrounds = 0;
       in_round = false;
-      horizon = 0L;
+      horizon = 0;
       obs;
       c_processed = Obs.Registry.counter obs "net.engine.events_processed";
       c_scheduled = Obs.Registry.counter obs "net.engine.events_scheduled";
@@ -154,7 +173,7 @@ let create ?(obs = Obs.Registry.default) ?capacity ?(shards = 1) ?lookahead
   in
   (* Spans and any clocked instrumentation sharing this registry measure
      simulated, not wall, time. *)
-  Obs.Registry.set_clock obs (fun () -> t.clock);
+  Obs.Registry.set_clock obs (fun () -> Int64.of_int t.clock);
   t
 
 let obs t = t.obs
@@ -163,10 +182,16 @@ let obs t = t.obs
    shard's own clock, not the coordinator's round base. Anything built
    on [now] (link serialization, packet timestamps) therefore behaves
    identically at every shard count; the round base is a scheduling
-   artifact that must never leak into the simulation. *)
+   artifact that must never leak into the simulation. A single-shard
+   engine's shard clock is its clock, so it skips the DLS read. *)
 let now t =
-  let i = Domain.DLS.get executing_shard in
-  if i >= 0 && i < Array.length t.shards then t.shards.(i).sclock else t.clock
+  if Array.length t.shards = 1 then Int64.of_int t.clock
+  else begin
+    let i = Domain.DLS.get executing_shard in
+    Int64.of_int
+      (if i >= 0 && i < Array.length t.shards then t.shards.(i).sclock
+       else t.clock)
+  end
 
 let now_s t = Int64.to_float (now t) *. 1e-9
 let shards t = Array.length t.shards
@@ -176,14 +201,17 @@ let rounds t = t.nrounds
 let shard_now t ~shard =
   if shard < 0 || shard >= Array.length t.shards then
     invalid_arg "Engine.shard_now: unknown shard";
-  t.shards.(shard).sclock
+  Int64.of_int t.shards.(shard).sclock
 
 (* The shard a call made right now should act on: the shard this domain
    is executing (inside a handler), else shard 0 — which for the
-   single-shard engine is the engine. *)
+   single-shard engine is the engine, without a DLS read. *)
 let calling_shard t =
-  let i = Domain.DLS.get executing_shard in
-  if i >= 0 && i < Array.length t.shards then t.shards.(i) else t.shards.(0)
+  if Array.length t.shards = 1 then t.shards.(0)
+  else begin
+    let i = Domain.DLS.get executing_shard in
+    if i >= 0 && i < Array.length t.shards then t.shards.(i) else t.shards.(0)
+  end
 
 let push_event s ~time ev =
   Pqueue.push s.q time s.sseq ev;
@@ -195,8 +223,7 @@ let schedule t ~delay f =
   let s = calling_shard t in
   let base = if Array.length t.shards = 1 then t.clock else s.sclock in
   let ev = { f; cancelled = false } in
-  push_event s ~time:(Int64.add base delay) ev;
-  Obs.Counter.inc t.c_scheduled;
+  push_event s ~time:(Int64.add (Int64.of_int base) delay) ev;
   ev
 
 let schedule_s t ~delay_s f =
@@ -208,13 +235,15 @@ let post t ~shard ~at f =
   if shard < 0 || shard >= n then invalid_arg "Engine.post: unknown shard";
   let dst = t.shards.(shard) in
   let ev = { f; cancelled = false } in
-  let src_id = Domain.DLS.get executing_shard in
+  let src_id = if n = 1 then -1 else Domain.DLS.get executing_shard in
   if src_id >= 0 && src_id < n && src_id <> shard && t.in_round then begin
     (* Cross-shard, from inside a round: the destination heap belongs to
        another domain right now, so the event must clear the round's
        safe horizon and wait in the outbox for the barrier. *)
-    if Int64.compare at t.horizon < 0 then
-      raise (Lookahead_violation { src = src_id; dst = shard; at; horizon = t.horizon });
+    if to_native at < t.horizon then
+      raise
+        (Lookahead_violation
+           { src = src_id; dst = shard; at; horizon = Int64.of_int t.horizon });
     Queue.add (shard, at, ev) t.shards.(src_id).outbox
   end
   else begin
@@ -225,11 +254,10 @@ let post t ~shard ~at f =
       else if n = 1 then t.clock
       else dst.sclock
     in
-    if Int64.compare at floor < 0 then
+    if to_native at < floor then
       invalid_arg "Engine.post: event scheduled in the past";
     push_event dst ~time:at ev
   end;
-  Obs.Counter.inc t.c_scheduled;
   ev
 
 let cancel ev = ev.cancelled <- true
@@ -264,77 +292,77 @@ let check_invariants t =
         invalid_arg "Engine: processed exceeds events popped";
       if not (Queue.is_empty s.outbox) then
         invalid_arg "Engine: outbox not drained at a round barrier";
-      if Int64.compare s.sclock 0L < 0 then invalid_arg "Engine: clock negative")
+      if s.sclock < 0 then invalid_arg "Engine: clock negative")
     t.shards;
   if processed t > scheduled t then
     invalid_arg "Engine: processed exceeds events scheduled";
-  if Int64.compare t.clock 0L < 0 then invalid_arg "Engine: clock negative"
+  if t.clock < 0 then invalid_arg "Engine: clock negative"
+
+(* Bring the obs counters up to the shard fields. Runs on the
+   coordinator, at each barrier and when [run] returns or raises. *)
+let publish t =
+  Array.iter
+    (fun s ->
+      let processed = s.sprocessed - s.pub_processed in
+      if processed > 0 then begin
+        Obs.Counter.add t.c_processed processed;
+        (match s.c_shard with Some c -> Obs.Counter.add c processed | None -> ());
+        s.pub_processed <- s.sprocessed
+      end;
+      let scheduled = s.sscheduled - s.pub_scheduled in
+      if scheduled > 0 then begin
+        Obs.Counter.add t.c_scheduled scheduled;
+        s.pub_scheduled <- s.sscheduled
+      end)
+    t.shards
 
 (* ---- shard count 1: the sequential engine, unchanged ---- *)
 
-let run_sequential ?until ?max_events t =
+let run_sequential ~limit ?max_events t =
   let s = t.shards.(0) in
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    match Pqueue.peek_min s.q with
-    | None -> continue := false
-    | Some (time, _, _) ->
-      (match until with
-       | Some limit when Int64.compare time limit > 0 -> continue := false
-       | Some _ | None ->
-         (match Pqueue.pop_min s.q with
-          | None -> continue := false
-          | Some (time, _, ev) ->
-            t.clock <- time;
-            s.sclock <- time;
-            s.spopped <- s.spopped + 1;
-            if ev.cancelled then Obs.Counter.inc t.c_cancelled
-            else begin
-              decr budget;
-              s.sprocessed <- s.sprocessed + 1;
-              Obs.Counter.inc t.c_processed;
-              ev.f ()
-            end))
+  while
+    !budget > 0 && (not (Pqueue.is_empty s.q)) && Pqueue.min_time s.q <= limit
+  do
+    let time = Pqueue.min_time s.q in
+    let ev = Pqueue.pop_value s.q in
+    t.clock <- time;
+    s.sclock <- time;
+    s.spopped <- s.spopped + 1;
+    if ev.cancelled then Obs.Counter.inc t.c_cancelled
+    else begin
+      decr budget;
+      s.sprocessed <- s.sprocessed + 1;
+      ev.f ()
+    end
   done
 
 (* ---- shard count > 1: conservative-lookahead rounds ---- *)
 
 (* Drain one shard up to the (exclusive) horizon, also honoring the
-   [until] bound exactly as the sequential loop does (events with
-   [time > until] stay queued). Runs on whichever domain the round
+   [until] bound ([limit]) exactly as the sequential loop does (events
+   with [time > until] stay queued). Runs on whichever domain the round
    assigned this shard to; touches only shard-owned state, atomic obs
    counters, and — through handlers calling [post]/[schedule] — this
    shard's own heap and outbox. *)
-let process_shard t ~horizon ~until s =
+let process_shard t ~horizon ~limit s =
   Domain.DLS.set executing_shard s.id;
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set executing_shard (-1))
     (fun () ->
-      let continue = ref true in
-      while !continue do
-        if Pqueue.is_empty s.q then continue := false
+      while
+        (not (Pqueue.is_empty s.q))
+        && Pqueue.min_time s.q < horizon
+        && Pqueue.min_time s.q <= limit
+      do
+        let time = Pqueue.min_time s.q in
+        let ev = Pqueue.pop_value s.q in
+        s.sclock <- time;
+        s.spopped <- s.spopped + 1;
+        if ev.cancelled then Obs.Counter.inc t.c_cancelled
         else begin
-          let tmin = Int64.of_int (Pqueue.min_time s.q) in
-          if
-            Int64.compare tmin horizon >= 0
-            || (match until with
-                | Some limit -> Int64.compare tmin limit > 0
-                | None -> false)
-          then continue := false
-          else
-            match Pqueue.pop_min s.q with
-            | None -> continue := false
-            | Some (time, _, ev) ->
-              s.sclock <- time;
-              s.spopped <- s.spopped + 1;
-              if ev.cancelled then Obs.Counter.inc t.c_cancelled
-              else begin
-                s.sprocessed <- s.sprocessed + 1;
-                Obs.Counter.inc t.c_processed;
-                (match s.c_shard with Some c -> Obs.Counter.inc c | None -> ());
-                ev.f ()
-              end
+          s.sprocessed <- s.sprocessed + 1;
+          ev.f ()
         end
       done)
 
@@ -350,7 +378,7 @@ let merge_outboxes t =
       done)
     t.shards
 
-let run_rounds ?pool ?until ?max_events t =
+let run_rounds ?pool ~limit ?max_events t =
   let nshards = Array.length t.shards in
   let budget = ref (match max_events with None -> max_int | Some n -> n) in
   let continue = ref true in
@@ -361,53 +389,53 @@ let run_rounds ?pool ?until ?max_events t =
     in
     if tmin = max_int && Array.for_all (fun s -> Pqueue.is_empty s.q) t.shards
     then continue := false
+    else if tmin > limit then continue := false
     else begin
-      let tbase = Int64.of_int tmin in
-      match until with
-      | Some limit when Int64.compare tbase limit > 0 -> continue := false
-      | Some _ | None ->
-        t.clock <- tbase;
-        let horizon =
-          let h = Int64.add tbase t.lookahead in
-          if Int64.compare h tbase <= 0 then Int64.max_int else h
-        in
-        t.horizon <- horizon;
-        let before = processed t in
-        t.in_round <- true;
-        Fun.protect
-          ~finally:(fun () -> t.in_round <- false)
-          (fun () ->
-            match pool with
-            | None ->
-              (* The sequential reference for the parallel execution:
-                 same rounds, same horizons, same merge order, one
-                 domain. *)
-              Array.iter (process_shard t ~horizon ~until) t.shards
-            | Some pool ->
-              Par.round pool ~n:nshards ~f:(fun i ->
-                  process_shard t ~horizon ~until t.shards.(i)));
-        merge_outboxes t;
-        t.nrounds <- t.nrounds + 1;
-        (match t.c_rounds with Some c -> Obs.Counter.inc c | None -> ());
-        (* [max_events] is a round-granular bound here: the budget is
-           re-checked at each barrier, never mid-round (a mid-round stop
-           would make the cut point scheduling-dependent). *)
-        budget := !budget - (processed t - before)
+      t.clock <- tmin;
+      let horizon =
+        let h = tmin + t.window in
+        if h <= tmin then max_int else h
+      in
+      t.horizon <- horizon;
+      let before = processed t in
+      t.in_round <- true;
+      Fun.protect
+        ~finally:(fun () -> t.in_round <- false)
+        (fun () ->
+          match pool with
+          | None ->
+            (* The sequential reference for the parallel execution:
+               same rounds, same horizons, same merge order, one
+               domain. *)
+            Array.iter (process_shard t ~horizon ~limit) t.shards
+          | Some pool ->
+            Par.round pool ~n:nshards ~f:(fun i ->
+                process_shard t ~horizon ~limit t.shards.(i)));
+      merge_outboxes t;
+      t.nrounds <- t.nrounds + 1;
+      (match t.c_rounds with Some c -> Obs.Counter.inc c | None -> ());
+      publish t;
+      (* [max_events] is a round-granular bound here: the budget is
+         re-checked at each barrier, never mid-round (a mid-round stop
+         would make the cut point scheduling-dependent). *)
+      budget := !budget - (processed t - before)
     end
   done;
-  t.clock <-
-    Array.fold_left
-      (fun acc s -> if Int64.compare s.sclock acc > 0 then s.sclock else acc)
-      t.clock t.shards
+  t.clock <- Array.fold_left (fun acc s -> Int.max acc s.sclock) t.clock t.shards
 
 let run ?pool ?until ?max_events t =
   let wall0 = Sys.time () in
   let sim0 = t.clock in
-  if Array.length t.shards = 1 then run_sequential ?until ?max_events t
-  else run_rounds ?pool ?until ?max_events t;
+  (* Events with [time > until] stay queued. *)
+  let limit = match until with None -> max_int | Some l -> to_native l in
+  Fun.protect
+    ~finally:(fun () -> publish t)
+    (fun () ->
+      if Array.length t.shards = 1 then run_sequential ~limit ?max_events t
+      else run_rounds ?pool ~limit ?max_events t);
   Obs.Gauge.set_int t.g_pending (pending t);
   let wall = Sys.time () -. wall0 in
-  let sim_ns = Int64.to_float (Int64.sub t.clock sim0) in
+  let sim_ns = float_of_int (t.clock - sim0) in
   if wall > 0.0 && sim_ns > 0.0 then
     Obs.Gauge.set t.g_ratio (sim_ns /. (wall *. 1e9));
   check_invariants t

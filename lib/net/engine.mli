@@ -43,8 +43,13 @@
     (counters), [net.engine.pending] (gauge, sampled when {!run}
     returns) and [net.engine.sim_wall_ratio] (gauge). Sharded engines
     additionally publish [net.engine.rounds] and a per-shard
-    [net.engine.shard_processed{shard}] family — resolved on the
-    coordinator at {!create}, bumped atomically from worker domains. *)
+    [net.engine.shard_processed{shard}] family, resolved on the
+    coordinator at {!create}. The processed and scheduled counts are
+    kept per shard and published by the coordinator at every round
+    barrier and when {!run} returns or raises, so at a run boundary
+    [events_processed] equals {!processed}, [events_scheduled] equals
+    {!scheduled}, and the [shard_processed] family sums to {!processed};
+    events scheduled between runs reach the counters at the next run. *)
 
 type t
 

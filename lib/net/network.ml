@@ -13,17 +13,17 @@ type counters = {
   mutable dropped_shed : int;
 }
 
+type service_kind = Key_setup | Data_forward | Data_return | Vanilla_forward | Other
+
+(* Per-hop state lives in arrays indexed by node and domain id, so a
+   packet's walk reads fields instead of hashing ids. *)
 type t = {
   engine : Engine.t;
   topo : Topology.t;
   route_policy : Routing.policy;
   mutable routing : Routing.t;
-  links : (int * int, Link.t) Hashtbl.t;
-  handlers : (int, handler) Hashtbl.t;
-  middlewares : (int, middleware list) Hashtbl.t;
-  taps : (int, (Observation.t -> unit) list) Hashtbl.t;
-  busy : (int, int64) Hashtbl.t;
-  down_nodes : (int, unit) Hashtbl.t;
+  mutable nodes : node_state array; (* by node id, grown on demand *)
+  mutable domains : domain_state array; (* by domain id, grown on demand *)
   ctrs : counters;
   c_delivered : Obs.Counter.t;
   (* Drop counters pre-resolved at creation: [drop] may run on a worker
@@ -31,6 +31,20 @@ type t = {
      registry resolution mutates a hashtable — only the bumps are
      atomic. *)
   c_drops : Obs.Counter.t array; (* indexed by drop_index *)
+  h_service : Obs.Histogram.t array; (* indexed by service_index *)
+}
+
+and node_state = {
+  mutable handler : handler option;
+  mutable busy_until : int; (* end of the service queue's committed work, ns *)
+  mutable up : bool;
+  mutable out : (Topology.node_id * Link.t) list;
+      (* links from this node, in creation order *)
+}
+
+and domain_state = {
+  mutable chain : middleware list;
+  mutable taps : (Observation.t -> unit) list;
 }
 
 and handler = t -> Topology.node_id -> Packet.t -> unit
@@ -51,6 +65,38 @@ let drop_index = function
   | `Node_down -> 5
   | `Shed -> 6
 
+let service_kinds =
+  [| "key_setup"; "data_forward"; "data_return"; "vanilla_forward"; "other" |]
+
+let service_index = function
+  | Key_setup -> 0
+  | Data_forward -> 1
+  | Data_return -> 2
+  | Vanilla_forward -> 3
+  | Other -> 4
+
+let fresh_node _ = { handler = None; busy_until = 0; up = true; out = [] }
+let fresh_domain _ = { chain = []; taps = [] }
+
+(* [a] grown to hold index [i], new slots from [fresh]. *)
+let grown a i fresh =
+  let n = Array.length a in
+  Array.init (Int.max (i + 1) (2 * n)) (fun j -> if j < n then a.(j) else fresh j)
+
+(* Grow-on-demand accessors: a node or domain the topology gained after
+   the last [recompute_routes] starts with the defaults (no handler,
+   idle, up, no links, no chain, no taps). [recompute_routes] sizes the
+   arrays to the whole topology, so the packet path run by worker
+   domains only reads them. *)
+let node_state t nid =
+  if nid >= Array.length t.nodes then t.nodes <- grown t.nodes nid fresh_node;
+  t.nodes.(nid)
+
+let domain_state t did =
+  if did >= Array.length t.domains then
+    t.domains <- grown t.domains did fresh_domain;
+  t.domains.(did)
+
 (* The ad-hoc counters record is kept as the stable API; the same
    increments are mirrored into the obs registry as labeled families
    (net.network.delivered, net.network.dropped{reason}). The record
@@ -66,39 +112,37 @@ let drop t reason =
    | `Node_down -> t.ctrs.dropped_node_down <- t.ctrs.dropped_node_down + 1
    | `Shed -> t.ctrs.dropped_shed <- t.ctrs.dropped_shed + 1);
   Obs.Counter.inc t.c_drops.(drop_index reason)
-let set_handler t nid h = Hashtbl.replace t.handlers nid h
+
+let set_handler t nid h = (node_state t nid).handler <- Some h
 
 let add_middleware t did m =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.middlewares did) in
-  Hashtbl.replace t.middlewares did (cur @ [ m ])
+  let d = domain_state t did in
+  d.chain <- d.chain @ [ m ]
 
-let clear_middlewares t did = Hashtbl.remove t.middlewares did
-
-let set_middlewares t did = function
-  | [] -> Hashtbl.remove t.middlewares did
-  | ms -> Hashtbl.replace t.middlewares did ms
-
-let policed t did =
-  match Hashtbl.find_opt t.middlewares did with
-  | None | Some [] -> false
-  | Some _ -> true
+let clear_middlewares t did = (domain_state t did).chain <- []
+let set_middlewares t did ms = (domain_state t did).chain <- ms
+let policed t did = match (domain_state t did).chain with [] -> false | _ -> true
 
 let add_tap t did f =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.taps did) in
-  Hashtbl.replace t.taps did (cur @ [ f ])
+  let d = domain_state t did in
+  d.taps <- d.taps @ [ f ]
 
-let link_between t a b = Hashtbl.find_opt t.links (a, b)
+let rec find_link b = function
+  | [] -> None
+  | (b', link) :: rest -> if b' = b then Some link else find_link b rest
 
-let iter_links t f = Hashtbl.iter (fun (a, b) link -> f a b link) t.links
+let link_between t a b = find_link b (node_state t a).out
+
+let iter_links t f =
+  Array.iteri
+    (fun a st -> List.iter (fun (b, link) -> f a b link) st.out)
+    t.nodes
 
 (* Node liveness (fault injection): a down node neither originates,
    transits nor receives packets — its in-flight traffic is dropped
    with reason [node_down]. *)
-let set_node_up t nid ~up =
-  if up then Hashtbl.remove t.down_nodes nid
-  else Hashtbl.replace t.down_nodes nid ()
-
-let node_up t nid = not (Hashtbl.mem t.down_nodes nid)
+let set_node_up t nid ~up = (node_state t nid).up <- up
+let node_up t nid = (node_state t nid).up
 
 let drop_of_send_result t = function
   | Link.Sent -> ()
@@ -106,10 +150,17 @@ let drop_of_send_result t = function
   | Link.Dropped Link.Link_down -> drop t `Link_down
   | Link.Dropped Link.Shed -> drop t `Shed
 
-let fire_taps t did p =
-  match Hashtbl.find_opt t.taps did with
-  | None -> ()
-  | Some fs ->
+(* Hand [p] to the link [nid -> next], or drop it as unroutable when
+   the two are not adjacent. *)
+let send_on t nid next p =
+  match find_link next (node_state t nid).out with
+  | None -> drop t `No_route
+  | Some link -> drop_of_send_result t (Link.send link p)
+
+let fire_taps t (d : domain_state) p =
+  match d.taps with
+  | [] -> ()
+  | fs ->
     let obs = Observation.of_packet ~now:(Engine.now t.engine) p in
     List.iter (fun f -> f obs) fs
 
@@ -120,112 +171,110 @@ let is_local t (node : Topology.node) (p : Packet.t) =
 let deliver t nid p =
   t.ctrs.delivered <- t.ctrs.delivered + 1;
   Obs.Counter.inc t.c_delivered;
-  match Hashtbl.find_opt t.handlers nid with
+  match (node_state t nid).handler with
   | Some h -> h t nid p
   | None -> ()
 
-(* Run the domain middleware chain; the continuation receives the possibly
-   re-marked packet. Delay re-enters after the pause without re-running
-   the chain (the verdict for this hop has been rendered). *)
-let apply_middlewares t did p k =
-  match Hashtbl.find_opt t.middlewares did with
-  | None | Some [] -> k (Some p)
-  | Some chain ->
-    let obs = Observation.of_packet ~now:(Engine.now t.engine) p in
-    let rec go chain p =
-      match chain with
-      | [] -> k (Some p)
-      | m :: rest ->
-        (match m obs with
-         | Forward -> go rest p
-         | Drop ->
-           drop t `Policy;
-           k None
-         | Delay d ->
-           ignore
-             (Engine.schedule t.engine ~delay:d (fun () -> k (Some p)))
-         | Remark dscp -> go rest { p with Packet.dscp })
-    in
-    go chain p
+(* Run a non-empty middleware chain; the continuation receives the
+   possibly re-marked packet. Delay re-enters after the pause without
+   re-running the chain (the verdict for this hop has been rendered).
+   Unpoliced domains skip this entirely (see the callers). *)
+let apply_middlewares t chain p k =
+  let obs = Observation.of_packet ~now:(Engine.now t.engine) p in
+  let rec go chain p =
+    match chain with
+    | [] -> k (Some p)
+    | m :: rest ->
+      (match m obs with
+       | Forward -> go rest p
+       | Drop ->
+         drop t `Policy;
+         k None
+       | Delay d ->
+         ignore (Engine.schedule t.engine ~delay:d (fun () -> k (Some p)))
+       | Remark dscp -> go rest { p with Packet.dscp })
+  in
+  go chain p
 
 let rec receive t nid (p : Packet.t) =
   if not (node_up t nid) then drop t `Node_down
-  else receive_up t nid p
+  else begin
+    let node = Topology.node t.topo nid in
+    let d = domain_state t node.domain in
+    fire_taps t d p;
+    if is_local t node p then
+      (* Ingress policing: the domain's middleware also covers packets
+         delivered to local nodes (hosts, neutralizer boxes). *)
+      match d.chain with
+      | [] -> deliver t nid p
+      | chain ->
+        apply_middlewares t chain p (function
+          | None -> ()
+          | Some p -> deliver t nid p)
+    else transit t nid d p
+  end
 
-and receive_up t nid (p : Packet.t) =
-  let node = Topology.node t.topo nid in
-  fire_taps t node.domain p;
-  if is_local t node p then
-    (* Ingress policing: the domain's middleware also covers packets
-       delivered to local nodes (hosts, neutralizer boxes). *)
-    apply_middlewares t node.domain p (function
-      | None -> ()
-      | Some p -> deliver t nid p)
-  else transit t nid p
-
-and transit t nid (p : Packet.t) =
-  let node = Topology.node t.topo nid in
+and transit t nid d (p : Packet.t) =
   match Packet.decrement_ttl p with
   | None -> drop t `Ttl
   | Some p ->
-    apply_middlewares t node.domain p (fun verdict ->
-        match verdict with
-        | None -> ()
-        | Some p -> forward t nid p)
+    (match d.chain with
+     | [] -> forward t nid p
+     | chain ->
+       apply_middlewares t chain p (function
+         | None -> ()
+         | Some p -> forward t nid p))
 
 and forward t nid (p : Packet.t) =
   match Routing.next_hop t.routing t.topo ~from:nid p.dst with
   | None -> drop t `No_route
   | Some next when next = nid -> deliver t nid p
-  | Some next ->
-    (match Hashtbl.find_opt t.links (nid, next) with
-     | None -> drop t `No_route
-     | Some link -> drop_of_send_result t (Link.send link p))
+  | Some next -> send_on t nid next p
 
 let send t ~from p =
   if not (node_up t from) then drop t `Node_down
   else begin
     let node = Topology.node t.topo from in
-    fire_taps t node.domain p;
+    fire_taps t (domain_state t node.domain) p;
     if is_local t node p then deliver t from p
     else begin
       match Routing.next_hop t.routing t.topo ~from p.Packet.dst with
       | None -> drop t `No_route
       | Some next when next = from -> deliver t from p
-      | Some next ->
-        (match Hashtbl.find_opt t.links (from, next) with
-         | None -> drop t `No_route
-         | Some link -> drop_of_send_result t (Link.send link p))
+      | Some next -> send_on t from next p
     end
   end
 
-let service ?(kind = "other") t nid ~cost k =
+let service ?(kind = Other) t nid ~cost k =
   (* Per-hop processing-cost charge, broken out by operation kind
      (crypto op at the neutralizer, vanilla forward, ...). *)
-  Obs.Histogram.add
-    (Obs.Registry.histogram (Engine.obs t.engine)
-       ~labels:[ ("kind", kind) ]
-       "net.network.service_ns")
-    (Int64.to_int cost);
-  let now = Engine.now t.engine in
-  let busy = Option.value ~default:0L (Hashtbl.find_opt t.busy nid) in
-  let start = if Int64.compare busy now > 0 then busy else now in
-  let finish = Int64.add start cost in
-  Hashtbl.replace t.busy nid finish;
-  ignore (Engine.schedule t.engine ~delay:(Int64.sub finish now) (fun () -> k ()))
+  Obs.Histogram.add t.h_service.(service_index kind) (Int64.to_int cost);
+  let st = node_state t nid in
+  let now = Int64.to_int (Engine.now t.engine) in
+  let finish = Int.max st.busy_until now + Int64.to_int cost in
+  st.busy_until <- finish;
+  ignore
+    (Engine.schedule t.engine ~delay:(Int64.of_int (finish - now)) (fun () -> k ()))
 
 let backlog t nid =
-  let now = Engine.now t.engine in
-  let busy = Option.value ~default:0L (Hashtbl.find_opt t.busy nid) in
-  if Int64.compare busy now > 0 then Int64.sub busy now else 0L
+  let now = Int64.to_int (Engine.now t.engine) in
+  Int64.of_int (Int.max 0 ((node_state t nid).busy_until - now))
 
-(* Instantiate link objects for any topology edges added since creation,
-   then rebuild the shortest-path tables. *)
+(* Cover every node and domain, instantiate link objects for any
+   topology edges added since creation, then rebuild the shortest-path
+   tables. *)
 let recompute_routes t =
+  let last_node = Topology.node_count t.topo - 1 in
+  if last_node >= Array.length t.nodes then
+    t.nodes <- grown t.nodes last_node fresh_node;
+  let last_domain = List.length (Topology.domains t.topo) - 1 in
+  if last_domain >= Array.length t.domains then
+    t.domains <- grown t.domains last_domain fresh_domain;
   List.iter
     (fun (e : Topology.edge) ->
       let ensure a b =
-        if not (Hashtbl.mem t.links (a, b)) then begin
+        let st = node_state t a in
+        if find_link b st.out = None then begin
           let label =
             (Topology.node t.topo a).node_name ^ "->"
             ^ (Topology.node t.topo b).node_name
@@ -236,38 +285,37 @@ let recompute_routes t =
               ~deliver:(fun p -> receive t b p)
               ()
           in
-          Hashtbl.replace t.links (a, b) link
+          st.out <- st.out @ [ (b, link) ]
         end
       in
       ensure e.a e.b;
       ensure e.b e.a)
     (Topology.edges t.topo);
   t.routing <-
-    Routing.compute ~policy:t.route_policy
-      ~usable:(fun nid -> not (Hashtbl.mem t.down_nodes nid))
-      t.topo
+    Routing.compute ~policy:t.route_policy ~usable:(node_up t) t.topo
 
 let create ?(policy = Routing.Shortest) engine topo =
+  let obs = Engine.obs engine in
   let t =
     { engine;
       topo;
       route_policy = policy;
       routing = Routing.compute ~policy topo;
-      links = Hashtbl.create 64;
-      handlers = Hashtbl.create 64;
-      middlewares = Hashtbl.create 8;
-      taps = Hashtbl.create 8;
-      busy = Hashtbl.create 16;
-      down_nodes = Hashtbl.create 4;
-      c_delivered =
-        Obs.Registry.counter (Engine.obs engine) "net.network.delivered";
+      nodes = [||];
+      domains = [||];
+      c_delivered = Obs.Registry.counter obs "net.network.delivered";
       c_drops =
         Array.map
           (fun reason ->
-            Obs.Registry.counter (Engine.obs engine)
-              ~labels:[ ("reason", reason) ]
+            Obs.Registry.counter obs ~labels:[ ("reason", reason) ]
               "net.network.dropped")
           drop_reasons;
+      h_service =
+        Array.map
+          (fun kind ->
+            Obs.Registry.histogram obs ~labels:[ ("kind", kind) ]
+              "net.network.service_ns")
+          service_kinds;
       ctrs =
         { delivered = 0;
           dropped_no_route = 0;

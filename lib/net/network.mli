@@ -80,14 +80,28 @@ val route_path :
     along, from [from] to (and including) the delivering node; [None]
     when unroutable. *)
 
+type service_kind =
+  | Key_setup
+  | Data_forward
+  | Data_return
+  | Vanilla_forward
+  | Other
+
 val service :
-  ?kind:string -> t -> Topology.node_id -> cost:int64 -> (unit -> unit) -> unit
+  ?kind:service_kind ->
+  t ->
+  Topology.node_id ->
+  cost:int64 ->
+  (unit -> unit) ->
+  unit
 (** Single-server processing queue per node: runs the continuation after
     the node has spent [cost] ns of (serialized) processing time. Models
     per-packet CPU cost, e.g. the neutralizer's crypto work. Every charge
     is recorded in the [net.network.service_ns] histogram, labeled
-    [kind=<kind>] ([kind] defaults to ["other"]) so per-hop processing
-    cost can be broken out by crypto-op kind. *)
+    [kind=key_setup|data_forward|data_return|vanilla_forward|other]
+    ([kind] defaults to [Other]) so per-hop processing cost can be
+    broken out by crypto-op kind. The five histograms are resolved when
+    the network is created, so a charge does no registry lookup. *)
 
 val backlog : t -> Topology.node_id -> int64
 (** Outstanding CPU time (ns) already committed to [nid]'s service
@@ -118,9 +132,8 @@ val link_between :
 (** Directed link [from -> to], when adjacent. *)
 
 val iter_links : t -> (Topology.node_id -> Topology.node_id -> Link.t -> unit) -> unit
-(** Every instantiated directed link. Iteration order is unspecified;
-    callers needing determinism should key their own state off the link
-    endpoints, not the visit order. *)
+(** Every instantiated directed link, by source node id, then in the
+    order the links were created. *)
 
 val set_node_up : t -> Topology.node_id -> up:bool -> unit
 (** Node liveness (fault injection). A down node neither originates,

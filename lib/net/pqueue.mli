@@ -25,14 +25,15 @@ val push : 'a t -> int64 -> int -> 'a -> unit
     priority, or [None] when empty. *)
 val pop_min : 'a t -> (int64 * int * 'a) option
 
-(** [peek_min q] like {!pop_min} without removing. *)
-val peek_min : 'a t -> (int64 * int * 'a) option
-
 (** [min_time q] is the timestamp of the minimum entry as a native int,
-    or [max_int] when the heap is empty. Allocation-free, unlike
-    {!peek_min} — the sharded engine polls every shard's minimum once
-    per round to compute the next conservative window. *)
+    or [max_int] when the heap is empty. Allocation-free. *)
 val min_time : 'a t -> int
+
+(** [pop_value q] removes the minimum entry and returns its value alone;
+    with {!min_time} it is the event engine's allocation-free pop (no
+    option, tuple or boxed timestamp per event). Raises
+    [Invalid_argument] when the heap is empty. *)
+val pop_value : 'a t -> 'a
 
 (** [clear q] empties the heap, keeping its priority-array capacity for
     reuse across runs; value references are dropped. *)

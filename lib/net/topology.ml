@@ -32,7 +32,7 @@ type t = {
   mutable nods : node list; (* newest first *)
   mutable edgs : edge list;
   by_addr : (Ipaddr.t, node) Hashtbl.t;
-  by_id : (node_id, node) Hashtbl.t;
+  mutable by_id : node array; (* by_id.(nid) for nid < n_nodes *)
   anycast : (Ipaddr.t, node_id list) Hashtbl.t;
   mutable n_nodes : int;
   mutable n_domains : int;
@@ -44,7 +44,7 @@ let create () =
     nods = [];
     edgs = [];
     by_addr = Hashtbl.create 64;
-    by_id = Hashtbl.create 64;
+    by_id = [||];
     anycast = Hashtbl.create 8;
     n_nodes = 0;
     n_domains = 0
@@ -76,7 +76,12 @@ let add_node t ~domain:did ~kind ~name =
   let n = { nid; kind; addr; domain = did; node_name = name } in
   t.nods <- n :: t.nods;
   Hashtbl.replace t.by_addr addr n;
-  Hashtbl.replace t.by_id nid n;
+  if nid = Array.length t.by_id then begin
+    let grown = Array.make (max 16 (2 * nid)) n in
+    Array.blit t.by_id 0 grown 0 nid;
+    t.by_id <- grown
+  end;
+  t.by_id.(nid) <- n;
   n
 
 let add_link t a b ~bandwidth_bps ~latency ?(queue_bytes = 128 * 1024) ?rel ()
@@ -106,9 +111,8 @@ let anycast_groups t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let node t nid =
-  match Hashtbl.find_opt t.by_id nid with
-  | Some n -> n
-  | None -> invalid_arg "Topology.node: unknown node"
+  if nid < 0 || nid >= t.n_nodes then invalid_arg "Topology.node: unknown node";
+  t.by_id.(nid)
 
 let nodes t = List.rev t.nods
 let domains t = List.rev t.doms

@@ -16,7 +16,13 @@
     domainslib. A pool of size [n] uses [n - 1] worker domains plus the
     submitting thread, which participates in the batch instead of
     blocking — so [size = 1] spawns no domains at all and {e is} the
-    sequential path.
+    sequential path. One mechanism serves both entry points: {!round}
+    publishes its task count in an atomic claim word that every
+    participant takes indices from, and {!map_chunks} is a round over
+    chunk indices. Between rounds an idle worker spins a bounded number
+    of times, then parks on a condition variable; a pool larger than
+    [Domain.recommended_domain_count] never spins, so an oversubscribed
+    pool does not steal the cores its own domains need.
 
     Concurrency contract: submit from one thread at a time (in this
     repo, the engine thread). Work items must not call {!map_chunks}
@@ -47,7 +53,9 @@ val round : pool -> n:int -> f:(int -> unit) -> unit
 (** [round pool ~n ~f] runs [f 0 .. f (n-1)] as one barrier round: each
     index is its own task (no chunking), and the call returns only when
     every task has completed. Exceptions follow the {!map_chunks} rule —
-    the batch is drained and the lowest-indexed exception re-raised.
+    the batch is drained and the lowest-indexed exception re-raised; the
+    pool stays usable. [n] must be at most about 16 million
+    ([Invalid_argument] otherwise).
     This is the synchronization primitive under the sharded event
     engine's conservative-lookahead windows ({!Net.Engine}): one round
     advances every shard to the same safe horizon, and the barrier is
@@ -55,8 +63,8 @@ val round : pool -> n:int -> f:(int -> unit) -> unit
     race-free. *)
 
 val shutdown : pool -> unit
-(** Stop and join the worker domains. Idempotent; the pool must not be
-    used afterwards. *)
+(** Stop and join the worker domains, whether they are spinning or
+    parked. Idempotent; the pool must not be used afterwards. *)
 
 val with_pool : size:int -> (pool -> 'a) -> 'a
 (** [with_pool ~size f] runs [f] with a fresh pool and shuts it down on

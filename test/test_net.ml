@@ -495,16 +495,25 @@ let test_network_taps_see_wire_only () =
 
 let test_network_service_serializes () =
   let topo, _, _, a, _, _ = star () in
-  let e = Engine.create () in
+  let obs = Obs.Registry.create () in
+  let e = Engine.create ~obs () in
   let net = Network.create e topo in
   let finished = ref [] in
   Network.service net a.nid ~cost:1000L (fun () ->
       finished := Engine.now e :: !finished);
-  Network.service net a.nid ~cost:1000L (fun () ->
+  Network.service ~kind:Network.Data_forward net a.nid ~cost:1000L (fun () ->
       finished := Engine.now e :: !finished);
   Network.run net;
   Alcotest.(check (list int64)) "single server queue" [ 1000L; 2000L ]
-    (List.rev !finished)
+    (List.rev !finished);
+  (* Each charge lands in its kind's histogram. *)
+  let charges kind =
+    Obs.Histogram.count
+      (Obs.Registry.histogram obs ~labels:[ ("kind", kind) ]
+         "net.network.service_ns")
+  in
+  Alcotest.(check (list int)) "charges by kind" [ 1; 1; 0 ]
+    (List.map charges [ "other"; "data_forward"; "key_setup" ])
 
 let test_recompute_routes_after_link_add () =
   let topo = Topology.create () in

@@ -85,6 +85,74 @@ let test_with_pool () =
     (Invalid_argument "Par.create: size must be >= 1") (fun () ->
       ignore (Par.with_pool ~size:0 (fun _ -> ())))
 
+(* ---- the round barrier ---- *)
+
+(* Back-to-back rounds of 1..8 tasks, each task bumping its own slot:
+   every index runs exactly once per round, nothing runs after the round
+   returns, and every task belongs to the round in flight. A worker that
+   claims round k's index after the submitter reset the claim word for
+   round k+1, or that runs a task with a stale job or count, shows up
+   here as a slot counted twice, a slot counted in the next round's
+   check, or a task of another round. *)
+let test_round_exactly_once () =
+  let slots = Array.init 8 (fun _ -> Atomic.make 0) in
+  let current = Atomic.make (-1) and strays = Atomic.make 0 in
+  List.iter
+    (fun pool ->
+      for r = 0 to 10_000 - 1 do
+        let n = 1 + (r mod 8) in
+        Atomic.set current r;
+        Par.round pool ~n ~f:(fun i ->
+            if Atomic.get current <> r then Atomic.incr strays;
+            Atomic.incr slots.(i));
+        Array.iteri
+          (fun i slot ->
+            let got = Atomic.exchange slot 0 in
+            if got <> (if i < n then 1 else 0) then
+              Alcotest.failf "pool=%d round %d (n=%d): task %d ran %d times"
+                (Par.size pool) r n i got)
+          slots
+      done)
+    [ pool2; pool4 ];
+  Alcotest.(check int) "no task ran outside its round" 0 (Atomic.get strays)
+
+let test_round_exception () =
+  List.iter
+    (fun pool ->
+      let ran = Array.init 8 (fun _ -> Atomic.make 0) in
+      (match
+         Par.round pool ~n:8 ~f:(fun i ->
+             Atomic.incr ran.(i);
+             if i = 2 || i = 5 then failwith (string_of_int i))
+       with
+       | () -> Alcotest.fail "expected an exception"
+       | exception Failure msg ->
+         Alcotest.(check string) "task 2's exception" "2" msg);
+      Alcotest.(check (array int))
+        "the failing round still ran every task" (Array.make 8 1)
+        (Array.map Atomic.get ran);
+      let sum = Atomic.make 0 in
+      Par.round pool ~n:8 ~f:(fun i -> ignore (Atomic.fetch_and_add sum i));
+      Alcotest.(check int) "pool usable after a failed round" 28
+        (Atomic.get sum))
+    [ pool2; pool4 ]
+
+(* Shutdown must return at once after a round, while an idle worker is
+   still spinning (when the pool fits the machine), and after the
+   workers have parked. *)
+let test_shutdown_spinning_or_parked () =
+  List.iter
+    (fun size ->
+      let p = Par.create ~size () in
+      Par.round p ~n:size ~f:ignore;
+      Par.shutdown p;
+      let p = Par.create ~size () in
+      Par.round p ~n:size ~f:ignore;
+      Unix.sleepf 0.05;
+      Par.shutdown p;
+      Par.shutdown p)
+    [ 2; 3; 4; Par.recommended () + 1 ]
+
 (* ---- equivalence: key-setup batching ---- *)
 
 let batch_master = Core.Master_key.of_seed ~seed:"test-par"
@@ -539,7 +607,13 @@ let () =
             test_map_chunks_empty_and_small;
           Alcotest.test_case "exception propagation" `Quick
             test_map_chunks_exception;
-          Alcotest.test_case "with_pool" `Quick test_with_pool
+          Alcotest.test_case "with_pool" `Quick test_with_pool;
+          Alcotest.test_case "round: every index once, 10k rounds" `Quick
+            test_round_exactly_once;
+          Alcotest.test_case "round: lowest exception, pool survives" `Quick
+            test_round_exception;
+          Alcotest.test_case "shutdown while spinning or parked" `Quick
+            test_shutdown_spinning_or_parked
         ] );
       ( "equivalence",
         [ setup_batch_equivalence;

@@ -167,6 +167,64 @@ let test_cross_shard_stress =
           stress_engine ~cells ~roots ~seed ~ttl ~l ~shards ~pool = expect)
         [ (1, None); (2, None); (2, Some pool2); (4, Some pool4) ])
 
+(* ---- published counters ---- *)
+
+(* The engine counts events in per-shard fields and publishes them to
+   obs at each barrier and when a run returns, so at every run boundary
+   the registry must agree with the engine's own totals: processed,
+   scheduled, and the per-shard family summing to processed. *)
+let test_published_counters () =
+  let cells = 6 and l = 5_000 and ttl = 40 in
+  List.iter
+    (fun (shards, pool) ->
+      let obs = Obs.Registry.create () in
+      let engine =
+        Net.Engine.create ~obs ~shards ~lookahead:(Int64.of_int l) ()
+      in
+      let rec arrive time payload ttl =
+        if ttl > 0 then begin
+          let at, cell', payload' = stress_next ~cells ~l time payload in
+          ignore
+            (Net.Engine.post engine ~shard:(cell' mod shards) ~at (fun () ->
+                 arrive at payload' (ttl - 1)))
+        end
+      in
+      List.iter
+        (fun (at, cell, payload) ->
+          ignore
+            (Net.Engine.post engine ~shard:(cell mod shards) ~at (fun () ->
+                 arrive at payload ttl)))
+        (stress_roots ~cells ~roots:5 ~seed:3);
+      Net.Engine.cancel (Net.Engine.post engine ~shard:0 ~at:7L ignore);
+      let check phase =
+        let label what = Printf.sprintf "shards=%d pool=%b %s: %s" shards
+            (pool <> None) phase what in
+        let ctr ?labels name =
+          Obs.Counter.value (Obs.Registry.counter obs ?labels name)
+        in
+        Alcotest.(check int) (label "events_processed")
+          (Net.Engine.processed engine) (ctr "net.engine.events_processed");
+        Alcotest.(check int) (label "events_scheduled")
+          (Net.Engine.scheduled engine) (ctr "net.engine.events_scheduled");
+        Alcotest.(check int) (label "events_cancelled") 1
+          (ctr "net.engine.events_cancelled");
+        if shards > 1 then
+          Alcotest.(check int) (label "shard_processed sums to processed")
+            (Net.Engine.processed engine)
+            (List.fold_left ( + ) 0
+               (List.init shards (fun i ->
+                    ctr ~labels:[ ("shard", string_of_int i) ]
+                      "net.engine.shard_processed")))
+      in
+      Net.Engine.run ?pool ~until:60_000L engine;
+      Alcotest.(check bool) "the partial run left work queued" true
+        (Net.Engine.pending engine > 0);
+      check "partial run";
+      Net.Engine.run ?pool engine;
+      Alcotest.(check int) "drained" 0 (Net.Engine.pending engine);
+      check "full run")
+    [ (1, None); (2, None); (2, Some pool2); (4, None); (4, Some pool4) ]
+
 (* ---- lookahead violation: raise, never reorder ---- *)
 
 let test_lookahead_violation () =
@@ -206,13 +264,14 @@ let test_lookahead_violation () =
 
 (* ---- Pqueue vs a sorted-list model (satellite) ---- *)
 
-type pq_op = Push of int | Pop | Clear
+type pq_op = Push of int | Pop | Pop_value | Clear
 
 let pq_op_gen =
   QCheck2.Gen.(
     frequency
       [ (6, map (fun t -> Push t) (0 -- 9)) (* few distinct times: ties *);
-        (3, pure Pop);
+        (2, pure Pop);
+        (2, pure Pop_value);
         (1, pure Clear)
       ])
 
@@ -224,6 +283,7 @@ let test_pqueue_model =
            (function
              | Push t -> Printf.sprintf "push %d" t
              | Pop -> "pop"
+             | Pop_value -> "pop_value"
              | Clear -> "clear")
            ops))
     QCheck2.Gen.(list_size (5 -- 60) pq_op_gen)
@@ -242,12 +302,7 @@ let test_pqueue_model =
       in
       let ok = ref true in
       let check_mins () =
-        (* peek/min_time agree with the model at every step. *)
-        (match (!model, Net.Pqueue.peek_min q) with
-         | [], None -> ()
-         | (t, s) :: _, Some (t', s', v) ->
-           if not (Int64.of_int t = t' && s = s' && v = s) then ok := false
-         | _ -> ok := false);
+        (* min_time and length agree with the model at every step. *)
         let expect_min =
           match !model with [] -> max_int | (t, _) :: _ -> t
         in
@@ -269,6 +324,16 @@ let test_pqueue_model =
                 if not (Int64.of_int t = t' && s = s' && v = s) then
                   ok := false
               | _ -> ok := false)
+           | Pop_value ->
+             (* The engine's pop: min_time, then the value alone. *)
+             (match !model with
+              | [] ->
+                if not (Net.Pqueue.is_empty q) then ok := false
+              | (t, s) :: rest ->
+                model := rest;
+                let t' = Net.Pqueue.min_time q in
+                if not (t = t' && Net.Pqueue.pop_value q = s) then
+                  ok := false)
            | Clear ->
              Net.Pqueue.clear q;
              model := []);
@@ -353,7 +418,9 @@ let () =
         [ test_shard_invariance;
           test_cross_shard_stress;
           Alcotest.test_case "lookahead violation raises" `Quick
-            test_lookahead_violation
+            test_lookahead_violation;
+          Alcotest.test_case "published counters match the engine" `Quick
+            test_published_counters
         ] );
       ("pqueue", [ test_pqueue_model ]);
       ( "engine",

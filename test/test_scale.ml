@@ -57,26 +57,51 @@ let test_seed_sensitivity () =
     "8 seeds give 8 fingerprints" 8
     (List.length (List.sort_uniq compare prints))
 
+(* Preferential attachment skews degrees towards hubs, but a single
+   small graph is a small sample: at 24 domains the best-connected hub
+   can sit below twice the mean degree (see the fixed case below). The
+   skew is therefore checked over the pooled degrees of eight
+   consecutive seeds of the drawn shape, where it holds with margin:
+   over 20 000 random shapes the pooled max/mean never fell below 2.2,
+   while the per-graph bound failed 31 times. *)
+let pooled_degrees (domains, attach, box_domains, seed) =
+  Array.concat
+    (List.init 8 (fun k ->
+         (gen_of (domains, attach, box_domains, seed + k)).Net.Topogen.degrees))
+
+let hub_skewed degs =
+  let degs = Array.copy degs in
+  Array.sort compare degs;
+  let n = Array.length degs in
+  let avg = float_of_int (Array.fold_left ( + ) 0 degs) /. float_of_int n in
+  (* Every domain is attached (min >= 1), the median sits at or below
+     the mean, and the best-connected hub clearly exceeds the mean —
+     the skew a uniform random graph would not show. *)
+  degs.(0) >= 1
+  && float_of_int degs.(n / 2) <= avg
+  && float_of_int degs.(n - 1) >= 2.0 *. avg
+
 let test_power_law =
   prop ~count:20 ~name:"degree distribution is hub-skewed"
     ~print:print_shape shape_gen
-    (fun shape ->
-      let g = gen_of shape in
-      let degs = Array.copy g.Net.Topogen.degrees in
-      Array.sort compare degs;
-      let n = Array.length degs in
-      let max_deg = degs.(n - 1) in
-      let median = degs.(n / 2) in
-      let avg =
-        float_of_int (Array.fold_left ( + ) 0 degs) /. float_of_int n
-      in
-      (* Preferential attachment: every domain is attached (min >= 1),
-         the median sits at or below the mean, and the best-connected
-         hub clearly exceeds the mean — the skew a uniform random graph
-         would not show. *)
-      degs.(0) >= 1
-      && float_of_int median <= avg
-      && float_of_int max_deg >= 2.0 *. avg)
+    (fun shape -> hub_skewed (pooled_degrees shape))
+
+(* The shape qcheck once shrank a per-graph failure to: its 24 degrees
+   peak at 7, below twice their mean of 4.08. Preferential attachment
+   does not promise a 2x hub in every graph this small, so the bound
+   moved to pooled degrees rather than into Topogen. *)
+let test_power_law_small_graph () =
+  let shape = (24, 2, 1, 496482) in
+  let degs = Array.copy (gen_of shape).Net.Topogen.degrees in
+  Array.sort compare degs;
+  Alcotest.(check (array int))
+    "degrees of the shrunk shape"
+    [| 2; 2; 2; 2; 2; 3; 3; 3; 3; 3; 3; 4; 4; 4; 4; 4; 4; 6; 6; 6; 7; 7; 7; 7 |]
+    degs;
+  Alcotest.(check bool) "one graph: no hub at twice the mean" false
+    (hub_skewed degs);
+  Alcotest.(check bool) "pooled over eight seeds: hub-skewed" true
+    (hub_skewed (pooled_degrees shape))
 
 let test_shard_balance =
   prop ~count:20 ~name:"shard_of balances nodes across shards"
@@ -173,6 +198,8 @@ let () =
           test_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           test_power_law;
+          Alcotest.test_case "hub skew: 24-domain shape, pooled" `Quick
+            test_power_law_small_graph;
           test_shard_balance
         ] );
       ("aggregate", [ test_hybrid_invariance ]);

@@ -476,24 +476,6 @@ let run_bench quick out =
    | _ -> ());
   write_json "bench results" out (Experiments.Perf.to_json r)
 
-(* `netneutral par`: the domain-pool scaling sweep — E1/E2 throughput
-   and sequential-equivalence digests at every pool size, written as
-   BENCH_par.json. *)
-let run_par quick out =
-  Printf.printf
-    "par: recommended domains %d, PAR_POOL default %d, PAR_SEED %d\n"
-    (Par.recommended ()) (Par.default_size ()) (Par.seed ());
-  warn_single_core "domain-pool";
-  let r = Experiments.Par_scaling.run ~min_time:(if quick then 0.05 else 0.4) () in
-  Experiments.Par_scaling.print r;
-  if not (r.Experiments.Par_scaling.e1_equivalent
-          && r.Experiments.Par_scaling.e2_equivalent)
-  then begin
-    Printf.eprintf "netneutral: parallel output diverged from sequential\n";
-    exit 1
-  end;
-  write_json "par results" out (Experiments.Par_scaling.to_json r)
-
 (* `netneutral pdes`: the sharded-engine scaling sweep — events/s and
    shard-count-equivalence digests at shard counts 1/2/4, written as
    BENCH_pdes.json. A digest divergence is a failed run. *)
@@ -740,21 +722,6 @@ let () =
             counter overhead")
       Term.(const run_bench $ quick_flag $ out_opt)
   in
-  let par_cmd =
-    let out_opt =
-      let doc = "Write the JSON results to $(docv)." in
-      Arg.(
-        value & opt string "BENCH_par.json" & info [ "out" ] ~docv:"FILE" ~doc)
-    in
-    Cmd.v
-      (Cmd.info "par"
-         ~doc:
-           "Domain-pool scaling sweep: batched key-setup and datapath \
-            blind/unblind throughput at pool sizes 1..recommended, with \
-            sequential-equivalence digests (parallel output must be \
-            bit-identical to pool=1)")
-      Term.(const run_par $ quick_flag $ out_opt)
-  in
   let pdes_cmd =
     let out_opt =
       let doc = "Write the JSON results to $(docv)." in
@@ -889,5 +856,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           (demo_cmd :: topology_cmd :: trace_cmd :: fig2_cmd :: stats_cmd
-           :: chaos_cmd :: overload_cmd :: bench_cmd :: par_cmd :: pdes_cmd
+           :: chaos_cmd :: overload_cmd :: bench_cmd :: pdes_cmd
            :: scale_cmd :: fuzzpolicy_cmd :: vectors_cmd :: exp_cmds)))

@@ -68,8 +68,7 @@ let unblind ~ks ~epoch ~nonce ~enc_addr ~tag =
    of the tag block — is computed once here, leaving one scratch block
    and one AES call per packet. A session is immutable after
    [make_session] (no per-call scratch is stored in it), so one session
-   may be used from several domains concurrently; the parallel datapath
-   plane shares sessions across a pool. *)
+   may be used from several domains concurrently. *)
 
 type session = {
   s_aes : Crypto.Aes.key;

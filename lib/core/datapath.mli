@@ -41,8 +41,7 @@ val unblind_with_schedule :
     cost drops to one AES block and a 4-byte XOR. Outputs are byte
     identical to the stateless functions — property-tested in the suite.
     Sessions are immutable after creation, so one session may be used
-    concurrently from several domains (the parallel datapath plane
-    shares sessions across a {!Par.pool}). *)
+    concurrently from several domains. *)
 
 type session
 

@@ -5,18 +5,15 @@ type t = {
   mu : Mutex.t;
       (* guards [q] and — deliberately — every call to [generate]. With
          generation itself serialized under the one lock, the keys enter
-         the queue in generator-call order no matter how a background
-         refill domain interleaves with inline misses, so a seeded
-         generator yields a deterministic take sequence. *)
-  need : Condition.t; (* signalled when the pool drops below target *)
+         the queue in generator-call order however refills interleave
+         with inline misses, so a seeded generator yields a
+         deterministic take sequence. *)
   g_depth : Obs.Gauge.t;
   g_hit_rate : Obs.Gauge.t;
   c_hits : Obs.Counter.t;
   c_misses : Obs.Counter.t;
   c_generated : Obs.Counter.t;
   mutable stop_refill : (unit -> unit) option;
-  mutable refill_domain : unit Domain.t option;
-  mutable domain_stop : bool;
 }
 
 let create ?(obs = Obs.Registry.default) ~target ~generate () =
@@ -25,15 +22,12 @@ let create ?(obs = Obs.Registry.default) ~target ~generate () =
     generate;
     q = Queue.create ();
     mu = Mutex.create ();
-    need = Condition.create ();
     g_depth = Obs.Registry.gauge obs "core.keypool.depth";
     g_hit_rate = Obs.Registry.gauge obs "core.keypool.hit_rate";
     c_hits = Obs.Registry.counter obs "core.keypool.hits";
     c_misses = Obs.Registry.counter obs "core.keypool.misses";
     c_generated = Obs.Registry.counter obs "core.keypool.keys_generated";
-    stop_refill = None;
-    refill_domain = None;
-    domain_stop = false
+    stop_refill = None
   }
 
 let depth t = Mutex.protect t.mu (fun () -> Queue.length t.q)
@@ -69,7 +63,6 @@ let take t =
         Obs.Counter.inc t.c_hits;
         note_depth t;
         note_hit_rate t;
-        Condition.signal t.need;
         k
       | None ->
         (* Pool dry: fall back to generating inline — exactly the cold
@@ -78,7 +71,6 @@ let take t =
            key sequence) stays deterministic. *)
         Obs.Counter.inc t.c_misses;
         note_hit_rate t;
-        Condition.signal t.need;
         t.generate ())
 
 let put t k =
@@ -99,44 +91,3 @@ let detach t =
     stop ();
     t.stop_refill <- None
   | None -> ()
-
-(* ---- Wall-clock background refill (real domain) ----
-
-   The engine-tick refill above models idle CPU in simulated time; this
-   one uses an actual spare core. The loop sleeps on [need] while the
-   pool is full and generates while it is below target — holding the
-   lock across the generate call, which is what keeps the take sequence
-   of a seeded generator identical whether the refill domain, an inline
-   miss, or [fill] produced each key. *)
-
-let refill_loop t () =
-  Mutex.lock t.mu;
-  let rec loop () =
-    if t.domain_stop then Mutex.unlock t.mu
-    else if Queue.length t.q >= t.target then begin
-      Condition.wait t.need t.mu;
-      loop ()
-    end
-    else begin
-      ignore (refill_one_locked t);
-      loop ()
-    end
-  in
-  loop ()
-
-let attach_domain t =
-  (match t.refill_domain with
-  | Some _ -> invalid_arg "Keypool.attach_domain: already attached"
-  | None -> ());
-  t.domain_stop <- false;
-  t.refill_domain <- Some (Domain.spawn (refill_loop t))
-
-let detach_domain t =
-  match t.refill_domain with
-  | None -> ()
-  | Some d ->
-    Mutex.protect t.mu (fun () ->
-        t.domain_stop <- true;
-        Condition.broadcast t.need);
-    Domain.join d;
-    t.refill_domain <- None

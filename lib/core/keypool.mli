@@ -10,9 +10,8 @@
     was created with, in FIFO order, and {e every} generator call —
     background refill, inline miss, explicit {!fill} — runs under the
     pool's one mutex. A seeded generator therefore yields the same take
-    sequence whether or not refills (engine-tick or real-domain)
-    interleave with traffic; only the hit/miss counters depend on
-    timing.
+    sequence whether or not engine-tick refills interleave with traffic;
+    only the hit/miss counters depend on timing.
 
     Obs families (gauges [core.keypool.depth], [core.keypool.hit_rate];
     counters [core.keypool.hits], [core.keypool.misses],
@@ -50,15 +49,6 @@ val attach : t -> Net.Engine.t -> period:int64 -> unit
 
 val detach : t -> unit
 (** Stop the background refill loop. *)
-
-val attach_domain : t -> unit
-(** Spawn a real background domain that tops the pool up to target
-    whenever {!take} drains it — the wall-clock analogue of {!attach}
-    for multicore runs. Raises [Invalid_argument] if a refill domain is
-    already attached. *)
-
-val detach_domain : t -> unit
-(** Stop and join the refill domain; no-op if none is attached. *)
 
 val depth : t -> int
 val target : t -> int

@@ -6,10 +6,9 @@
     and past grants stay resolvable by nonce so that in-flight return
     packets blinded under an older grant still open.
 
-    The table is sharded internally (per-shard mutexes, no lock ever
-    nested inside another), so every operation here is safe to call from
-    worker domains of a parallel batch; with a single domain the locks
-    are uncontended and behaviour matches the old single-table code. *)
+    One mutex guards the whole table, so every operation here is safe
+    to call from several domains at once; in the simulator only the
+    engine thread calls it, and the lock is uncontended. *)
 
 type grant = {
   epoch : int;

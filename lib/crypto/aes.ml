@@ -64,10 +64,10 @@ type key = {
       (* byte-level round keys, only needed by decryption and the
          reference implementation; the encrypt fast path never pays for
          them. An Atomic rather than a Lazy: forcing a Lazy from two
-         domains at once raises Lazy.Undefined, and a key is shared
-         across domains by the parallel batch planes. The compute is
-         pure and idempotent, so racing domains that both build the
-         table agree; the CAS publishes one fully-built copy. *)
+         domains at once raises Lazy.Undefined, and a key may be shared
+         across domains. The compute is pure and idempotent, so racing
+         domains that both build the table agree; the CAS publishes one
+         fully-built copy. *)
 }
 
 (* Op counts (family [crypto.aes]): one increment per public operation,

@@ -10,10 +10,8 @@
     chosen-ciphertext hardening as out of scope.
 
     Keys are immutable and every operation is pure given its [rng], so
-    one key may be used from several domains concurrently — each worker
-    of a parallel key-setup batch must simply bring its own [rng]
-    stream (see {!Core.Setup_batch} for the split-before-fan-out
-    pattern). *)
+    one key may be used from several domains concurrently, as long as
+    each domain brings its own [rng] stream. *)
 
 type public = { n : Bignum.Nat.t; e : Bignum.Nat.t; bits : int }
 

@@ -133,48 +133,42 @@ let create ?(obs = Obs.Registry.default) ?capacity ?(shards = 1) ?lookahead
            | None -> Int64.max_int)
       end
   in
-  let t =
-    { shards =
-        Array.init shards (fun id ->
-            { id;
-              q = Pqueue.create ~capacity ();
-              sclock = 0;
-              sseq = 0;
-              sprocessed = 0;
-              sscheduled = 0;
-              spopped = 0;
-              pub_processed = 0;
-              pub_scheduled = 0;
-              outbox = Queue.create ();
-              c_shard =
-                (if shards = 1 then None
-                 else
-                   Some
-                     (Obs.Registry.counter obs
-                        ~labels:[ ("shard", string_of_int id) ]
-                        "net.engine.shard_processed"))
-            });
-      lookahead = (if shards = 1 then 0L else lookahead);
-      window = (if shards = 1 then 0 else to_native lookahead);
-      clock = 0;
-      nrounds = 0;
-      in_round = false;
-      horizon = 0;
-      obs;
-      c_processed = Obs.Registry.counter obs "net.engine.events_processed";
-      c_scheduled = Obs.Registry.counter obs "net.engine.events_scheduled";
-      c_cancelled = Obs.Registry.counter obs "net.engine.events_cancelled";
-      c_rounds =
-        (if shards = 1 then None
-         else Some (Obs.Registry.counter obs "net.engine.rounds"));
-      g_pending = Obs.Registry.gauge obs "net.engine.pending";
-      g_ratio = Obs.Registry.gauge obs "net.engine.sim_wall_ratio"
-    }
-  in
-  (* Spans and any clocked instrumentation sharing this registry measure
-     simulated, not wall, time. *)
-  Obs.Registry.set_clock obs (fun () -> Int64.of_int t.clock);
-  t
+  { shards =
+      Array.init shards (fun id ->
+          { id;
+            q = Pqueue.create ~capacity ();
+            sclock = 0;
+            sseq = 0;
+            sprocessed = 0;
+            sscheduled = 0;
+            spopped = 0;
+            pub_processed = 0;
+            pub_scheduled = 0;
+            outbox = Queue.create ();
+            c_shard =
+              (if shards = 1 then None
+               else
+                 Some
+                   (Obs.Registry.counter obs
+                      ~labels:[ ("shard", string_of_int id) ]
+                      "net.engine.shard_processed"))
+          });
+    lookahead = (if shards = 1 then 0L else lookahead);
+    window = (if shards = 1 then 0 else to_native lookahead);
+    clock = 0;
+    nrounds = 0;
+    in_round = false;
+    horizon = 0;
+    obs;
+    c_processed = Obs.Registry.counter obs "net.engine.events_processed";
+    c_scheduled = Obs.Registry.counter obs "net.engine.events_scheduled";
+    c_cancelled = Obs.Registry.counter obs "net.engine.events_cancelled";
+    c_rounds =
+      (if shards = 1 then None
+       else Some (Obs.Registry.counter obs "net.engine.rounds"));
+    g_pending = Obs.Registry.gauge obs "net.engine.pending";
+    g_ratio = Obs.Registry.gauge obs "net.engine.sim_wall_ratio"
+  }
 
 let obs t = t.obs
 

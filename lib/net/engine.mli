@@ -36,9 +36,9 @@
     {!schedule}/{!post}/{!shard_now} on their own engine; resolving new
     metrics or touching another shard's state is a data race.
 
-    The engine owns an {!Obs.Registry.t} (the process-global default
-    unless one is passed to {!create}) and points its clock at simulated
-    time. It publishes [net.engine.events_processed],
+    The engine records into an {!Obs.Registry.t} (the process-global
+    default unless one is passed to {!create}), which keeps no reference
+    back to it. It publishes [net.engine.events_processed],
     [net.engine.events_scheduled], [net.engine.events_cancelled]
     (counters), [net.engine.pending] (gauge, sampled when {!run}
     returns) and [net.engine.sim_wall_ratio] (gauge). Sharded engines
@@ -74,8 +74,7 @@ val create :
   ?topo:Topology.t ->
   unit ->
   t
-(** [obs] defaults to {!Obs.Registry.default}; the registry's clock is
-    pointed at this engine's simulated time. [capacity] pre-sizes each
+(** [obs] defaults to {!Obs.Registry.default}. [capacity] pre-sizes each
     shard's event heap so a run with a known event population never pays
     a heap resize; when given it must be positive — non-positive values
     raise [Invalid_argument] here rather than surfacing as an array

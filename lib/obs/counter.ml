@@ -1,5 +1,5 @@
 (* An [Atomic.t] rather than a mutable int: pre-resolved hot-path
-   counters are bumped from worker domains during parallel batch service
+   counters are bumped from pool domains during sharded-engine rounds
    (lib/par), and a plain-field increment would both race and lose
    counts. An uncontended [Atomic.incr] is a single lock-prefixed add —
    still nanosecond-scale, still branch-free — and the totals stay exact

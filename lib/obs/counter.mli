@@ -5,7 +5,7 @@
     quantities that can move both ways.
 
     Increments are atomic, so an already-resolved counter may be bumped
-    from any domain — the fast path a parallel batch (lib/par) relies
+    from any domain — the fast path the sharded engine's handlers rely
     on. Only the {e resolution} of a counter through {!Registry.counter}
     must stay on the engine thread (it mutates the registry table). *)
 

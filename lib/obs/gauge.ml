@@ -1,7 +1,7 @@
-(* Atomic for the same reason as [Counter]: the keypool's background
-   refill domain moves its depth gauge while the engine thread reads and
-   exports it. [set] is a plain atomic store; [add] is a CAS loop, which
-   never contends in practice (gauges have a single writer at a time). *)
+(* Atomic for the same reason as [Counter]: a handler on a pool domain
+   may move a gauge while another domain reads and exports it. [set] is
+   a plain atomic store; [add] is a CAS loop, which never contends in
+   practice (gauges have a single writer at a time). *)
 
 type t = float Atomic.t
 

@@ -1,10 +1,9 @@
 (** An instantaneous value that can move in both directions (queue depth,
     ratio, occupancy).
 
-    Updates are atomic, so a resolved gauge may be moved from a
-    background domain (e.g. the keypool's refill domain) while the
-    engine thread exports it. Resolution via {!Registry.gauge} stays on
-    the engine thread. *)
+    Updates are atomic, so a resolved gauge may be moved from a pool
+    domain (a sharded-engine handler) while the engine thread exports
+    it. Resolution via {!Registry.gauge} stays on the engine thread. *)
 
 type t
 

@@ -5,18 +5,10 @@ type metric =
 
 type key = string * (string * string) list
 
-type t = {
-  tbl : (key, metric) Hashtbl.t;
-  mutable clock : unit -> int64;
-  mutable stack : string list;
-}
+type t = (key, metric) Hashtbl.t
 
-let create ?(clock = fun () -> 0L) () =
-  { tbl = Hashtbl.create 64; clock; stack = [] }
-
+let create () : t = Hashtbl.create 64
 let default = create ()
-let set_clock t f = t.clock <- f
-let now t = t.clock ()
 
 let canonical_labels labels =
   List.sort (fun (a, _) (b, _) -> compare a b) labels
@@ -27,11 +19,11 @@ let kind_error name =
 
 let resolve t name labels make unwrap =
   let key = (name, canonical_labels labels) in
-  match Hashtbl.find_opt t.tbl key with
+  match Hashtbl.find_opt t key with
   | Some m -> unwrap m
   | None ->
     let m = make () in
-    Hashtbl.replace t.tbl key m;
+    Hashtbl.replace t key m;
     unwrap m
 
 let counter t ?(labels = []) name =
@@ -50,12 +42,7 @@ let histogram t ?sub_bits ?(labels = []) name =
     (function Histogram h -> h | _ -> kind_error name)
 
 let metrics t =
-  Hashtbl.fold (fun (name, labels) m acc -> (name, labels, m) :: acc) t.tbl []
+  Hashtbl.fold (fun (name, labels) m acc -> (name, labels, m) :: acc) t []
   |> List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2))
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.stack <- []
-
-let span_stack t = t.stack
-let set_span_stack t s = t.stack <- s
+let clear t = Hashtbl.reset t

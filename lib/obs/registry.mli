@@ -7,9 +7,6 @@
     instance or re-resolve it. A name registered as one kind cannot be
     re-registered as another.
 
-    The registry also carries the clock that {!Span} measures against —
-    in the simulator, the event engine points it at simulated time.
-
     Domain-safety: resolution ({!counter}/{!gauge}/{!histogram}) mutates
     the registry table and must stay on the engine thread. Instances
     already resolved may be bumped from worker domains — counter and
@@ -22,16 +19,12 @@ type metric =
   | Gauge of Gauge.t
   | Histogram of Histogram.t
 
-val create : ?clock:(unit -> int64) -> unit -> t
-(** [clock] defaults to a constant [0L] (set one with {!set_clock}). *)
+val create : unit -> t
 
 val default : t
 (** The process-global registry. Instrumentation in the simulator,
     neutralizer datapath and crypto layers records here unless told
     otherwise. *)
-
-val set_clock : t -> (unit -> int64) -> unit
-val now : t -> int64
 
 val counter : t -> ?labels:(string * string) list -> string -> Counter.t
 val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
@@ -45,12 +38,6 @@ val metrics : t -> (string * (string * string) list * metric) list
     stored sorted by key. *)
 
 val clear : t -> unit
-(** Drop every metric (the clock is kept). Useful to isolate a
-    measurement run; individual counters never decrease, but a cleared
-    registry starts fresh families. *)
-
-(**/**)
-
-(* Span-stack plumbing for {!Span}; not for general use. *)
-val span_stack : t -> string list
-val set_span_stack : t -> string list -> unit
+(** Drop every metric. Useful to isolate a measurement run; individual
+    counters never decrease, but a cleared registry starts fresh
+    families. *)

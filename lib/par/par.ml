@@ -169,42 +169,4 @@ let round t ~n ~f =
     | None -> ()
   end
 
-let map_chunks ?chunk t ~f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let chunk =
-      match chunk with
-      | Some c ->
-        if c < 1 then invalid_arg "Par.map_chunks: chunk must be >= 1";
-        c
-      | None ->
-        (* ~4 chunks per worker: enough slack to absorb uneven chunk
-           cost without drowning in claim traffic. *)
-        max 1 ((n + (4 * t.size) - 1) / (4 * t.size))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let out = Array.make nchunks [||] in
-    (* Chunks are contiguous and [Array.init] stops at its first
-       failure, so the lowest-indexed failing chunk holds the
-       lowest-indexed failing element. *)
-    round t ~n:nchunks ~f:(fun i ->
-        let lo = i * chunk in
-        out.(i) <- Array.init (min chunk (n - lo)) (fun j -> f xs.(lo + j)));
-    Array.concat (Array.to_list out)
-  end
-
 let recommended () = Domain.recommended_domain_count ()
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> int_of_string_opt (String.trim s)
-
-let default_size () =
-  let r = recommended () in
-  match env_int "PAR_POOL" with
-  | Some n -> max 1 (min n r)
-  | None -> r
-
-let seed () = Option.value ~default:1 (env_int "PAR_SEED")

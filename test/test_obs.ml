@@ -1,7 +1,6 @@
 (* Unit and property tests for the observability layer (lib/obs):
    counter monotonicity, log-linear histogram bucketing and quantiles,
-   registry memoization, span nesting against a manual clock, and the
-   JSON export round-trip. *)
+   registry memoization, and the JSON export round-trip. *)
 
 module H = Obs.Histogram
 
@@ -153,39 +152,6 @@ let test_registry_memoization () =
   Obs.Registry.clear r;
   Alcotest.(check int) "cleared" 0 (List.length (Obs.Registry.metrics r))
 
-(* ---- spans ---- *)
-
-let test_span_nesting () =
-  let clock = ref 0L in
-  let r = Obs.Registry.create ~clock:(fun () -> !clock) () in
-  let advance ns = clock := Int64.add !clock (Int64.of_int ns) in
-  Obs.Span.with_ ~registry:r ~name:"outer" (fun () ->
-      advance 10;
-      Obs.Span.with_ ~registry:r ~name:"inner" (fun () -> advance 5);
-      advance 1);
-  let calls path =
-    Obs.Counter.value
-      (Obs.Registry.counter r ~labels:[ ("name", path) ] "span.calls")
-  in
-  let duration path =
-    H.sum (Obs.Registry.histogram r ~labels:[ ("name", path) ] "span.duration_ns")
-  in
-  Alcotest.(check int) "outer calls" 1 (calls "outer");
-  Alcotest.(check int) "inner path" 1 (calls "outer/inner");
-  Alcotest.(check int) "inner duration" 5 (duration "outer/inner");
-  Alcotest.(check int) "outer duration" 16 (duration "outer");
-  (* A span records even when the body raises, and the stack unwinds so
-     later spans are not misattributed as children. *)
-  (try
-     Obs.Span.with_ ~registry:r ~name:"outer" (fun () ->
-         advance 3;
-         failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "recorded on raise" 2 (calls "outer");
-  Alcotest.(check int) "duration includes raise" 19 (duration "outer");
-  Obs.Span.with_ ~registry:r ~name:"after" (fun () -> advance 2);
-  Alcotest.(check int) "stack unwound" 1 (calls "after")
-
 (* ---- JSON export ---- *)
 
 let test_export_text_and_json () =
@@ -313,7 +279,6 @@ let () =
         [ Alcotest.test_case "memoization and kinds" `Quick
             test_registry_memoization
         ] );
-      ("span", [ Alcotest.test_case "nesting" `Quick test_span_nesting ]);
       ( "export",
         [ Alcotest.test_case "text and JSON" `Quick test_export_text_and_json;
           prop_json_roundtrip

@@ -1,15 +1,14 @@
-(* Parallel-equivalence suite for the multicore subsystem (lib/par and
-   the planes threaded through it).
+(* Parallel-equivalence suite for the domain pool (lib/par) and the
+   state pool domains can reach.
 
    The central claim under test: running work through a domain pool
-   changes wall-clock time and nothing else. Key-setup response bytes,
-   keytab contents, datapath outputs and obs counter totals must be
-   bit-identical at pool sizes 1, 2 and 4 — pool size 1 *is* the
-   sequential implementation. Alongside the equivalence properties live
-   crypto reentrancy KATs (the shared fixtures really are safe to share)
-   and regression tests for the sharing hazards the reentrancy pass
-   fixed: the Lazy decrypt round keys in Aes and the per-session scratch
-   buffers in Datapath. *)
+   changes wall-clock time and nothing else. Keytab contents and obs
+   counter totals must be bit-identical at pool sizes 1, 2 and 4 — pool
+   size 1 *is* the sequential implementation. Alongside the equivalence
+   properties live crypto reentrancy KATs (the shared fixtures really
+   are safe to share) and regression tests for the sharing hazards the
+   reentrancy pass fixed: the Lazy decrypt round keys in Aes and the
+   per-session scratch buffers in Datapath. *)
 
 let prop ?(count = 50) ~name ~print gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen f)
@@ -21,62 +20,9 @@ let pool4 = Par.create ~size:4 ()
 let () = at_exit (fun () -> Par.shutdown pool2; Par.shutdown pool4)
 let pools () = [ (1, None); (2, Some pool2); (4, Some pool4) ]
 
-let () =
-  Printf.printf
-    "test_par: PAR_SEED=%d PAR_POOL default=%d recommended domains=%d\n%!"
-    (Par.seed ()) (Par.default_size ())
-    (Par.recommended ())
-
 let hex = Crypto.Bytes_util.of_hex
 
 (* ---- the pool itself ---- *)
-
-let test_map_chunks_order () =
-  let xs = Array.init 1000 (fun i -> i) in
-  List.iter
-    (fun (label, pool) ->
-      List.iter
-        (fun chunk ->
-          let got =
-            match pool with
-            | None -> Array.map (fun x -> x * x) xs
-            | Some p -> Par.map_chunks ~chunk p ~f:(fun x -> x * x) xs
-          in
-          Alcotest.(check (array int))
-            (Printf.sprintf "pool=%d chunk=%d" label chunk)
-            (Array.init 1000 (fun i -> i * i))
-            got)
-        [ 1; 7; 64; 5000 ])
-    (pools ())
-
-let test_map_chunks_empty_and_small () =
-  Alcotest.(check (array int))
-    "empty" [||]
-    (Par.map_chunks pool4 ~f:(fun x -> x) [||]);
-  Alcotest.(check (array int))
-    "singleton" [| 42 |]
-    (Par.map_chunks pool4 ~f:(fun x -> x * 2) [| 21 |])
-
-let test_map_chunks_exception () =
-  (* The lowest-index failure is the one re-raised, whatever domain hit
-     it first. *)
-  let xs = Array.init 100 (fun i -> i) in
-  List.iter
-    (fun p ->
-      match
-        Par.map_chunks ~chunk:3 p
-          ~f:(fun x -> if x >= 30 then failwith (string_of_int x) else x)
-          xs
-      with
-      | _ -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
-        Alcotest.(check string) "lowest index wins" "30" msg)
-    [ pool2; pool4 ];
-  (* The pool survives a failed batch. *)
-  Alcotest.(check (array int))
-    "pool usable after failure"
-    (Array.map (fun x -> x + 1) xs)
-    (Par.map_chunks pool4 ~f:(fun x -> x + 1) xs)
 
 let test_with_pool () =
   let r = Par.with_pool ~size:3 (fun p -> Par.size p) in
@@ -137,6 +83,21 @@ let test_round_exception () =
         (Atomic.get sum))
     [ pool2; pool4 ]
 
+(* [~n:0] is a round with no tasks; [~n:1] runs index 0 once. *)
+let test_round_empty_and_single () =
+  Par.with_pool ~size:1 (fun pool1 ->
+      List.iter
+        (fun pool ->
+          let ran = Atomic.make 0 and seen = Atomic.make (-1) in
+          Par.round pool ~n:0 ~f:(fun _ -> Atomic.incr ran);
+          Alcotest.(check int) "n=0 runs nothing" 0 (Atomic.get ran);
+          Par.round pool ~n:1 ~f:(fun i ->
+              Atomic.incr ran;
+              Atomic.set seen i);
+          Alcotest.(check int) "n=1 runs one task" 1 (Atomic.get ran);
+          Alcotest.(check int) "n=1 runs index 0" 0 (Atomic.get seen))
+        [ pool1; pool2; pool4 ])
+
 (* Shutdown must return at once after a round, while an idle worker is
    still spinning (when the pool fits the machine), and after the
    workers have parked. *)
@@ -153,51 +114,7 @@ let test_shutdown_spinning_or_parked () =
       Par.shutdown p)
     [ 2; 3; 4; Par.recommended () + 1 ]
 
-(* ---- equivalence: key-setup batching ---- *)
-
-let batch_master = Core.Master_key.of_seed ~seed:"test-par"
-
-let pubkeys =
-  lazy
-    (Array.init 4 (fun i ->
-         Crypto.Rsa.public_to_string (Scenario.Keyring.onetime i).Crypto.Rsa.public))
-
-let gen_request =
-  QCheck2.Gen.(
-    let* valid = frequency [ (6, return true); (1, return false) ] in
-    let* src = int_range 2 250 in
-    let src = Net.Ipaddr.of_string (Printf.sprintf "10.1.0.%d" src) in
-    if valid then
-      let* k = int_bound 3 in
-      return { Core.Setup_batch.src; pubkey = (Lazy.force pubkeys).(k) }
-    else
-      let* junk = string_size ~gen:char (int_bound 30) in
-      return { Core.Setup_batch.src; pubkey = junk })
-
-let print_request (r : Core.Setup_batch.request) =
-  Printf.sprintf "{src=%s; pubkey=%d bytes}"
-    (Net.Ipaddr.to_string r.src)
-    (String.length r.pubkey)
-
-let setup_batch_equivalence =
-  prop ~count:30 ~name:"setup_batch: bytes identical at pool sizes 1/2/4"
-    ~print:QCheck2.Print.(pair (list print_request) string)
-    QCheck2.Gen.(pair (list_size (int_bound 20) gen_request) (string_size (return 8)))
-    (fun (reqs, seed) ->
-      let reqs = Array.of_list reqs in
-      let reference =
-        Array.mapi
-          (fun i r -> Core.Setup_batch.respond ~master:batch_master ~seed i r)
-          reqs
-      in
-      List.for_all
-        (fun (_, pool) ->
-          Core.Setup_batch.process ?pool ~chunk:3 ~master:batch_master ~seed
-            reqs
-          = reference)
-        (pools ()))
-
-(* ---- equivalence: sharded keytab ---- *)
+(* ---- equivalence: keytab ---- *)
 
 let grant_of i : Core.Keytab.grant =
   { epoch = i mod 5;
@@ -244,7 +161,7 @@ let keytab_parallel_equivalence =
         in
         (match pool with
         | None -> Array.iter put items
-        | Some p -> Par.map_chunks ~chunk:5 p ~f:put items |> ignore);
+        | Some p -> Par.round p ~n ~f:(fun i -> put items.(i)));
         keytab_digest tab
       in
       let reference = digest_with None in
@@ -252,13 +169,13 @@ let keytab_parallel_equivalence =
 
 let test_keytab_session_memo_shared () =
   (* Concurrent session lookups for one grant all get the one memoized
-     session — the shard mutex makes exactly one creator win. *)
+     session — the table's mutex makes exactly one creator win. *)
   let tab = Core.Keytab.create () in
   let g = grant_of 7 in
-  let sessions =
-    Par.map_chunks ~chunk:1 pool4 ~f:(fun _ -> Core.Keytab.session tab g)
-      (Array.init 64 (fun i -> i))
-  in
+  let sessions = Array.make 64 None in
+  Par.round pool4 ~n:64 ~f:(fun i ->
+      sessions.(i) <- Some (Core.Keytab.session tab g));
+  let sessions = Array.map Option.get sessions in
   Alcotest.(check int) "one session memoized" 1 (Core.Keytab.session_count tab);
   Alcotest.(check bool)
     "all physically equal" true
@@ -272,18 +189,12 @@ let obs_counter_equivalence =
     QCheck2.Gen.(int_range 1 5000)
     (fun n ->
       let c = Obs.Counter.create () in
-      Par.map_chunks ~chunk:(max 1 (n / 8)) pool4
-        ~f:(fun _ -> Obs.Counter.inc c)
-        (Array.init n (fun i -> i))
-      |> ignore;
+      Par.round pool4 ~n ~f:(fun _ -> Obs.Counter.inc c);
       Obs.Counter.value c = n)
 
 let test_gauge_concurrent_add () =
   let g = Obs.Gauge.create () in
-  Par.map_chunks ~chunk:100 pool4
-    ~f:(fun _ -> Obs.Gauge.add g 1.0)
-    (Array.init 4000 (fun i -> i))
-  |> ignore;
+  Par.round pool4 ~n:4000 ~f:(fun _ -> Obs.Gauge.add g 1.0);
   Alcotest.(check (float 1e-6)) "CAS add loses nothing" 4000.0 (Obs.Gauge.value g)
 
 (* ---- crypto reentrancy: KATs from 4 domains at once ---- *)
@@ -456,7 +367,7 @@ let test_datapath_session_shared () =
   in
   Alcotest.(check bool) "shared session matches stateless reference" true ok
 
-(* ---- keytab stress: sharded vs sequential model ---- *)
+(* ---- keytab stress: table vs sequential model ---- *)
 
 type keytab_op =
   | Put of int
@@ -564,49 +475,11 @@ let test_keytab_eviction_exactly_once () =
   Alcotest.(check int) "double drop evicts nothing more" 5
     (Core.Keytab.evictions tab)
 
-(* ---- keypool: background-domain refill keeps FIFO determinism ---- *)
-
-let test_keypool_domain_refill_deterministic () =
-  (* Pre-warm the keyring on this thread (its memo table is engine-side
-     state); the pool's generator then only reads it. *)
-  let n_keys = 6 in
-  for i = 0 to n_keys - 1 do
-    ignore (Scenario.Keyring.onetime i)
-  done;
-  let take_sequence with_domain =
-    let next = ref 0 in
-    let generate () =
-      let i = !next in
-      incr next;
-      Scenario.Keyring.onetime i
-    in
-    let pool = Core.Keypool.create ~target:2 ~generate () in
-    if with_domain then Core.Keypool.attach_domain pool;
-    let taken =
-      List.init n_keys (fun _ ->
-          Crypto.Rsa.public_to_string (Core.Keypool.take pool).Crypto.Rsa.public)
-    in
-    if with_domain then Core.Keypool.detach_domain pool;
-    taken
-  in
-  let expected =
-    List.init n_keys (fun i ->
-        Crypto.Rsa.public_to_string (Scenario.Keyring.onetime i).Crypto.Rsa.public)
-  in
-  Alcotest.(check (list string))
-    "sequential takes are generator order" expected (take_sequence false);
-  Alcotest.(check (list string))
-    "takes with refill domain are the same sequence" expected
-    (take_sequence true)
-
 let () =
   Alcotest.run "par"
     [ ( "pool",
-        [ Alcotest.test_case "map_chunks order" `Quick test_map_chunks_order;
-          Alcotest.test_case "empty and small" `Quick
-            test_map_chunks_empty_and_small;
-          Alcotest.test_case "exception propagation" `Quick
-            test_map_chunks_exception;
+        [ Alcotest.test_case "empty and small" `Quick
+            test_round_empty_and_single;
           Alcotest.test_case "with_pool" `Quick test_with_pool;
           Alcotest.test_case "round: every index once, 10k rounds" `Quick
             test_round_exactly_once;
@@ -616,8 +489,7 @@ let () =
             test_shutdown_spinning_or_parked
         ] );
       ( "equivalence",
-        [ setup_batch_equivalence;
-          keytab_parallel_equivalence;
+        [ keytab_parallel_equivalence;
           obs_counter_equivalence;
           Alcotest.test_case "session memo shared" `Quick
             test_keytab_session_memo_shared;
@@ -638,9 +510,5 @@ let () =
         [ keytab_model_stress;
           Alcotest.test_case "eviction exactly once" `Quick
             test_keytab_eviction_exactly_once
-        ] );
-      ( "keypool",
-        [ Alcotest.test_case "domain refill determinism" `Quick
-            test_keypool_domain_refill_deterministic
         ] )
     ]

@@ -393,7 +393,8 @@ let test_e12_domains_equivalence () =
      busy domain churning throughout. The fault timeline is a pure
      function of the seed, so the rendered table may not move by a
      byte. *)
-  ignore (Par.map_chunks pool2 ~f:(fun x -> mix x) (Array.init 64 Fun.id));
+  let woken = Array.make 64 0 in
+  Par.round pool2 ~n:64 ~f:(fun i -> woken.(i) <- mix i);
   let stop = Atomic.make false in
   let churn =
     Domain.spawn (fun () ->

@@ -402,10 +402,7 @@ let run_chaos quick seed plan_file corrupt =
 (* `netneutral overload`: the E13 load sweep with explicit control over
    seed and chaos composition. *)
 let run_overload quick seed chaos =
-  Experiments.E13_overload.(print (run ?seed ~chaos ~quick ()));
-  Experiments.Table.print_obs ~title:"overload: client-side degradation"
-    ~prefixes:[ "core.client." ]
-    ()
+  Experiments.E13_overload.(print (run ?seed ~chaos ~quick ()))
 
 (* Multicore sweeps measured on a single-core host silently read as
    "no speedup"; say so out loud instead of letting the JSON mislead. *)
@@ -716,10 +713,10 @@ let () =
     Cmd.v
       (Cmd.info "bench"
          ~doc:
-           "Perf regression harness: pooled vs cold one-time keys, \
-            windowed vs binary Montgomery exponentiation, session vs \
-            stateless datapath, event-heap churn, sim events/s, and obs \
-            counter overhead")
+           "Perf regression harness: cold one-time keygen, windowed vs \
+            binary Montgomery exponentiation, session vs stateless \
+            datapath, event-heap churn, sim events/s, and obs counter \
+            overhead")
       Term.(const run_bench $ quick_flag $ out_opt)
   in
   let pdes_cmd =

@@ -13,8 +13,7 @@
     Everything here is pure over immutable values (scratch, where used,
     is per-call), so all operations — including a shared
     {!Montgomery.ctx}, which is immutable after [create] — are safe to
-    call concurrently from several domains; the parallel key-setup plane
-    relies on this. *)
+    call concurrently from several domains. *)
 
 type t
 

@@ -3,17 +3,8 @@ type config = {
   dns_encrypt : Crypto.Rsa.public option;
   dns_verify : Crypto.Rsa.public option;
   onetime_keygen : unit -> Crypto.Rsa.private_key;
-  keypool : Keypool.t option;
   strategy : Multihome.strategy;
-  multihome_backoff : int64;
-  key_setup_timeout : int64;
-  key_setup_attempts : int;
-  grant_max_age : int64;
   blackhole_threshold : int;
-  setup_backoff : Overload.Backoff.config option;
-  retry_budget : Overload.Token_bucket.config option;
-  breaker : Overload.Breaker.config option;
-  overload_seed : int;
 }
 
 type counters = {
@@ -32,7 +23,6 @@ type counters = {
 
 type pending_setup = {
   onetime : Crypto.Rsa.private_key;
-  backoff : Overload.Backoff.t option;
   mutable waiters : (Keytab.grant option -> unit) list;
   mutable timer : Net.Engine.handle option;
 }
@@ -45,9 +35,6 @@ type t = {
   keytab : Keytab.t;
   sessions : Session.table;
   mh : Multihome.t;
-  prng : Fault.Prng.t;
-  retry_budget : Overload.Token_bucket.t option;
-  breakers : (Net.Ipaddr.t, Overload.Breaker.t) Hashtbl.t;
   site_cache : (string, Dns.Resolver.site_info) Hashtbl.t;
   pending_dns :
     (string, (Dns.Resolver.site_info option -> unit) list) Hashtbl.t;
@@ -62,15 +49,22 @@ type t = {
 }
 
 let counters t = t.ctrs
-let version_gate t = t.gate
 let keytab t = t.keytab
 let sessions t = t.sessions
 let host t = t.host
 let rng t n = Crypto.Drbg.generate t.drbg n
-let multihome t = t.mh
 let engine t = Net.Network.engine (Net.Host.network t.host)
 let now t = Net.Engine.now (engine t)
 let set_receiver t f = t.receiver <- f
+
+(* A key-setup request is retransmitted after 250 ms of silence, three
+   sends in all, and a grant is renewed once it is 54 simulated minutes
+   old: inside the master key's hour (§4: "a source outside a
+   neutralizer's domain at most needs to send a key request once an
+   hour"). *)
+let key_setup_timeout = 250_000_000L
+let key_setup_attempts = 3
+let grant_max_age = 3_240_000_000_000L
 
 let default_config ~rng =
   let keygen_state =
@@ -86,20 +80,8 @@ let default_config ~rng =
       (fun () ->
         Crypto.Rsa.generate ~e:Protocol.rsa_public_exponent
           ~bits:Protocol.onetime_rsa_bits (Lazy.force keygen_state));
-    keypool = None;
     strategy = Multihome.Round_robin;
-    multihome_backoff = Multihome.backoff;
-    key_setup_timeout = 250_000_000L;
-    key_setup_attempts = 3;
-    grant_max_age = 3_240_000_000_000L (* 54 simulated minutes *);
-    blackhole_threshold = 25;
-    (* Legacy retry behaviour by default: immediate retransmit on
-       timeout, no budget, no breaker. Overload-hardened deployments opt
-       in to the three policies. *)
-    setup_backoff = None;
-    retry_budget = None;
-    breaker = None;
-    overload_seed = 1
+    blackhole_threshold = 25
   }
 
 let obs t = Net.Engine.obs (engine t)
@@ -111,40 +93,6 @@ let fail t on_error msg =
   t.ctrs.errors <- t.ctrs.errors + 1;
   match on_error with Some f -> f msg | None -> ()
 
-(* ---- Circuit breakers (one per neutralizer, when configured) ---- *)
-
-let breaker_for t addr =
-  match t.config.breaker with
-  | None -> None
-  | Some cfg ->
-    Some
-      (match Hashtbl.find_opt t.breakers addr with
-       | Some b -> b
-       | None ->
-         let b = Overload.Breaker.create ~config:cfg ~now:(now t) () in
-         Hashtbl.replace t.breakers addr b;
-         b)
-
-let breaker_allows t addr =
-  match breaker_for t addr with
-  | None -> true
-  | Some b -> Overload.Breaker.allow b ~now:(now t)
-
-let breaker_success t addr =
-  match breaker_for t addr with
-  | None -> ()
-  | Some b -> Overload.Breaker.record_success b ~now:(now t)
-
-let breaker_failure t addr =
-  match breaker_for t addr with
-  | None -> ()
-  | Some b ->
-    let before = Overload.Breaker.state b ~now:(now t) in
-    Overload.Breaker.record_failure b ~now:(now t);
-    let after = Overload.Breaker.state b ~now:(now t) in
-    if before <> after && after = Overload.Breaker.Open then
-      bump t "breaker_opened"
-
 (* ---- Key setup (§3.2) ---- *)
 
 let finish_setup t ~neutralizer result =
@@ -155,40 +103,12 @@ let finish_setup t ~neutralizer result =
     (match pending.timer with Some h -> Net.Engine.cancel h | None -> ());
     List.iter (fun k -> k result) (List.rev pending.waiters)
 
-let rec start_setup t ~neutralizer ~attempts =
-  let backoff =
-    Option.map
-      (fun config ->
-        (* One child stream per (neutralizer, setup incarnation): retry
-           timelines are independent across destinations and reproducible
-           from the client's overload seed alone. *)
-        let label =
-          Printf.sprintf "setup:%s#%d"
-            (Net.Ipaddr.to_string neutralizer)
-            t.ctrs.key_setups_started
-        in
-        Overload.Backoff.create ~config ~prng:(Fault.Prng.split t.prng ~label)
-          ())
-      t.config.setup_backoff
-  in
-  let onetime =
-    (* Paper §4: "the key generation can be precomputed offline" — with a
-       pool configured, setup latency pays a queue pop, not Rsa.generate. *)
-    match t.config.keypool with
-    | Some pool -> Keypool.take pool
-    | None -> t.config.onetime_keygen ()
-  in
-  let pending = { onetime; backoff; waiters = []; timer = None } in
-  Hashtbl.replace t.pending_setups neutralizer pending;
-  t.ctrs.key_setups_started <- t.ctrs.key_setups_started + 1;
-  send_setup_packet t ~neutralizer ~pending ~attempts
-
-and send_setup_packet t ~neutralizer ~pending ~attempts =
+let rec send_setup_packet t ~neutralizer ~pending ~attempts =
   let pubkey = Crypto.Rsa.public_to_string pending.onetime.Crypto.Rsa.public in
   (* Deadline propagation: the box learns when this attempt's reply
      stops being useful and can shed the request instead of serving it
      late (or not at all) under overload. *)
-  let deadline = Int64.add (now t) t.config.key_setup_timeout in
+  let deadline = Int64.add (now t) key_setup_timeout in
   let shim = Shim.encode (Shim.Key_setup_request { pubkey; deadline }) in
   Net.Host.send t.host
     (Net.Packet.make ~protocol:Net.Packet.Shim ~shim
@@ -199,7 +119,6 @@ and send_setup_packet t ~neutralizer ~pending ~attempts =
     bump t "key_setups_failed";
     bump t "rehomes" ~labels:[ ("reason", "setup-timeout") ];
     Multihome.mark_failed t.mh neutralizer ~now:(now t);
-    breaker_failure t neutralizer;
     finish_setup t ~neutralizer None
   in
   let still_current () =
@@ -207,48 +126,28 @@ and send_setup_packet t ~neutralizer ~pending ~attempts =
     | Some still -> still == pending
     | None -> false
   in
-  let retransmit () =
-    bump t "setup_retries";
-    send_setup_packet t ~neutralizer ~pending ~attempts:(attempts - 1)
-  in
   let timer =
-    Net.Engine.schedule (engine t) ~delay:t.config.key_setup_timeout
-      (fun () ->
+    Net.Engine.schedule (engine t) ~delay:key_setup_timeout (fun () ->
         if still_current () then
           if attempts <= 1 then give_up ()
-          else
-            match pending.backoff with
-            | None -> retransmit ()
-            | Some b ->
-              (* Budgeted, paced retry: a token from the client-wide
-                 budget buys one retransmit, scheduled after a jittered
-                 exponential delay so a fleet of timed-out clients does
-                 not re-converge on the box in lockstep. *)
-              let within_budget =
-                match t.retry_budget with
-                | None -> true
-                | Some bucket -> Overload.Token_bucket.take bucket ~now:(now t)
-              in
-              if not within_budget then begin
-                bump t "retry_budget_exhausted";
-                give_up ()
-              end
-              else begin
-                let delay = Overload.Backoff.next b in
-                pending.timer <-
-                  Some
-                    (Net.Engine.schedule (engine t) ~delay (fun () ->
-                         if still_current () then retransmit ()))
-              end)
+          else begin
+            bump t "setup_retries";
+            send_setup_packet t ~neutralizer ~pending ~attempts:(attempts - 1)
+          end)
   in
   pending.timer <- Some timer
 
+let start_setup t ~neutralizer =
+  let pending =
+    { onetime = t.config.onetime_keygen (); waiters = []; timer = None }
+  in
+  Hashtbl.replace t.pending_setups neutralizer pending;
+  t.ctrs.key_setups_started <- t.ctrs.key_setups_started + 1;
+  send_setup_packet t ~neutralizer ~pending ~attempts:key_setup_attempts
+
 let ensure_grant t ~neutralizer k =
   let fresh_enough g =
-    Int64.compare
-      (Int64.sub (now t) g.Keytab.obtained_at)
-      t.config.grant_max_age
-    < 0
+    Int64.compare (Int64.sub (now t) g.Keytab.obtained_at) grant_max_age < 0
   in
   match Keytab.current t.keytab ~neutralizer with
   | Some g when fresh_enough g -> k (Some g)
@@ -256,7 +155,7 @@ let ensure_grant t ~neutralizer k =
     (match Hashtbl.find_opt t.pending_setups neutralizer with
      | Some pending -> pending.waiters <- k :: pending.waiters
      | None ->
-       start_setup t ~neutralizer ~attempts:t.config.key_setup_attempts;
+       start_setup t ~neutralizer;
        (match Hashtbl.find_opt t.pending_setups neutralizer with
         | Some pending -> pending.waiters <- k :: pending.waiters
         | None -> k None))
@@ -293,7 +192,6 @@ let send_data t ~neutralizer ~grant ~dest ~payload ~dscp ~app ~flow_id ~seq =
     bump t "rehomes" ~labels:[ ("reason", "blackhole") ];
     Keytab.invalidate t.keytab ~neutralizer;
     Multihome.mark_failed t.mh neutralizer ~now:(now t);
-    breaker_failure t neutralizer;
     Hashtbl.replace t.outstanding neutralizer 0
   end;
   Net.Host.send t.host
@@ -303,19 +201,7 @@ let send_data t ~neutralizer ~grant ~dest ~payload ~dscp ~app ~flow_id ~seq =
 
 let rec send_to t ~dest ~peer_key ~neutralizers ?(dscp = 0) ?(app = "")
     ?(flow_id = 0) ?(seq = 0) ?on_error payload =
-  (* Fail fast while every provider's circuit is open: no packet leaves
-     the host, no retry traffic reaches the struggling boxes. *)
-  let pool =
-    match t.config.breaker with
-    | None -> neutralizers
-    | Some _ -> List.filter (breaker_allows t) neutralizers
-  in
-  if pool = [] && neutralizers <> [] then begin
-    bump t "circuit_open_rejections";
-    fail t on_error "all circuits open"
-  end
-  else
-  match Multihome.choose t.mh ~now:(now t) pool with
+  match Multihome.choose t.mh ~now:(now t) neutralizers with
   | None -> fail t on_error "no neutralizer available"
   | Some neutralizer ->
     ensure_grant t ~neutralizer (function
@@ -387,10 +273,6 @@ let send_to_name t ~name ?(dscp = 0) ?(app = "") ?(flow_id = 0) ?(seq = 0)
               in
               List.iter (fun k -> k info) (List.rev waiters))))
 
-let send_plain t ~dst ?(dst_port = 0) ?(dscp = 0) ?(app = "") ?(flow_id = 0)
-    ?(seq = 0) payload =
-  Net.Host.send_udp t.host ~dst ~dst_port ~dscp ~flow_id ~seq ~app payload
-
 (* ---- Receive path ---- *)
 
 let apply_refresh t ~neutralizer (r : Shim.refresh) =
@@ -421,10 +303,9 @@ let handle_key_setup_response t (p : Net.Packet.t) ~rsa_ct =
        Hashtbl.replace t.needs_refresh neutralizer true;
        t.ctrs.key_setups_completed <- t.ctrs.key_setups_completed + 1;
        t.ctrs.last_setup_at <- now t;
-       (* The box answered: clear its failure streaks everywhere so the
-          next incident starts from the base backoff, not the grown one. *)
+       (* The box answered: clear its failure streak so the next
+          incident starts from the base backoff, not the grown one. *)
        Multihome.note_success t.mh neutralizer;
-       breaker_success t neutralizer;
        finish_setup t ~neutralizer (Some grant))
 
 let handle_incoming_data t (p : Net.Packet.t) (d : Shim.data) =
@@ -474,7 +355,7 @@ let handle_stale_grant t (p : Net.Packet.t) ~current_epoch =
        traffic resumes after one setup RTT. *)
     Keytab.invalidate t.keytab ~neutralizer;
     if not (Hashtbl.mem t.pending_setups neutralizer) then
-      start_setup t ~neutralizer ~attempts:t.config.key_setup_attempts
+      start_setup t ~neutralizer
   | Some _ | None -> ()
 
 let handle_shim_decoded t (p : Net.Packet.t) shim =
@@ -502,22 +383,16 @@ let proto_reject t label =
 
 let handle_shim t (p : Net.Packet.t) =
   Hashtbl.replace t.outstanding p.src 0;
-  match p.shim with
-  | None -> proto_reject t "missing"
-  | Some bytes -> (
-    match Shim.decode_versioned bytes with
-    | Error e -> proto_reject t (Shim.error_label e)
-    | Ok (version, shim) -> (
-      match Version_gate.admit t.gate ~peer:p.src ~version with
-      | Version_gate.Downgrade _ -> proto_reject t "downgrade"
-      | Version_gate.Admitted -> (
-        try handle_shim_decoded t p shim
-        with _ ->
-          (* A corrupted-but-decodable shim (fault injection flips wire
-             bits) must never unwind into the network layer: count it as
-             a malformed packet and move on. *)
-          t.ctrs.errors <- t.ctrs.errors + 1;
-          bump t "handler_exceptions")))
+  match Version_gate.receive t.gate ~peer:p.src p.shim with
+  | Error label -> proto_reject t label
+  | Ok shim -> (
+    try handle_shim_decoded t p shim
+    with _ ->
+      (* A corrupted-but-decodable shim (fault injection flips wire
+         bits) must never unwind into the network layer: count it as a
+         malformed packet and move on. *)
+      t.ctrs.errors <- t.ctrs.errors + 1;
+      bump t "handler_exceptions")
 
 let reset t =
   (* Crash amnesia: every table the protocol keeps in RAM is wiped, and
@@ -540,7 +415,6 @@ let reset t =
   Keytab.clear t.keytab;
   Session.clear_table t.sessions;
   Multihome.clear_failures t.mh;
-  Hashtbl.reset t.breakers;
   (* Unlike the neutralizer's, the client's version gate IS wiped: reset
      models a fresh host that also lost its grants, and a host that
      forgets peers' versions only re-learns them upward. *)
@@ -563,17 +437,8 @@ let create host ?keypair ?config ~seed () =
       sessions = Session.create_table ();
       mh =
         Multihome.create ~strategy:config.strategy
-          ~backoff:config.multihome_backoff
           ~rng:(fun n -> Crypto.Drbg.generate drbg n)
           ();
-      prng = Fault.Prng.create ~seed:config.overload_seed;
-      retry_budget =
-        Option.map
-          (fun cfg ->
-            Overload.Token_bucket.create cfg
-              ~now:(Net.Engine.now (Net.Network.engine (Net.Host.network host))))
-          config.retry_budget;
-      breakers = Hashtbl.create 4;
       site_cache = Hashtbl.create 8;
       pending_dns = Hashtbl.create 4;
       pending_setups = Hashtbl.create 4;
@@ -598,11 +463,3 @@ let create host ?keypair ?config ~seed () =
   in
   Net.Host.on_shim host (fun _host p -> handle_shim t p);
   t
-
-let breaker_state t addr =
-  match Hashtbl.find_opt t.breakers addr with
-  | None -> None
-  | Some b -> Some (Overload.Breaker.state b ~now:(now t))
-
-let retry_budget_left t =
-  Option.map (fun b -> Overload.Token_bucket.tokens b ~now:(now t)) t.retry_budget

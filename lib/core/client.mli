@@ -25,45 +25,14 @@ type config = {
       (** encrypt queries so the access ISP cannot discriminate on qname *)
   dns_verify : Crypto.Rsa.public option;
   onetime_keygen : unit -> Crypto.Rsa.private_key;
-      (** override to pool/pregenerate one-time keys in tests and benches *)
-  keypool : Keypool.t option;
-      (** when set, key setup draws one-time keys from this pool
-          ({!Keypool.take}) instead of calling [onetime_keygen] directly —
-          the §4 "precomputed offline" optimization; the pool's own
-          generator decides the key material. [None] (default): every
-          setup pays keygen inline *)
+      (** where key setup gets its one-time keys: the §4 "precomputed
+          offline" keys (e.g. [Scenario.Keyring.onetime_pool]) or fresh
+          inline generation *)
   strategy : Multihome.strategy;
-  multihome_backoff : int64;
-      (** how long a neutralizer that timed out or blackholed is avoided
-          before trial-and-error retries it (default {!Multihome.backoff},
-          30 simulated seconds) *)
-  key_setup_timeout : int64;
-  key_setup_attempts : int;
-  grant_max_age : int64;
-      (** re-run key setup when the grant approaches the master-key
-          lifetime (§4: "a source outside a neutralizer's domain at most
-          needs to send a key request once an hour") *)
   blackhole_threshold : int;
       (** §3.5 trial-and-error: after this many consecutive data packets
           through one neutralizer with nothing heard back, the client
           drops its grant, marks the neutralizer failed and re-homes *)
-  setup_backoff : Overload.Backoff.config option;
-      (** replace the immediate on-timeout retransmit with a jittered
-          capped exponential delay; [None] (default) keeps the legacy
-          immediate retransmit *)
-  retry_budget : Overload.Token_bucket.config option;
-      (** client-wide budget every setup retransmit must buy a token
-          from (only enforced together with [setup_backoff]); exhausting
-          it fails the setup instead of retrying — the anti-retry-storm
-          valve. [None] (default): unbudgeted *)
-  breaker : Overload.Breaker.config option;
-      (** per-neutralizer circuit breakers: repeated setup failures or
-          blackholes open the circuit and sends fail fast (re-homing to
-          the remaining providers) until a half-open probe succeeds.
-          [None] (default): no breakers *)
-  overload_seed : int;
-      (** seeds the SplitMix64 stream behind backoff jitter; equal seeds
-          give byte-identical retry timelines (see [Overload.Seed]) *)
 }
 
 type counters = {
@@ -86,8 +55,12 @@ type counters = {
 type t
 
 val default_config : rng:(int -> string) -> config
-(** Fresh 512-bit e=3 keys per setup, round-robin multihoming, 250 ms
-    setup timeout, 3 attempts, 54-minute grant refresh. *)
+(** Fresh 512-bit e=3 keys per setup, round-robin multihoming, re-homing
+    after 25 unanswered data packets. Three protocol constants hold for
+    every client: an unanswered key-setup request is retransmitted after
+    250 ms, a setup fails after 3 sends, and a grant older than 54
+    simulated minutes is renewed by a fresh setup (§4: a key request at
+    most once an hour). *)
 
 val create :
   Net.Host.t ->
@@ -98,7 +71,12 @@ val create :
   t
 (** Attaches the shim handler to the host. [seed] feeds the client's
     DRBG; runs are reproducible. [keypair] enables receiving
-    reverse-direction flows. *)
+    reverse-direction flows. Every inbound shim passes
+    {!Version_gate.receive} before any handler runs; each refusal counts
+    in [core.proto.reject.client{reason}] and in [counters.errors]. The
+    gate's per-peer floors are wiped by {!reset} (a fresh host re-learns
+    peer versions upward), unlike the neutralizer's, which survive
+    crashes. *)
 
 val set_receiver : t -> (peer:Net.Ipaddr.t -> string -> unit) -> unit
 (** Application delivery callback: [peer] is the {e real} address of the
@@ -131,23 +109,10 @@ val send_to :
   unit
 (** Like {!send_to_name} with the bootstrap info already in hand. *)
 
-val send_plain :
-  t ->
-  dst:Net.Ipaddr.t ->
-  ?dst_port:int ->
-  ?dscp:int ->
-  ?app:string ->
-  ?flow_id:int ->
-  ?seq:int ->
-  string ->
-  unit
-(** Non-neutralized UDP send — the neutralizer service is optional
-    (§3.4), and experiments compare both paths. *)
-
 val reset : t -> unit
 (** Crash amnesia: wipe every in-RAM table — grants, sessions, DNS
     cache, pending setups (their retry timers are cancelled), failure
-    marks, the per-peer version floors of {!version_gate} — as a host
+    marks, the per-peer version floors of the inbound gate — as a host
     crash/restart would. The client object itself survives (it models
     the reinstalled software); the next send re-bootstraps and re-runs
     key setup from scratch. Bumps [core.client.restarts]. *)
@@ -156,21 +121,4 @@ val counters : t -> counters
 val keytab : t -> Keytab.t
 val sessions : t -> Session.table
 
-val version_gate : t -> Version_gate.t
-(** Downgrade prevention for inbound shims: frames are strict-decoded
-    ({!Shim.decode_versioned}) and version-gated before any handler
-    runs; each refusal counts in [core.proto.reject.client{reason}] and
-    in [counters.errors]. Wiped by {!reset} (a fresh host re-learns
-    peer versions upward), unlike the neutralizer's gate which survives
-    crashes. *)
-
 val host : t -> Net.Host.t
-val rng : t -> int -> string
-val multihome : t -> Multihome.t
-
-val breaker_state : t -> Net.Ipaddr.t -> Overload.Breaker.state option
-(** The circuit state for a neutralizer — [None] when breakers are not
-    configured or no traffic has touched that address yet. *)
-
-val retry_budget_left : t -> float option
-(** Tokens remaining in the retry budget, when one is configured. *)

@@ -4,51 +4,24 @@ type strategy =
   | Weighted of (Net.Ipaddr.t * float) list
   | Prefer of Net.Ipaddr.t
 
-type backoff_policy = {
-  base : int64;
-  cap : int64;
-  multiplier : float;
-  jitter : float;
-}
-
-let backoff = 30_000_000_000L
-
-let default_policy =
-  { base = backoff; cap = 240_000_000_000L; multiplier = 2.0; jitter = 0.5 }
+(* Avoidance windows after a failure: 30 s, doubling per consecutive
+   failure up to 240 s, with up to half of each window randomized away. *)
+let base = 30_000_000_000L
+let cap = 240_000_000_000L
+let multiplier = 2.0
+let jitter = 0.5
 
 type t = {
   strategy : strategy;
   rng : int -> string;
-  policy : backoff_policy;
   mutable counter : int;
   failed : (Net.Ipaddr.t, int64) Hashtbl.t; (* address -> backoff expiry *)
   strikes : (Net.Ipaddr.t, int) Hashtbl.t; (* consecutive failures *)
 }
 
-let validate_policy p =
-  if Int64.compare p.base 0L < 0 then
-    invalid_arg "Multihome.create: backoff must be non-negative";
-  if Int64.compare p.cap p.base < 0 then
-    invalid_arg "Multihome.create: cap must be >= base";
-  if p.multiplier < 1.0 then
-    invalid_arg "Multihome.create: multiplier must be >= 1.0";
-  if p.jitter < 0.0 || p.jitter >= 1.0 then
-    invalid_arg "Multihome.create: jitter must be in [0, 1)"
-
-let create ?(strategy = Round_robin) ?backoff:b ?policy ~rng () =
-  let policy =
-    match (policy, b) with
-    | Some p, _ -> p
-    | None, Some b ->
-      (* Deprecated fixed-backoff knob: keep the first-failure window the
-         caller asked for, let repeats grow from there. *)
-      { default_policy with base = b; cap = Int64.mul 8L (Int64.max b 1L) }
-    | None, None -> default_policy
-  in
-  validate_policy policy;
+let create ?(strategy = Round_robin) ~rng () =
   { strategy;
     rng;
-    policy;
     counter = 0;
     failed = Hashtbl.create 4;
     strikes = Hashtbl.create 4
@@ -67,16 +40,15 @@ let strikes t addr =
 let mark_failed t addr ~now =
   let k = strikes t addr + 1 in
   Hashtbl.replace t.strikes addr k;
-  let p = t.policy in
   (* Capped exponential window for the k-th consecutive failure ... *)
   let d =
-    let f = Int64.to_float p.base *. (p.multiplier ** float_of_int (k - 1)) in
-    if f >= Int64.to_float p.cap then p.cap else Int64.of_float f
+    let f = Int64.to_float base *. (multiplier ** float_of_int (k - 1)) in
+    if f >= Int64.to_float cap then cap else Int64.of_float f
   in
   (* ... minus a truncated jittered slice, so a fleet of clients that
      lost the same neutralizer together does not retry in lockstep. The
      result stays in (d * (1 - jitter), d]. *)
-  let slice = Int64.of_float (p.jitter *. random_unit t *. Int64.to_float d) in
+  let slice = Int64.of_float (jitter *. random_unit t *. Int64.to_float d) in
   Hashtbl.replace t.failed addr (Int64.add now (Int64.sub d slice))
 
 let note_success t addr =
@@ -86,8 +58,6 @@ let note_success t addr =
 let clear_failures t =
   Hashtbl.reset t.failed;
   Hashtbl.reset t.strikes
-
-let failures t = Hashtbl.fold (fun a _ acc -> a :: acc) t.failed []
 
 let usable t ~now addr =
   match Hashtbl.find_opt t.failed addr with

@@ -14,34 +14,11 @@ type strategy =
   | Prefer of Net.Ipaddr.t
       (** pin one provider, fall back to the rest on failure *)
 
-type backoff_policy = {
-  base : int64;  (** first-failure avoidance window, ns; >= 0 *)
-  cap : int64;  (** upper bound as consecutive failures grow; >= base *)
-  multiplier : float;  (** window growth per consecutive failure; >= 1 *)
-  jitter : float;
-      (** fraction of each window randomized away, in [0, 1) — breaks
-          retry lockstep across clients that lost a neutralizer
-          together *)
-}
-
-val default_policy : backoff_policy
-(** 30 s base, 2x growth, 240 s cap, 0.5 jitter. *)
-
 type t
 
-val create :
-  ?strategy:strategy ->
-  ?backoff:int64 ->
-  ?policy:backoff_policy ->
-  rng:(int -> string) ->
-  unit ->
-  t
-(** Default strategy is [Round_robin]; avoidance windows follow [policy]
-    (default {!default_policy}). [backoff] is the deprecated fixed-window
-    knob, kept for compatibility: it sets [policy] to [default_policy]
-    with [base = backoff] and [cap = 8 * backoff], and is ignored when
-    [policy] is given. Clients surface these as
-    [Client.config.multihome_backoff] / [Client.config.setup_backoff]. *)
+val create : ?strategy:strategy -> rng:(int -> string) -> unit -> t
+(** Default strategy is [Round_robin]. [rng] draws the window jitter and
+    the [Weighted] picks. *)
 
 val choose : t -> now:int64 -> Net.Ipaddr.t list -> Net.Ipaddr.t option
 (** Pick from the published NEUT addresses, skipping addresses whose
@@ -50,24 +27,17 @@ val choose : t -> now:int64 -> Net.Ipaddr.t list -> Net.Ipaddr.t option
 
 val mark_failed : t -> Net.Ipaddr.t -> now:int64 -> unit
 (** Trial-and-error: a key setup through this neutralizer timed out.
-    Avoid it for a jittered window that grows exponentially (capped)
-    with each consecutive failure: the k-th failure's window lies in
-    [(d/2, d]] for [d = min cap (base * multiplier^(k-1))] under the
-    default jitter. *)
+    Avoid it for a jittered window that doubles with each consecutive
+    failure: the k-th failure's window lies in [(d/2, d]] for
+    [d = min 240 s (30 s * 2^(k-1))]. *)
 
 val note_success : t -> Net.Ipaddr.t -> unit
 (** The neutralizer answered: clear its failure mark and reset its
-    consecutive-failure count, so the next failure starts from [base]
-    again. *)
+    consecutive-failure count, so the next failure starts from the 30 s
+    window again. *)
 
 val strikes : t -> Net.Ipaddr.t -> int
 (** Consecutive failures recorded against [addr] since its last
     {!note_success} (or creation). *)
 
 val clear_failures : t -> unit
-
-val backoff : int64
-(** Default first-failure backoff (30 simulated seconds) —
-    [default_policy.base]. *)
-
-val failures : t -> Net.Ipaddr.t list

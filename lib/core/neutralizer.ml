@@ -4,7 +4,6 @@ type config = {
   rng : int -> string;
   costs : Protocol.costs;
   offload_helper : Net.Ipaddr.t option;
-  qos_max_lease : int64;
 }
 
 let default_config ~anycast ~master ~rng =
@@ -12,9 +11,12 @@ let default_config ~anycast ~master ~rng =
     master;
     rng;
     costs = Protocol.default_costs;
-    offload_helper = None;
-    qos_max_lease = 600_000_000_000L
+    offload_helper = None
   }
+
+(* The longest QoS dynamic-address lease the box grants, whatever a
+   customer asks for: ten simulated minutes. *)
+let qos_max_lease = 600_000_000_000L
 
 type counters = {
   mutable key_setups : int;
@@ -95,26 +97,6 @@ let reject t reason =
 let proto_reject t label =
   bump t ~labels:[ ("reason", label) ] "core.proto.reject.neutralizer";
   reject t (if label = "downgrade" then "downgrade" else "malformed")
-
-(* Decode + downgrade-gate a shim frame from [src]. [Error label] has
-   already been counted. *)
-let decode_gated t ~src shim =
-  match shim with
-  | None ->
-    proto_reject t "missing";
-    Error "missing"
-  | Some bytes ->
-    (match Shim.decode_versioned bytes with
-     | Error e ->
-       let label = Shim.error_label e in
-       proto_reject t label;
-       Error label
-     | Ok (version, msg) ->
-       (match Version_gate.admit t.gate ~peer:src ~version with
-        | Version_gate.Downgrade _ ->
-          proto_reject t "downgrade";
-          Error "downgrade"
-        | Version_gate.Admitted -> Ok msg))
 
 let send t p = Net.Network.send t.net ~from:t.node.Net.Topology.nid p
 
@@ -236,11 +218,7 @@ let handle_reverse_key t (p : Net.Packet.t) ~outside =
 let handle_qos_request t (p : Net.Packet.t) ~lease =
   if not (in_own_domain t p.src) then reject t "qos-from-outside"
   else begin
-    let lease =
-      if Int64.compare lease t.config.qos_max_lease > 0 then
-        t.config.qos_max_lease
-      else lease
-    in
+    let lease = Int64.min lease qos_max_lease in
     let topo = Net.Network.topology t.net in
     let dyn = Net.Topology.fresh_address topo t.node.Net.Topology.domain in
     (* Route the dynamic address to this box by making it a one-member
@@ -282,8 +260,8 @@ let dispatch t (p : Net.Packet.t) =
      | Net.Packet.Udp | Net.Packet.Tcp | Net.Packet.Icmp ->
        reject t "non-shim"
      | Net.Packet.Shim ->
-       (match decode_gated t ~src:p.src p.shim with
-        | Error _ -> ()
+       (match Version_gate.receive t.gate ~peer:p.src p.shim with
+        | Error label -> proto_reject t label
         | Ok shim ->
           (match shim with
            | Shim.Key_setup_request { pubkey; deadline } ->
@@ -376,8 +354,6 @@ let enable_admission t adm =
   in
   Net.Network.iter_links t.net (fun _from to_ link ->
       if to_ = nid then Net.Link.set_gate link (Some gate))
-
-let admission t = t.admission
 
 let attach net node config =
   let reg = Net.Engine.obs (Net.Network.engine net) in

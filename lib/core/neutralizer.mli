@@ -22,11 +22,13 @@ type config = {
       (** §3.2: "if a neutralizer cannot support RSA encryption at line
           speed, it can offload the encryption operation to any customer
           in its domain that is willing to help" *)
-  qos_max_lease : int64;
 }
 
 val default_config :
   anycast:Net.Ipaddr.t -> master:Master_key.t -> rng:(int -> string) -> config
+(** Default per-op {!Protocol.costs}, no offload helper. Every box
+    grants §3.4 QoS dynamic addresses for at most ten simulated minutes,
+    whatever lease the customer asks for. *)
 
 type counters = {
   mutable key_setups : int;
@@ -68,9 +70,9 @@ val qos_mappings : t -> (Net.Ipaddr.t * Net.Ipaddr.t) list
 
 val version_gate : t -> Version_gate.t
 (** The box's downgrade-prevention state: highest wire version seen per
-    peer. Every inbound shim frame is strict-decoded
-    ({!Shim.decode_versioned}) and gated before dispatch; each refusal
-    is counted in [core.proto.reject.neutralizer{reason}] (decoder
+    peer. Every inbound shim frame passes {!Version_gate.receive}
+    before dispatch; each refusal is counted in
+    [core.proto.reject.neutralizer{reason}] (decoder
     {!Shim.error_label}s plus ["missing"] and ["downgrade"]) as well as
     the coarse [core.neutralizer.rejected] family. The gate survives
     {!crash}/{!restart} — it is security posture, like the master key,
@@ -88,9 +90,6 @@ val enable_admission : t -> Overload.Admission.t -> unit
     [core.neutralizer.shed_total{reason, class}] and as a link-level
     ["shed"] drop, never as queue congestion. Call after the topology's
     links exist (e.g. after {!Net.Network.recompute_routes}). *)
-
-val admission : t -> Overload.Admission.t option
-(** The admission controller installed by {!enable_admission}, if any. *)
 
 val alive : t -> bool
 

@@ -44,7 +44,7 @@ let restart t =
     t.crashed <- false;
     (* Catch up: epochs are positions on the shared timeline, not a
        private counter — a restarted box must agree with its peers (and
-       with clients' grant_max_age clocks) about the current epoch, so
+       with clients' grant-age clocks) about the current epoch, so
        every rotation missed while down is applied now. *)
     for _ = 1 to t.missed do
       Master_key.rotate t.master;

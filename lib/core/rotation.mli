@@ -4,9 +4,9 @@
     hour"; this helper is the cron job that makes it true. Every [every]
     ns the master advances one epoch; the previous epoch stays decryptable
     for one more period (the {!Master_key} grace window), so in-flight
-    grants never break, and clients re-key on their own
-    {!Client.config.grant_max_age} clock — which should be shorter than
-    [every]. *)
+    grants never break, and clients re-key once a grant is 54 simulated
+    minutes old ({!Client.default_config}) — which should be shorter
+    than [every]. *)
 
 type t
 

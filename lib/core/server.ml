@@ -38,9 +38,7 @@ type t = {
 }
 
 let counters t = t.ctrs
-let version_gate t = t.gate
 let sessions t = t.sessions
-let host t = t.host
 let rng t n = Crypto.Drbg.generate t.drbg n
 let engine t = Net.Network.engine (Net.Host.network t.host)
 let now t = Net.Engine.now (engine t)
@@ -219,20 +217,14 @@ let proto_reject t label =
        "core.proto.reject.server")
 
 let handle_shim t (p : Net.Packet.t) =
-  match p.shim with
-  | None -> proto_reject t "missing"
-  | Some bytes -> (
-    match Shim.decode_versioned bytes with
-    | Error e -> proto_reject t (Shim.error_label e)
-    | Ok (version, shim) -> (
-      match Version_gate.admit t.gate ~peer:p.src ~version with
-      | Version_gate.Downgrade _ -> proto_reject t "downgrade"
-      | Version_gate.Admitted -> (
-        try handle_shim_decoded t p shim
-        with _ ->
-          (* Bit-flipped-on-the-wire input must end here, not in the
-             network layer. *)
-          t.ctrs.undecryptable <- t.ctrs.undecryptable + 1)))
+  match Version_gate.receive t.gate ~peer:p.src p.shim with
+  | Error label -> proto_reject t label
+  | Ok shim -> (
+    try handle_shim_decoded t p shim
+    with _ ->
+      (* Bit-flipped-on-the-wire input must end here, not in the network
+         layer. *)
+      t.ctrs.undecryptable <- t.ctrs.undecryptable + 1)
 
 let gc t ~idle =
   let stale = Session.expire t.sessions ~now:(now t) ~idle in

@@ -77,11 +77,9 @@ val enable_gc : t -> ?every:int64 -> ?idle:int64 -> unit -> (unit -> unit)
     event queue non-empty until cancelled. *)
 
 val counters : t -> counters
-val sessions : t -> Session.table
-val host : t -> Net.Host.t
+(** [undecryptable] counts ciphertext that would not open and handler
+    exceptions on wire-corrupted input. Frames refused before any
+    handler runs ({!Version_gate.receive}) count only in
+    [core.proto.reject.server{reason}]. *)
 
-val version_gate : t -> Version_gate.t
-(** Downgrade prevention for inbound shims: frames are strict-decoded
-    and version-gated before any handler runs; each refusal counts in
-    [core.proto.reject.server{reason}]. [counters.undecryptable] keeps
-    its session-layer meaning (ciphertext that would not open). *)
+val sessions : t -> Session.table

@@ -126,7 +126,6 @@ let expire t ~now ~idle =
 
 let count t = Hashtbl.length t.by_sid
 let find_by_peer t ~peer = Hashtbl.find_opt t.by_peer peer
-let sessions t = Hashtbl.fold (fun _ s acc -> s :: acc) t.by_sid []
 
 let initial_payload ~rng ~peer_key ~secret ~keys inner =
   "N" ^ Crypto.Seal.seal ~rng ~pub:peer_key ~secret keys (encode_inner inner)

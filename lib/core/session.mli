@@ -57,7 +57,6 @@ val register :
 
 val find : table -> sid:string -> session option
 val find_by_peer : table -> peer:Net.Ipaddr.t -> session option
-val sessions : table -> session list
 
 (** {1 Payload construction} *)
 

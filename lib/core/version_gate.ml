@@ -14,6 +14,16 @@ let admit t ~peer ~version =
     Hashtbl.add t.best peer version;
     Admitted
 
+let receive t ~peer = function
+  | None -> Error "missing"
+  | Some bytes -> (
+    match Shim.decode_versioned bytes with
+    | Error e -> Error (Shim.error_label e)
+    | Ok (version, shim) -> (
+      match admit t ~peer ~version with
+      | Downgrade _ -> Error "downgrade"
+      | Admitted -> Ok shim))
+
 let seen t ~peer = Hashtbl.find_opt t.best peer
 let forget t ~peer = Hashtbl.remove t.best peer
 let clear t = Hashtbl.reset t.best

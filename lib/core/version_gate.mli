@@ -26,6 +26,14 @@ val admit : t -> peer:Net.Ipaddr.t -> version:int -> verdict
 (** Record-and-check: admits equal-or-higher versions (ratcheting the
     peer's floor up), refuses lower ones without updating state. *)
 
+val receive : t -> peer:Net.Ipaddr.t -> string option -> (Shim.t, string) result
+(** The inbound gate every endpoint runs on a packet's shim bytes:
+    strict-decode ({!Shim.decode_versioned}), then {!admit} the frame's
+    version from [peer]. [Error] carries the reject label —
+    ["missing"] when the packet has no shim, a {!Shim.error_label} when
+    the decoder refuses it, ["downgrade"] when the gate does. Counting
+    the reject is the caller's job. *)
+
 val seen : t -> peer:Net.Ipaddr.t -> int option
 (** Highest version [peer] has spoken, if any. *)
 

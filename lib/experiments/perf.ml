@@ -11,7 +11,6 @@ type row = { name : string; ops_per_sec : float; note : string }
 type result = {
   min_time : float;
   rows : row list;
-  pooled_vs_cold : float;
   windowed_vs_binary : float;
   session_vs_stateless : float;
   sim_events_per_s : float;
@@ -20,19 +19,11 @@ type result = {
   counter_lookup_ns : float;
 }
 
-(* ---- one-time RSA keys: cold keygen vs pooled take ---- *)
+(* ---- one-time RSA keys: cold keygen ---- *)
 
 let keygen_cold_op () =
   let st = Random.State.make [| 0x9e4f; 11 |] in
   fun () -> ignore (Crypto.Rsa.generate ~e:3 ~bits:512 st)
-
-let keypool_take_op () =
-  let gen = Scenario.Keyring.onetime_pool () in
-  let pool = Core.Keypool.create ~obs:(Obs.Registry.create ()) ~target:32 ~generate:gen () in
-  Core.Keypool.fill pool;
-  (* Steady state: every take is a pool hit; the key goes back so the
-     pool never drains into cold keygen mid-measurement. *)
-  fun () -> Core.Keypool.put pool (Core.Keypool.take pool)
 
 (* ---- Montgomery exponentiation: binary ladder vs fixed window ---- *)
 
@@ -185,7 +176,6 @@ let run ?(min_time = 0.4) () =
   let mt = Some min_time in
   let m mk = Table.measure ?min_time:mt (mk ()) in
   let keygen_cold = m keygen_cold_op in
-  let keypool_take = m keypool_take_op in
   let pow_binary = m pow_mod_binary_op in
   let pow_windowed = m pow_mod_windowed_op in
   let rsa1024_decrypt = m rsa1024_decrypt_op in
@@ -203,11 +193,7 @@ let run ?(min_time = 0.4) () =
     rows =
       [ { name = "rsa512-keygen-cold";
           ops_per_sec = keygen_cold;
-          note = "before: Rsa.generate on the setup latency path"
-        };
-        { name = "keypool-take-steady";
-          ops_per_sec = keypool_take;
-          note = "after: pooled one-time key (take+put)"
+          note = "one-time key generated inline, per key setup"
         };
         { name = "pow-mod-binary-512";
           ops_per_sec = pow_binary;
@@ -250,7 +236,6 @@ let run ?(min_time = 0.4) () =
           note = "registry (name,labels) lookup per bump"
         }
       ];
-    pooled_vs_cold = keypool_take /. keygen_cold;
     windowed_vs_binary = pow_windowed /. pow_binary;
     session_vs_stateless = blind_session /. blind_stateless;
     sim_events_per_s = events;
@@ -268,8 +253,7 @@ let print r =
        r.rows);
   Table.print ~title:"perf: speedups and derived numbers"
     ~header:[ "quantity"; "value" ]
-    [ [ "pooled key vs cold keygen"; Table.f0 r.pooled_vs_cold ^ "x" ];
-      [ "windowed vs binary pow_mod"; Table.f2 r.windowed_vs_binary ^ "x" ];
+    [ [ "windowed vs binary pow_mod"; Table.f2 r.windowed_vs_binary ^ "x" ];
       [ "session vs stateless blind"; Table.f2 r.session_vs_stateless ^ "x" ];
       [ "sim events/s"; Table.kops r.sim_events_per_s ];
       [ "pdes events/s (4 shards)"; Table.kops r.pdes_events_per_s ];
@@ -291,15 +275,14 @@ let to_json r =
     r.rows;
   Buffer.add_string buf
     (Printf.sprintf
-       "], \"speedups\": {\"pooled_key_vs_cold_keygen\": %.2f, \
-        \"windowed_vs_binary_pow_mod\": %.3f, \
+       "], \"speedups\": {\"windowed_vs_binary_pow_mod\": %.3f, \
         \"session_vs_stateless_blind\": %.3f}, \
         \"sim_events_per_s\": %.1f, \"pdes_events_per_s\": %.1f, \
         \"metrics_overhead\": {\"counter_inc_resolved_ns\": %.2f, \
         \"counter_inc_lookup_ns\": %.2f, \"note\": \"per-packet obs bump \
         cost with counters pre-resolved at attach vs a registry lookup \
         per bump\"}}"
-       r.pooled_vs_cold r.windowed_vs_binary r.session_vs_stateless
+       r.windowed_vs_binary r.session_vs_stateless
        r.sim_events_per_s r.pdes_events_per_s
        r.counter_resolved_ns r.counter_lookup_ns);
   Buffer.contents buf

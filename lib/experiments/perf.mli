@@ -1,9 +1,9 @@
 (** Perf regression harness for the hot-path optimisation pass.
 
-    Measures before/after pairs in one process — cold RSA-512 keygen vs
-    a pooled take, the binary Montgomery ladder vs the fixed-window
-    exponentiation, stateless datapath transforms vs a precomputed
-    session — plus RSA-1024 CRT decryptions/s, the engine's event-heap
+    Measures before/after pairs in one process — the binary Montgomery
+    ladder vs the fixed-window exponentiation, stateless datapath
+    transforms vs a precomputed session — plus cold RSA-512 one-time
+    keygens/s, RSA-1024 CRT decryptions/s, the engine's event-heap
     churn, key-setup responses/s, whole-engine sim events/s, and the
     per-increment cost of obs counters (pre-resolved vs registry
     lookup). The "before" implementations are kept live (in
@@ -15,7 +15,6 @@ type row = { name : string; ops_per_sec : float; note : string }
 type result = {
   min_time : float;
   rows : row list;
-  pooled_vs_cold : float;  (** keypool take ops/s over cold keygen ops/s *)
   windowed_vs_binary : float;
   session_vs_stateless : float;
   sim_events_per_s : float;

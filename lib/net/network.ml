@@ -2,17 +2,6 @@ type action = Forward | Drop | Delay of int64 | Remark of int
 
 type middleware = Observation.t -> action
 
-type counters = {
-  mutable delivered : int;
-  mutable dropped_no_route : int;
-  mutable dropped_ttl : int;
-  mutable dropped_policy : int;
-  mutable dropped_queue : int;
-  mutable dropped_link_down : int;
-  mutable dropped_node_down : int;
-  mutable dropped_shed : int;
-}
-
 type service_kind = Key_setup | Data_forward | Data_return | Vanilla_forward | Other
 
 (* Per-hop state lives in arrays indexed by node and domain id, so a
@@ -24,7 +13,6 @@ type t = {
   mutable routing : Routing.t;
   mutable nodes : node_state array; (* by node id, grown on demand *)
   mutable domains : domain_state array; (* by domain id, grown on demand *)
-  ctrs : counters;
   c_delivered : Obs.Counter.t;
   (* Drop counters pre-resolved at creation: [drop] may run on a worker
      domain under a sharded engine (the fluid tier's spill packets), and
@@ -51,7 +39,6 @@ and handler = t -> Topology.node_id -> Packet.t -> unit
 
 let engine t = t.engine
 let topology t = t.topo
-let counters t = t.ctrs
 
 let drop_reasons =
   [| "no_route"; "ttl"; "policy"; "queue"; "link_down"; "node_down"; "shed" |]
@@ -97,21 +84,7 @@ let domain_state t did =
     t.domains <- grown t.domains did fresh_domain;
   t.domains.(did)
 
-(* The ad-hoc counters record is kept as the stable API; the same
-   increments are mirrored into the obs registry as labeled families
-   (net.network.delivered, net.network.dropped{reason}). The record
-   fields are engine-thread bookkeeping; under a sharded engine only
-   the pre-resolved (atomic) obs counters are exact. *)
-let drop t reason =
-  (match reason with
-   | `No_route -> t.ctrs.dropped_no_route <- t.ctrs.dropped_no_route + 1
-   | `Ttl -> t.ctrs.dropped_ttl <- t.ctrs.dropped_ttl + 1
-   | `Policy -> t.ctrs.dropped_policy <- t.ctrs.dropped_policy + 1
-   | `Queue -> t.ctrs.dropped_queue <- t.ctrs.dropped_queue + 1
-   | `Link_down -> t.ctrs.dropped_link_down <- t.ctrs.dropped_link_down + 1
-   | `Node_down -> t.ctrs.dropped_node_down <- t.ctrs.dropped_node_down + 1
-   | `Shed -> t.ctrs.dropped_shed <- t.ctrs.dropped_shed + 1);
-  Obs.Counter.inc t.c_drops.(drop_index reason)
+let drop t reason = Obs.Counter.inc t.c_drops.(drop_index reason)
 
 let set_handler t nid h = (node_state t nid).handler <- Some h
 
@@ -169,7 +142,6 @@ let is_local t (node : Topology.node) (p : Packet.t) =
   || List.mem node.nid (Topology.anycast_members t.topo p.dst)
 
 let deliver t nid p =
-  t.ctrs.delivered <- t.ctrs.delivered + 1;
   Obs.Counter.inc t.c_delivered;
   match (node_state t nid).handler with
   | Some h -> h t nid p
@@ -315,17 +287,7 @@ let create ?(policy = Routing.Shortest) engine topo =
           (fun kind ->
             Obs.Registry.histogram obs ~labels:[ ("kind", kind) ]
               "net.network.service_ns")
-          service_kinds;
-      ctrs =
-        { delivered = 0;
-          dropped_no_route = 0;
-          dropped_ttl = 0;
-          dropped_policy = 0;
-          dropped_queue = 0;
-          dropped_link_down = 0;
-          dropped_node_down = 0;
-          dropped_shed = 0
-        }
+          service_kinds
     }
   in
   recompute_routes t;

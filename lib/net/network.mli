@@ -108,24 +108,17 @@ val backlog : t -> Topology.node_id -> int64
     queue: how long a request admitted now would wait before being
     served. The admission-control input for load shedding. *)
 
-type counters = {
-  mutable delivered : int;
-  mutable dropped_no_route : int;
-  mutable dropped_ttl : int;
-  mutable dropped_policy : int;
-  mutable dropped_queue : int;
-  mutable dropped_link_down : int;
-      (** sends refused by an administratively-down link *)
-  mutable dropped_node_down : int;
-      (** packets arriving at (or originated by) a crashed node *)
-  mutable dropped_shed : int;
-      (** sends refused by a link admission gate ({!Link.set_gate}) —
-          deliberate load shedding, not congestion *)
-}
-
-val counters : t -> counters
-(** The same totals are mirrored into the engine's obs registry as
-    [net.network.delivered] and [net.network.dropped{reason=...}]. *)
+(** Every delivery bumps [net.network.delivered] and every drop
+    [net.network.dropped{reason}] in the engine's obs registry. Both
+    families are resolved when the network is created and are atomic,
+    so shards of a pooled engine bump them safely. The reasons:
+    - [no_route], [ttl], [policy] (a middleware [Drop]) and [queue] (a
+      full link queue);
+    - [link_down]: sends refused by an administratively-down link;
+    - [node_down]: packets arriving at (or originated by) a crashed
+      node;
+    - [shed]: sends refused by a link admission gate ({!Link.set_gate})
+      — deliberate load shedding, not congestion. *)
 
 val link_between :
   t -> Topology.node_id -> Topology.node_id -> Link.t option

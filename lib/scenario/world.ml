@@ -38,8 +38,8 @@ let ms n = Int64.mul (Int64.of_int n) 1_000_000L
 let mbps n = n * 1_000_000
 let gbps n = n * 1_000_000_000
 
-let create ?(costs = Core.Protocol.default_costs) ?(access_bw = mbps 100)
-    ?offload_via ?(policy = Net.Routing.Shortest) () =
+let create ?(costs = Core.Protocol.default_costs) ?offload_via
+    ?(policy = Net.Routing.Shortest) () =
   let topo = Net.Topology.create () in
   let att = Net.Topology.add_domain topo ~name:"att" ~prefix:"10.1.0.0/16" in
   let cogent =
@@ -67,8 +67,8 @@ let create ?(costs = Core.Protocol.default_costs) ?(access_bw = mbps 100)
   in
   let link = Net.Topology.add_link topo in
   (* access links *)
-  link ann.nid att_router.nid ~bandwidth_bps:access_bw ~latency:(ms 1) ();
-  link ben.nid verizon_router.nid ~bandwidth_bps:access_bw ~latency:(ms 1) ();
+  link ann.nid att_router.nid ~bandwidth_bps:(mbps 100) ~latency:(ms 1) ();
+  link ben.nid verizon_router.nid ~bandwidth_bps:(mbps 100) ~latency:(ms 1) ();
   (* peering: access ISPs reach Cogent through its boundary boxes *)
   link att_router.nid nbox1.nid ~bandwidth_bps:(gbps 1) ~latency:(ms 5)
     ~rel:Net.Topology.Peer ();
@@ -179,8 +179,7 @@ let create ?(costs = Core.Protocol.default_costs) ?(access_bw = mbps 100)
 
 let site t name = List.assoc name t.sites
 
-let make_client t host ~seed ?(strategy = Core.Multihome.Round_robin)
-    ?(plain_dns = false) () =
+let make_client t host ~seed ?(strategy = Core.Multihome.Round_robin) () =
   let drbg = Crypto.Drbg.create ~seed:(seed ^ "-cfg") in
   let base =
     Core.Client.default_config ~rng:(fun n -> Crypto.Drbg.generate drbg n)
@@ -189,8 +188,7 @@ let make_client t host ~seed ?(strategy = Core.Multihome.Round_robin)
   let config =
     { base with
       Core.Client.dns_server = Some t.resolver_addr;
-      dns_encrypt =
-        (if plain_dns then None else Some t.resolver_key.Crypto.Rsa.public);
+      dns_encrypt = Some t.resolver_key.Crypto.Rsa.public;
       dns_verify = Some t.resolver_key.Crypto.Rsa.public;
       onetime_keygen = pool;
       strategy

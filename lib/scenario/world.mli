@@ -55,16 +55,15 @@ val site_names : string list
 
 val create :
   ?costs:Core.Protocol.costs ->
-  ?access_bw:int ->
   ?offload_via:string ->
   ?policy:Net.Routing.policy ->
   unit ->
   t
 (** Builds topology, routes, boxes, DNS and site servers. Site servers
-    default to an echo responder (reply ["re:" ^ request]). [access_bw]
-    is the Ann/Ben access-link bandwidth (default 100 Mbit/s).
-    [offload_via] names a site (e.g. ["google"]) that serves as the
-    boxes' §3.2 RSA offload helper. [policy] selects the routing mode
+    default to an echo responder (reply ["re:" ^ request]); Ann's and
+    Ben's access links run at 100 Mbit/s. [offload_via] names a site
+    (e.g. ["google"]) that serves as the boxes' §3.2 RSA offload
+    helper. [policy] selects the routing mode
     (every inter-domain link in this world is a peering or
     provider-customer edge, so the protocol runs identically under
     [Valley_free]). *)
@@ -77,11 +76,10 @@ val make_client :
   Net.Host.t ->
   seed:string ->
   ?strategy:Core.Multihome.strategy ->
-  ?plain_dns:bool ->
   unit ->
   Core.Client.t
 (** A client wired to the PlanetLab resolver with encrypted, signed-off
-    DNS (unless [plain_dns]) and pooled one-time keys. *)
+    DNS and precomputed one-time keys ({!Keyring.onetime_pool}). *)
 
 val run : ?until:int64 -> t -> unit
 

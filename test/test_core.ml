@@ -428,66 +428,6 @@ let test_keytab_session_cache () =
   Alcotest.(check bool) "evicted with grant" true
     (s1 != Keytab.session t g)
 
-(* ---- keypool ---- *)
-
-(* A deterministic generate thunk: key [i] on the [i]-th call, so two
-   pools with the same thunk must yield the same FIFO key sequence. *)
-let keyring_gen () =
-  let i = ref (-1) in
-  fun () ->
-    incr i;
-    Scenario.Keyring.onetime !i
-
-let pub k = Crypto.Rsa.public_to_string k.Crypto.Rsa.public
-
-let test_keypool_hit_miss () =
-  let reg = Obs.Registry.create () in
-  let p = Core.Keypool.create ~obs:reg ~target:2 ~generate:(keyring_gen ()) () in
-  Alcotest.(check int) "starts empty" 0 (Core.Keypool.depth p);
-  let k0 = Core.Keypool.take p in
-  Alcotest.(check int) "dry take is a miss" 1 (Core.Keypool.misses p);
-  Alcotest.(check string) "miss generates inline" (pub (Scenario.Keyring.onetime 0)) (pub k0);
-  Core.Keypool.fill p;
-  Alcotest.(check int) "filled to target" 2 (Core.Keypool.depth p);
-  let k1 = Core.Keypool.take p in
-  Alcotest.(check int) "pooled take is a hit" 1 (Core.Keypool.hits p);
-  Alcotest.(check string) "FIFO order" (pub (Scenario.Keyring.onetime 1)) (pub k1);
-  Core.Keypool.put p k1;
-  Alcotest.(check int) "put restores depth" 2 (Core.Keypool.depth p);
-  Alcotest.(check bool) "full pool refuses refill" false
-    (Core.Keypool.refill_one p)
-
-let test_keypool_determinism () =
-  (* Same generator, different interleavings of miss/refill/take: the
-     key sequence handed out must be identical. *)
-  let a = Core.Keypool.create ~obs:(Obs.Registry.create ()) ~target:3 ~generate:(keyring_gen ()) () in
-  let b = Core.Keypool.create ~obs:(Obs.Registry.create ()) ~target:3 ~generate:(keyring_gen ()) () in
-  Core.Keypool.fill a;
-  let from_a = List.init 3 (fun _ -> pub (Core.Keypool.take a)) in
-  let b0 = pub (Core.Keypool.take b) in
-  ignore (Core.Keypool.refill_one b);
-  ignore (Core.Keypool.refill_one b);
-  let from_b = b0 :: List.init 2 (fun _ -> pub (Core.Keypool.take b)) in
-  Alcotest.(check (list string)) "same sequence" from_a from_b
-
-let test_keypool_attach () =
-  let engine = Net.Engine.create ~obs:(Obs.Registry.create ()) () in
-  let p =
-    Core.Keypool.create ~obs:(Net.Engine.obs engine) ~target:4
-      ~generate:(keyring_gen ()) ()
-  in
-  Core.Keypool.attach p engine ~period:1_000L;
-  Net.Engine.run ~until:2_500L engine;
-  Alcotest.(check int) "partial refill during idle" 2 (Core.Keypool.depth p);
-  Net.Engine.run ~until:10_000L engine;
-  Alcotest.(check int) "refilled to target, no overshoot" 4
-    (Core.Keypool.depth p);
-  Core.Keypool.detach p;
-  (* With the refill loop stopped the engine drains completely. *)
-  Net.Engine.run engine;
-  Alcotest.(check int) "still at target" 4 (Core.Keypool.depth p);
-  Alcotest.(check int) "queue drained" 0 (Net.Engine.pending engine)
-
 (* ---- session ---- *)
 
 let test_inner_codec () =
@@ -767,37 +707,14 @@ let test_multihome_failure_backoff () =
   Multihome.mark_failed m b ~now:0L;
   Alcotest.(check (option string)) "avoids failed" (Some "10.2.255.1")
     (Option.map Net.Ipaddr.to_string (Multihome.choose m ~now:1L [ a; b ]));
-  (* after backoff it is eligible again *)
-  let later = Int64.add Multihome.backoff 1L in
+  (* after the first 30 s window it is eligible again *)
+  let later = 30_000_000_001L in
   Alcotest.(check (option string)) "recovers" (Some "10.5.255.1")
     (Option.map Net.Ipaddr.to_string (Multihome.choose m ~now:later [ a; b ]));
   (* all failed: falls back to the full list rather than none *)
   Multihome.mark_failed m a ~now:0L;
   Multihome.mark_failed m b ~now:0L;
   Alcotest.(check bool) "falls back" true (Multihome.choose m ~now:1L [ a; b ] <> None)
-
-let test_multihome_custom_backoff () =
-  let open Core in
-  let a = addr "10.2.255.1" and b = addr "10.5.255.1" in
-  let rng = drbg_rng "mh-cb" in
-  (* An aggressive client retries a failed neutralizer after 1 us rather
-     than the default 30 s. *)
-  let m =
-    Multihome.create ~strategy:(Multihome.Prefer b) ~backoff:1_000L ~rng ()
-  in
-  Multihome.mark_failed m b ~now:0L;
-  Alcotest.(check (option string)) "avoided inside the window"
-    (Some "10.2.255.1")
-    (Option.map Net.Ipaddr.to_string (Multihome.choose m ~now:500L [ a; b ]));
-  Alcotest.(check (option string)) "short window recovers fast"
-    (Some "10.5.255.1")
-    (Option.map Net.Ipaddr.to_string (Multihome.choose m ~now:1_001L [ a; b ]));
-  Alcotest.check_raises "negative backoff rejected"
-    (Invalid_argument "Multihome.create: backoff must be non-negative")
-    (fun () -> ignore (Multihome.create ~backoff:(-1L) ~rng ()));
-  (* The client-level config default is the module default. *)
-  Alcotest.(check int64) "client default wired through" Multihome.backoff
-    (Client.default_config ~rng).Client.multihome_backoff
 
 let () =
   Alcotest.run "core-protocol"
@@ -829,12 +746,6 @@ let () =
         [ Alcotest.test_case "lifecycle" `Quick test_keytab;
           Alcotest.test_case "session cache" `Quick test_keytab_session_cache
         ] );
-      ( "keypool",
-        [ Alcotest.test_case "hit/miss accounting" `Quick test_keypool_hit_miss;
-          Alcotest.test_case "deterministic sequence" `Quick
-            test_keypool_determinism;
-          Alcotest.test_case "background refill" `Quick test_keypool_attach
-        ] );
       ( "session",
         [ Alcotest.test_case "inner codec" `Quick test_inner_codec;
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
@@ -853,8 +764,6 @@ let () =
           Alcotest.test_case "weighted distribution" `Quick
             test_multihome_weighted_distribution;
           Alcotest.test_case "failure backoff" `Quick
-            test_multihome_failure_backoff;
-          Alcotest.test_case "configurable backoff" `Quick
-            test_multihome_custom_backoff
+            test_multihome_failure_backoff
         ] )
     ]

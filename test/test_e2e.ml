@@ -4,9 +4,8 @@
 
 let world () = Scenario.World.create ()
 
-let client ?strategy ?plain_dns w seed =
-  Scenario.World.make_client w w.Scenario.World.ann_host ~seed ?strategy
-    ?plain_dns ()
+let client ?strategy w seed =
+  Scenario.World.make_client w w.Scenario.World.ann_host ~seed ?strategy ()
 
 let run = Scenario.World.run
 
@@ -343,6 +342,38 @@ let test_key_setup_timeout_failover () =
   Alcotest.(check bool) "a setup failed first" true
     ((Core.Client.counters c).key_setups_failed >= 1)
 
+let test_setup_retry_timeline () =
+  (* With every box down, one send pays the whole key-setup retry
+     discipline: three requests, one 250 ms timeout apart, then a single
+     failed setup reported to the caller. *)
+  let w = world () in
+  List.iter Core.Neutralizer.crash w.Scenario.World.boxes;
+  let arrivals = ref [] in
+  Net.Network.add_tap w.Scenario.World.net w.Scenario.World.cogent (fun o ->
+      match Option.bind o.Net.Observation.shim Core.Shim.decode with
+      | Some (Core.Shim.Key_setup_request _)
+        when Net.Ipaddr.equal o.dst w.Scenario.World.anycast ->
+        arrivals := o.observed_at :: !arrivals
+      | _ -> ());
+  let c = client w "retry-timeline" in
+  let errors = ref [] in
+  Core.Client.send_to_name c ~name:"google.example"
+    ~on_error:(fun e -> errors := e :: !errors)
+    "hello";
+  run w;
+  let arrivals = List.rev !arrivals in
+  Alcotest.(check int) "three requests reach a box" 3 (List.length arrivals);
+  let rec gaps = function
+    | a :: (b :: _ as rest) -> Int64.sub b a :: gaps rest
+    | _ -> []
+  in
+  Alcotest.(check (list int64)) "one timeout apart"
+    [ 250_000_000L; 250_000_000L ] (gaps arrivals);
+  let ctrs = Core.Client.counters c in
+  Alcotest.(check int) "one setup started" 1 ctrs.key_setups_started;
+  Alcotest.(check int) "one setup failed" 1 ctrs.key_setups_failed;
+  Alcotest.(check (list string)) "caller told" [ "key setup failed" ] !errors
+
 let test_box_statelessness_counters () =
   (* The box exposes no per-source state; after a busy run its only
      tables are the optional QoS map (unused here). *)
@@ -403,6 +434,17 @@ let test_good_intentioned_discrimination_lost () =
      inspect packet contents and prevent unwanted traffic (e.g. viruses)
      ... our design prevents such good-intentioned discrimination." *)
   let w = world () in
+  (* The world's engine reports into the process-wide registry, which
+     earlier tests have already bumped: count this test's drops as a
+     delta. *)
+  let policy_drops () =
+    Obs.Counter.value
+      (Obs.Registry.counter
+         (Net.Engine.obs w.Scenario.World.engine)
+         ~labels:[ ("reason", "policy") ]
+         "net.network.dropped")
+  in
+  let drops_before = policy_drops () in
   let virus_marker = "X5O!VIRUS-TEST-SIGNATURE" in
   let contains hay needle =
     let nl = String.length needle and hl = String.length hay in
@@ -433,8 +475,7 @@ let test_good_intentioned_discrimination_lost () =
     (List.length !received);
   Alcotest.(check bool) "and it was the neutralized one" true
     (contains (List.hd !received) virus_marker);
-  Alcotest.(check int) "one policy drop" 1
-    (Net.Network.counters w.Scenario.World.net).dropped_policy
+  Alcotest.(check int) "one policy drop" 1 (policy_drops () - drops_before)
 
 let test_exchange_under_valley_free_routing () =
   (* The whole protocol on the same topology but with Gao-Rexford policy
@@ -522,6 +563,8 @@ let () =
         [ Alcotest.test_case "unknown name" `Quick test_unknown_name_error;
           Alcotest.test_case "setup timeout failover" `Quick
             test_key_setup_timeout_failover;
+          Alcotest.test_case "setup retry timeline" `Quick
+            test_setup_retry_timeline;
           Alcotest.test_case "box statelessness" `Quick
             test_box_statelessness_counters
         ] );

@@ -267,130 +267,43 @@ let test_admission_deadline_and_source_rate () =
 
 let test_multihome_jittered_growth () =
   let drbg = Crypto.Drbg.create ~seed:"mh-jitter" in
-  let policy =
-    { Core.Multihome.base = 1_000_000_000L;
-      cap = 8_000_000_000L;
-      multiplier = 2.0;
-      jitter = 0.5
-    }
-  in
-  let mh =
-    Core.Multihome.create ~policy
-      ~rng:(fun n -> Crypto.Drbg.generate drbg n)
-      ()
-  in
   let a = Net.Ipaddr.of_string "10.9.0.1"
   and b = Net.Ipaddr.of_string "10.9.0.2" in
   let addrs = [ a; b ] in
+  (* Preferring [a] makes [choose] return it exactly when its window has
+     expired: with [b] live, a failed [a] is skipped. *)
+  let mh =
+    Core.Multihome.create ~strategy:(Core.Multihome.Prefer a)
+      ~rng:(fun n -> Crypto.Drbg.generate drbg n)
+      ()
+  in
   Core.Multihome.mark_failed mh a ~now:0L;
   Alcotest.(check int) "one strike" 1 (Core.Multihome.strikes mh a);
-  (* The first window lies in (base/2, base]: avoided right away,
-     usable at base. *)
+  (* The first window lies in (15 s, 30 s]: avoided right away, usable
+     at 30 s. *)
   Alcotest.(check bool) "avoided immediately after failure" true
-    (Core.Multihome.choose mh ~now:1_000_000L addrs <> Some a);
+    (Core.Multihome.choose mh ~now:30_000_000L addrs <> Some a);
   Alcotest.(check (option bool)) "usable once the full window passed"
     (Some true)
     (Option.map (Net.Ipaddr.equal a)
-       (Core.Multihome.choose mh ~now:1_000_000_001L [ a ]));
-  (* Strikes grow the window but never past the cap. *)
+       (Core.Multihome.choose mh ~now:30_000_000_030L addrs));
+  (* Strikes grow the window but never past the 240 s cap. *)
   for _ = 1 to 10 do
-    Core.Multihome.mark_failed mh a ~now:2_000_000_000L
+    Core.Multihome.mark_failed mh a ~now:60_000_000_000L
   done;
   Alcotest.(check int) "strikes accumulate" 11 (Core.Multihome.strikes mh a);
   Alcotest.(check (option bool)) "window capped" (Some true)
     (Option.map (Net.Ipaddr.equal a)
-       (Core.Multihome.choose mh ~now:10_000_000_001L [ a ]));
-  (* A success resets the streak: the next failure starts from base
-     again. *)
+       (Core.Multihome.choose mh ~now:300_000_000_030L addrs));
+  (* A success resets the streak: the next failure starts from the
+     30 s window again. *)
   Core.Multihome.note_success mh a;
   Alcotest.(check int) "success clears strikes" 0
     (Core.Multihome.strikes mh a);
-  Core.Multihome.mark_failed mh a ~now:20_000_000_000L;
+  Core.Multihome.mark_failed mh a ~now:600_000_000_000L;
   Alcotest.(check (option bool)) "back to the base window" (Some true)
     (Option.map (Net.Ipaddr.equal a)
-       (Core.Multihome.choose mh ~now:21_000_000_001L [ a ]))
-
-(* ---- client integration: breakers fail fast, budgets cap retries ---- *)
-
-module W = Scenario.World
-
-let overload_client w ?(breaker = None) ?(retry_budget = None) ~seed () =
-  let drbg = Crypto.Drbg.create ~seed:(seed ^ "-cfg") in
-  let base =
-    Core.Client.default_config ~rng:(fun n -> Crypto.Drbg.generate drbg n)
-  in
-  let config =
-    { base with
-      Core.Client.dns_server = Some w.W.resolver_addr;
-      dns_verify = Some w.W.resolver_key.Crypto.Rsa.public;
-      onetime_keygen = Scenario.Keyring.onetime_pool ();
-      key_setup_timeout = 50_000_000L;
-      setup_backoff =
-        Some
-          { Overload.Backoff.base = 10_000_000L;
-            cap = 40_000_000L;
-            multiplier = 2.0;
-            jitter = 0.5
-          };
-      breaker;
-      retry_budget
-    }
-  in
-  Core.Client.create w.W.ann_host ~config ~seed ()
-
-let test_client_breaker_fails_fast () =
-  let w = W.create () in
-  List.iter Core.Neutralizer.crash w.W.boxes;
-  let client =
-    overload_client w
-      ~breaker:
-        (Some
-           { Overload.Breaker.failure_threshold = 1;
-             open_timeout = 3_600_000_000_000L;
-             half_open_probes = 1
-           })
-      ~seed:"breaker-client" ()
-  in
-  let errors = ref [] in
-  Core.Client.send_to_name client ~name:"google.example" ~app:"web"
-    ~on_error:(fun e -> errors := e :: !errors)
-    "hello";
-  W.run w;
-  Alcotest.(check bool) "setup failed against dead boxes" true
-    ((Core.Client.counters client).key_setups_failed >= 1);
-  Alcotest.(check (option string)) "breaker opened on the anycast address"
-    (Some "open")
-    (Option.map Overload.Breaker.state_name
-       (Core.Client.breaker_state client w.W.anycast));
-  (* With every circuit open the next send fails locally, before any
-     packet is spent on a dead box. *)
-  let sent_before = (Core.Client.counters client).key_setups_started in
-  Core.Client.send_to_name client ~name:"google.example" ~app:"web"
-    ~on_error:(fun e -> errors := e :: !errors)
-    "again";
-  W.run w;
-  Alcotest.(check int) "no new setup attempted" sent_before
-    (Core.Client.counters client).key_setups_started;
-  Alcotest.(check bool) "fail-fast error surfaced" true
-    (List.mem "all circuits open" !errors)
-
-let test_client_retry_budget_exhaustion () =
-  let w = W.create () in
-  List.iter Core.Neutralizer.crash w.W.boxes;
-  let client =
-    overload_client w
-      ~retry_budget:(Some { Overload.Token_bucket.rate = 0.0; burst = 1.0 })
-      ~seed:"budget-client" ()
-  in
-  Core.Client.send_to_name client ~name:"google.example" ~app:"web" "hello";
-  W.run w;
-  (* Three configured attempts, but the budget affords one retransmit:
-     the setup fails after two sends and the bucket reads empty. *)
-  Alcotest.(check bool) "setup failed" true
-    ((Core.Client.counters client).key_setups_failed >= 1);
-  Alcotest.(check (option bool)) "budget exhausted" (Some true)
-    (Option.map (fun left -> left < 1.0)
-       (Core.Client.retry_budget_left client))
+       (Core.Multihome.choose mh ~now:630_000_000_030L addrs))
 
 (* ---- E13: the acceptance bar, and byte-identical determinism ---- *)
 
@@ -458,12 +371,6 @@ let () =
       ( "multihome",
         [ Alcotest.test_case "jittered growth" `Quick
             test_multihome_jittered_growth
-        ] );
-      ( "client",
-        [ Alcotest.test_case "breaker fails fast" `Quick
-            test_client_breaker_fails_fast;
-          Alcotest.test_case "retry budget exhaustion" `Quick
-            test_client_retry_budget_exhaustion
         ] );
       ( "e13",
         [ Alcotest.test_case "acceptance" `Quick test_e13_acceptance;

@@ -134,7 +134,7 @@ let test_propagate_shares_state () =
   let dst = Net.Topology.add_node topo ~domain:down ~kind:Host ~name:"dst" in
   Net.Topology.add_link topo src.nid upr.nid ~bandwidth_bps:1_000_000_000 ~latency:1_000L ();
   Net.Topology.add_link topo upr.nid dst.nid ~bandwidth_bps:1_000_000_000 ~latency:1_000L ();
-  let e = Net.Engine.create () in
+  let e = Net.Engine.create ~obs:(Obs.Registry.create ()) () in
   let net = Net.Network.create e topo in
   let c = Pushback.Controller.create e cfg in
   Net.Network.add_middleware net down (Pushback.Controller.middleware c);
@@ -156,7 +156,11 @@ let test_propagate_shares_state () =
      hop; only the pre-arming packets and the trickle get through. *)
   Alcotest.(check bool) "upstream enforcement" true (!delivered < 2_000);
   Alcotest.(check bool) "drops happened in the upstream domain" true
-    ((Net.Network.counters net).dropped_policy > 8_000)
+    (Obs.Counter.value
+       (Obs.Registry.counter (Net.Engine.obs e)
+          ~labels:[ ("reason", "policy") ]
+          "net.network.dropped")
+     > 8_000)
 
 let () =
   Alcotest.run "pushback"

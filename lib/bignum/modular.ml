@@ -1,5 +1,3 @@
-let add_mod a b m = Nat.rem (Nat.add a b) m
-
 let sub_mod a b m =
   let a = Nat.rem a m and b = Nat.rem b m in
   if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a m) b

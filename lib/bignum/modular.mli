@@ -1,8 +1,5 @@
 (** Modular arithmetic over {!Nat}. *)
 
-(** [add_mod a b m] is [(a + b) mod m]; inputs need not be reduced. *)
-val add_mod : Nat.t -> Nat.t -> Nat.t -> Nat.t
-
 (** [sub_mod a b m] is [(a - b) mod m], always non-negative. *)
 val sub_mod : Nat.t -> Nat.t -> Nat.t -> Nat.t
 

@@ -107,6 +107,17 @@ let in_own_domain t addr =
     t.node.Net.Topology.domain
   || List.exists (Net.Ipaddr.Prefix.mem addr) t.customers
 
+(* Whatever bit-flipped garbage the wire delivers, the box stays up: a
+   failed CMAC, an undecodable grant, a malformed address all end as a
+   counted reject, never an escaping exception. *)
+let guarded t f = try f () with _ -> reject t "handler-exception"
+
+(* The box's work on a packet runs once its CPU frees up, one event
+   after dispatch, so it needs its own guard. *)
+let service t kind ~cost k =
+  Net.Network.service ~kind t.net t.node.Net.Topology.nid ~cost (fun () ->
+      guarded t k)
+
 (* Key setup (§3.2): one RSA encryption, stateless. *)
 let handle_key_setup t (p : Net.Packet.t) pubkey ~deadline =
   (* Already-expired work is shed before the RSA cost is paid: the
@@ -119,8 +130,7 @@ let handle_key_setup t (p : Net.Packet.t) pubkey ~deadline =
     && Int64.compare deadline (Net.Engine.now (engine t)) < 0
   then shed t ~reason:"deadline" ~klass:Overload.Admission.Setup
   else
-  Net.Network.service ~kind:Net.Network.Key_setup t.net t.node.Net.Topology.nid
-    ~cost:t.config.costs.key_setup (fun () ->
+  service t Net.Network.Key_setup ~cost:t.config.costs.key_setup (fun () ->
       match t.config.offload_helper with
       | Some helper ->
         (* Stamp the grant and let a willing customer do the RSA work. *)
@@ -155,8 +165,8 @@ let handle_key_setup t (p : Net.Packet.t) pubkey ~deadline =
                 ~app:"neutralizer" "")))
 
 let handle_outside_data t (p : Net.Packet.t) (d : Shim.data) =
-  Net.Network.service ~kind:Net.Network.Data_forward t.net t.node.Net.Topology.nid
-    ~cost:t.config.costs.data_forward (fun () ->
+  service t Net.Network.Data_forward ~cost:t.config.costs.data_forward
+    (fun () ->
       match
         Datapath.forward_outside_data ~master:t.config.master
           ~rng:t.config.rng ~self:t.config.anycast p d
@@ -186,8 +196,8 @@ let handle_outside_data t (p : Net.Packet.t) (d : Shim.data) =
 let handle_return t (p : Net.Packet.t) ~epoch ~nonce ~initiator =
   if not (in_own_domain t p.src) then reject t "return-from-outside"
   else
-    Net.Network.service ~kind:Net.Network.Data_return t.net t.node.Net.Topology.nid
-      ~cost:t.config.costs.data_return (fun () ->
+    service t Net.Network.Data_return ~cost:t.config.costs.data_return
+      (fun () ->
         match
           Datapath.forward_return_data ~master:t.config.master
             ~self:t.config.anycast p ~epoch ~nonce ~initiator
@@ -246,7 +256,7 @@ let handle_qos_nat t (p : Net.Packet.t) entry =
     reject t "qos-expired"
   end
   else
-    Net.Network.service ~kind:Net.Network.Vanilla_forward t.net t.node.Net.Topology.nid
+    service t Net.Network.Vanilla_forward
       ~cost:t.config.costs.vanilla_forward (fun () ->
         t.ctrs.qos_natted <- t.ctrs.qos_natted + 1;
         Obs.Counter.inc t.c_qos_natted;
@@ -283,13 +293,7 @@ let dispatch t (p : Net.Packet.t) =
 
 let handle t (p : Net.Packet.t) =
   if not t.alive then reject t "crashed"
-  else
-    try dispatch t p
-    with _ ->
-      (* Whatever bit-flipped garbage the wire delivers, the box stays
-         up: a failed CMAC, an undecodable grant, a malformed address all
-         end as a counted reject, never an escaping exception. *)
-      reject t "handler-exception"
+  else guarded t (fun () -> dispatch t p)
 
 let alive t = t.alive
 

@@ -155,7 +155,11 @@ let public_of_string s =
       if len < 8 + nlen + 4 + elen || elen = 0 then None
       else begin
         let e = Nat.of_bytes_be (String.sub s (12 + nlen) elen) in
-        if Nat.is_zero n || Nat.is_zero e || bits <= 0 || bits > 65536 then None
+        (* The modulus must be exactly [bits] long, as every generated
+           key is: {!encrypt} sizes its output from [bits]. *)
+        if Nat.is_zero e || bits <= 0 || bits > 65536
+           || Nat.bit_length n <> bits
+        then None
         else Some { n; e; bits }
       end
     end

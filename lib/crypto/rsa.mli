@@ -29,9 +29,6 @@ type private_key = {
     3. Raises [Invalid_argument] for [bits < 128]. *)
 val generate : ?e:int -> bits:int -> Random.State.t -> private_key
 
-(** Size in bytes of the modulus; ciphertexts are exactly this long. *)
-val modulus_bytes : public -> int
-
 (** Maximum plaintext length accepted by {!encrypt}. *)
 val max_payload : public -> int
 
@@ -60,4 +57,6 @@ val verify : public -> msg:string -> signature:string -> bool
     packets. *)
 val public_to_string : public -> string
 
+(** [None] for a truncated blob, a zero exponent, or a modulus whose
+    bit length is not the declared [bits]. *)
 val public_of_string : string -> public option

@@ -5,10 +5,28 @@ type server = {
   signer : Crypto.Rsa.private_key option;
   decryption_key : Crypto.Rsa.private_key option;
   rng : (int -> string) option;
+  signed : (string * Record.qtype, string * string) Hashtbl.t;
+      (* (qname, qtype) -> the signing input last signed, its signature *)
   mutable served : int;
 }
 
 let queries_served s = s.served
+
+(* A stored signature is reused only while its input is byte-equal to
+   this answer's, so a changed zone is re-signed on its next query with
+   no invalidation hook. NXDOMAIN is never stored, so clients asking for
+   names the zone lacks cannot grow the table. *)
+let signature server key (q : Message.query) rcode answers =
+  let input = Message.signing_input ~qname:q.qname answers in
+  match (rcode : Message.rcode) with
+  | No_error ->
+    (match Hashtbl.find_opt server.signed (q.qname, q.qtype) with
+     | Some (signed_input, s) when String.equal signed_input input -> s
+     | Some _ | None ->
+       let s = Crypto.Rsa.sign key input in
+       Hashtbl.replace server.signed (q.qname, q.qtype) (input, s);
+       s)
+  | Name_error | Format_error -> Crypto.Rsa.sign key input
 
 let answer server (q : Message.query) =
   let answers = Zone.lookup server.zone ~name:q.qname q.qtype in
@@ -17,9 +35,7 @@ let answer server (q : Message.query) =
     else Message.Name_error
   in
   let signature =
-    Option.map
-      (fun key -> Crypto.Rsa.sign key (Message.signing_input ~qname:q.qname answers))
-      server.signer
+    Option.map (fun key -> signature server key q rcode answers) server.signer
   in
   { Message.id = q.id; qname = q.qname; rcode; answers; signature }
 
@@ -55,7 +71,9 @@ let handle server host (p : Net.Packet.t) =
   else serve_plain p.payload
 
 let serve host ~zone ?(port = default_port) ?signer ?decryption_key ?rng () =
-  let server = { zone; signer; decryption_key; rng; served = 0 } in
+  let server =
+    { zone; signer; decryption_key; rng; signed = Hashtbl.create 16; served = 0 }
+  in
   Net.Host.listen host ~port (fun host p -> handle server host p);
   server
 

@@ -25,7 +25,17 @@ val serve :
   unit ->
   server
 (** [signer] signs answer sections; [decryption_key] enables the encrypted
-    query mode ([rng] is then required to seal responses). *)
+    query mode ([rng] is then required to seal responses).
+
+    The server signs each RRset once per content version, as DNSSEC's
+    offline RRSIGs do. For every (qname, qtype) it has answered with
+    [No_error] it stores the signing input it signed and the signature,
+    and reuses the signature while the current input is byte-equal; a
+    zone change is re-signed on its next query. [Rsa.sign] is
+    deterministic, so reply bytes are those of a per-query signer.
+    NXDOMAIN answers are signed per query and never stored, so the
+    table is bounded by the zone's names times the five qtypes, not by
+    what clients ask. *)
 
 val queries_served : server -> int
 

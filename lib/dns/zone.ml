@@ -17,7 +17,6 @@ let lookup t ~name qtype =
   | Some rrs -> List.filter (Record.matches qtype) rrs
 
 let mem t ~name = Hashtbl.mem t name
-let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t [] |> List.sort compare
 
 let publish_site t ~name ~addr ~neutralizers ~key =
   add t ~name (Record.A addr);

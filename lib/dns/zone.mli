@@ -7,7 +7,6 @@ val add : t -> name:string -> Record.rr -> unit
 val remove : t -> name:string -> (Record.rr -> bool) -> unit
 val lookup : t -> name:string -> Record.qtype -> Record.rr list
 val mem : t -> name:string -> bool
-val names : t -> string list
 
 (** Convenience for the §3.1 bootstrap triple: address, neutralizer
     anycast addresses, end-to-end public key. *)

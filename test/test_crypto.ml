@@ -579,7 +579,27 @@ let test_rsa_public_codec () =
    | None -> Alcotest.fail "decode failed");
   Alcotest.(check bool) "truncated" true
     (Crypto.Rsa.public_of_string (String.sub blob 0 6) = None);
-  Alcotest.(check bool) "empty" true (Crypto.Rsa.public_of_string "" = None)
+  Alcotest.(check bool) "empty" true (Crypto.Rsa.public_of_string "" = None);
+  (* The declared [bits] must be the modulus's bit length: [Rsa.encrypt]
+     sizes its output from [bits], so a longer modulus made it raise. *)
+  let blob1024 =
+    Crypto.Rsa.public_to_string (Lazy.force fixed_key_1024).Crypto.Rsa.public
+  in
+  let declaring bits blob =
+    let buf = Buffer.create (String.length blob) in
+    Crypto.Bytes_util.put_u32 buf bits;
+    Buffer.add_string buf (String.sub blob 4 (String.length blob - 4));
+    Crypto.Rsa.public_of_string (Buffer.contents buf)
+  in
+  Alcotest.(check bool) "1024 bits" true (declaring 1024 blob1024 <> None);
+  List.iter
+    (fun (what, bits, blob) ->
+      Alcotest.(check bool) what true (declaring bits blob = None))
+    [ ("1024-bit modulus declared 512", 512, blob1024);
+      ("1024-bit modulus declared 1023", 1023, blob1024);
+      ("512-bit modulus declared 1024", 1024, blob);
+      ("512-bit modulus declared 513", 513, blob)
+    ]
 
 let test_rsa_crt_agrees () =
   let key = Lazy.force fixed_key in

@@ -238,6 +238,64 @@ let test_encrypted_one_decrypt () =
   Alcotest.(check int) "answered" 3 !answered;
   Alcotest.(check int) "served" 3 (Dns.Resolver.queries_served rig.server)
 
+(* The resolver signs each RRset once per content version, as DNSSEC's
+   offline RRSIGs do: a repeated answer reuses its signature, a zone
+   change is re-signed on the next query, and NXDOMAIN is signed per
+   query and never stored. Costs are deltas of [crypto.rsa.signs]. *)
+let test_one_signature_per_rrset () =
+  let rig = make_rig () in
+  let pub = rig.key.Crypto.Rsa.public in
+  let signs = Obs.Registry.counter Obs.Registry.default "crypto.rsa.signs" in
+  let query ?encrypt_to ?rng ?(name = "site.example") qtype =
+    let before = Obs.Counter.value signs in
+    let result = ref (Error Dns.Resolver.Timeout) in
+    Dns.Resolver.resolve rig.client_host ~server:rig.server_addr ?encrypt_to
+      ?rng ~verify:pub ~name ~qtype (fun r -> result := r);
+    Net.Network.run rig.net;
+    (!result, Obs.Counter.value signs - before)
+  in
+  let addrs what = function
+    | Ok answers, _ ->
+      List.map
+        (function
+          | Dns.Record.A a -> Net.Ipaddr.to_string a
+          | _ -> Alcotest.failf "%s: not an A record" what)
+        answers
+    | Error e, _ -> Alcotest.failf "%s: %a" what Dns.Resolver.pp_error e
+  in
+  let cost (_, n) = n in
+  let repeated = List.init 3 (fun _ -> query Dns.Record.Q_A) in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "Q_A %d verifies" i)
+        [ "10.3.0.99" ] (addrs "Q_A" r))
+    repeated;
+  Alcotest.(check (list int)) "three Q_A, one sign" [ 1; 0; 0 ]
+    (List.map cost repeated);
+  Alcotest.(check int) "Q_ANY is another RRset" 1 (cost (query Dns.Record.Q_ANY));
+  Dns.Zone.add rig.zone ~name:"site.example" (Dns.Record.A (addr "10.3.0.100"));
+  let changed = query Dns.Record.Q_A in
+  Alcotest.(check (list string)) "changed RRset re-signed and verifies"
+    [ "10.3.0.99"; "10.3.0.100" ] (addrs "changed Q_A" changed);
+  Alcotest.(check int) "changed RRset costs one sign" 1 (cost changed);
+  let missing =
+    List.init 3 (fun _ -> query ~name:"missing.example" Dns.Record.Q_A)
+  in
+  List.iter
+    (fun (r, _) ->
+      Alcotest.(check bool) "NXDOMAIN refused" true
+        (r = Error Dns.Resolver.Refused))
+    missing;
+  Alcotest.(check (list int)) "NXDOMAIN signed per query" [ 1; 1; 1 ]
+    (List.map cost missing);
+  let encrypted =
+    query ~encrypt_to:pub ~rng:(client_rng "memo") Dns.Record.Q_A
+  in
+  Alcotest.(check (list string)) "encrypted answer verifies"
+    [ "10.3.0.99"; "10.3.0.100" ] (addrs "encrypted Q_A" encrypted);
+  Alcotest.(check int) "encrypted query reuses the signature" 0 (cost encrypted)
+
 let test_resolve_timeout () =
   let rig = make_rig () in
   (* Point at an address that routes nowhere near a resolver. *)
@@ -287,6 +345,8 @@ let () =
             test_resolve_encrypted_hides_qname;
           Alcotest.test_case "encrypted: one decryption per query" `Quick
             test_encrypted_one_decrypt;
+          Alcotest.test_case "one signature per RRset" `Quick
+            test_one_signature_per_rrset;
           Alcotest.test_case "timeout" `Quick test_resolve_timeout;
           Alcotest.test_case "bootstrap" `Quick test_bootstrap
         ] )

@@ -54,6 +54,43 @@ let test_steady_state_compressions () =
   Alcotest.(check int) "1200 B echo" 84 (echo 1200);
   Alcotest.(check int) "64 B echo again" 12 (echo 64)
 
+(* What a new flow pays in RSA. Three private-key decryptions: the
+   resolver opens the sealed DNS query (1024), the client opens its grant
+   under the one-time key (512) and the site opens the initial payload
+   (1024). Three encryptions, one each way of those, and one verify of
+   the DNS answer. The resolver signs each RRset once, so only a site's
+   first flow pays a sign. *)
+let test_new_flow_rsa_budget () =
+  let w = world () in
+  let ops = [ "decrypts"; "encrypts"; "verifies"; "signs" ] in
+  let count op =
+    Obs.Counter.value
+      (Obs.Registry.counter Obs.Registry.default ("crypto.rsa." ^ op))
+  in
+  let flow i site =
+    let before = List.map count ops in
+    let c = client w (Printf.sprintf "rsa-budget-%d" i) in
+    let got = ref [] in
+    Core.Client.set_receiver c (fun ~peer:_ msg -> got := msg :: !got);
+    let req = Printf.sprintf "flow %d" i in
+    Core.Client.send_to_name c ~name:(site ^ ".example") req;
+    run w;
+    Alcotest.(check (list string))
+      (Printf.sprintf "flow %d echoed" i)
+      [ "re:" ^ req ] !got;
+    match List.map2 (fun op b -> count op - b) ops before with
+    | [ decrypts; encrypts; verifies; signs ] ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "flow %d: decrypts, encrypts, verifies" i)
+        [ 3; 3; 1 ] [ decrypts; encrypts; verifies ];
+      signs
+    | _ -> assert false
+  in
+  let signs =
+    List.mapi flow [ "google"; "google"; "google"; "yahoo"; "yahoo" ]
+  in
+  Alcotest.(check (list int)) "signs per flow" [ 1; 0; 0; 1; 0 ] signs
+
 let test_opacity_inside_access_isp () =
   let w = world () in
   let c = client w "opaque" in
@@ -547,6 +584,8 @@ let () =
             test_session_survives_master_rotation;
           Alcotest.test_case "steady-state echo compressions" `Quick
             test_steady_state_compressions;
+          Alcotest.test_case "new flow RSA budget" `Quick
+            test_new_flow_rsa_budget;
           Alcotest.test_case "dscp preserved" `Quick
             test_dscp_preserved_end_to_end
         ] );

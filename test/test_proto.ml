@@ -409,6 +409,48 @@ let test_neutralizer_truncated_counted () =
   in
   Alcotest.(check int) "coarse reject family still fed" 3 rejected
 
+(* A key-setup request whose pubkey blob declares 512 bits but carries
+   a 1024-bit modulus. Padding the grant to 64 bytes under that modulus
+   raised out of the box's deferred key-setup work and out of
+   [World.run]; it must end as one counted bad-pubkey reject, with the
+   box still serving the next client. *)
+let test_neutralizer_oversized_modulus () =
+  let w = Scenario.World.create () in
+  let rejected reason =
+    Obs.Counter.value
+      (Obs.Registry.counter
+         (Net.Engine.obs w.Scenario.World.engine)
+         ~labels:[ ("reason", reason) ]
+         "core.neutralizer.rejected")
+  in
+  let base = rejected "bad-pubkey" and base_exn = rejected "handler-exception" in
+  let blob =
+    Crypto.Rsa.public_to_string (Scenario.Keyring.e2e 1).Crypto.Rsa.public
+  in
+  let buf = Buffer.create (String.length blob) in
+  Crypto.Bytes_util.put_u32 buf 512;
+  Buffer.add_string buf (String.sub blob 4 (String.length blob - 4));
+  let request =
+    Core.Shim.encode
+      (Core.Shim.Key_setup_request
+         { pubkey = Buffer.contents buf; deadline = 0L })
+  in
+  send_shim w.Scenario.World.ann_host ~dst:w.anycast request "";
+  Scenario.World.run w;
+  Alcotest.(check int) "one bad-pubkey reject" (base + 1) (rejected "bad-pubkey");
+  Alcotest.(check int) "no handler exception" base_exn
+    (rejected "handler-exception");
+  let client =
+    Scenario.World.make_client w w.Scenario.World.ann_host ~seed:"after-bad-key" ()
+  in
+  let got = ref [] in
+  Core.Client.set_receiver client (fun ~peer:_ msg -> got := msg :: !got);
+  Core.Client.send_to_name client ~name:"google.example" "hello";
+  Scenario.World.run w;
+  Alcotest.(check (list string)) "next client echoed" [ "re:hello" ] !got;
+  Alcotest.(check int) "next key setup completed" 1
+    (Core.Client.counters client).key_setups_completed
+
 let test_client_downgrade_refused () =
   let w = Scenario.World.create () in
   let client =
@@ -735,6 +777,8 @@ let () =
             test_neutralizer_downgrade_refused;
           Alcotest.test_case "neutralizer counts truncated" `Quick
             test_neutralizer_truncated_counted;
+          Alcotest.test_case "neutralizer rejects oversized modulus" `Quick
+            test_neutralizer_oversized_modulus;
           Alcotest.test_case "client refuses downgrade, reset forgets" `Quick
             test_client_downgrade_refused
         ] );

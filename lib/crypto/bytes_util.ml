@@ -44,21 +44,6 @@ let drop n s =
   if String.length s < n then invalid_arg "Bytes_util.drop: too short";
   String.sub s n (String.length s - n)
 
-let pad_block s =
-  let pad = 16 - (String.length s mod 16) in
-  s ^ "\x80" ^ String.make (pad - 1) '\x00'
-
-let unpad_block s =
-  let rec find i =
-    if i < 0 then None
-    else
-      match s.[i] with
-      | '\x00' -> find (i - 1)
-      | '\x80' -> Some (String.sub s 0 i)
-      | _ -> None
-  in
-  find (String.length s - 1)
-
 let put_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));

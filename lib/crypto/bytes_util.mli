@@ -26,13 +26,6 @@ val take : int -> string -> string
 
 val drop : int -> string -> string
 
-(** [pad_block s] appends ISO 7816-4 padding (0x80 then zeros) up to the
-    next 16-byte boundary; [unpad_block] reverses it, returning [None] on
-    malformed padding. *)
-val pad_block : string -> string
-
-val unpad_block : string -> string option
-
 (** 32-bit big-endian integer codecs used by packet formats. *)
 val put_u32 : Buffer.t -> int -> unit
 

@@ -33,62 +33,3 @@ let ctr ~key ~nonce s =
     off := !off + n
   done;
   Bytes.unsafe_to_string out
-
-let ecb_encrypt ~key s =
-  if String.length s mod Aes.block_size <> 0 then
-    invalid_arg "Mode.ecb_encrypt: not a block multiple";
-  let blocks = String.length s / Aes.block_size in
-  let buf = Buffer.create (String.length s) in
-  for i = 0 to blocks - 1 do
-    Buffer.add_string buf
-      (Aes.encrypt_block key (String.sub s (16 * i) 16))
-  done;
-  Buffer.contents buf
-
-let ecb_decrypt ~key s =
-  if String.length s mod Aes.block_size <> 0 then
-    invalid_arg "Mode.ecb_decrypt: not a block multiple";
-  let blocks = String.length s / Aes.block_size in
-  let buf = Buffer.create (String.length s) in
-  for i = 0 to blocks - 1 do
-    Buffer.add_string buf
-      (Aes.decrypt_block key (String.sub s (16 * i) 16))
-  done;
-  Buffer.contents buf
-
-let cbc_encrypt ~key ~iv s =
-  if String.length iv <> Aes.block_size then
-    invalid_arg "Mode.cbc_encrypt: iv must be 16 bytes";
-  let s = Bytes_util.pad_block s in
-  let blocks = String.length s / Aes.block_size in
-  let out = Bytes.create (String.length s) in
-  (* [x] holds plaintext-xor-chain for the current block; the cipher block
-     is written straight into [out] and chained from there. *)
-  let x = Bytes.of_string iv in
-  for i = 0 to blocks - 1 do
-    for j = 0 to 15 do
-      Bytes.unsafe_set x j
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get x j)
-           lxor Char.code (String.unsafe_get s ((16 * i) + j))))
-    done;
-    Aes.encrypt_bytes key ~src:x ~dst:x;
-    Bytes.blit x 0 out (16 * i) 16
-  done;
-  Bytes.unsafe_to_string out
-
-let cbc_decrypt ~key ~iv s =
-  if String.length iv <> Aes.block_size then
-    invalid_arg "Mode.cbc_decrypt: iv must be 16 bytes";
-  if String.length s = 0 || String.length s mod Aes.block_size <> 0 then None
-  else begin
-    let blocks = String.length s / Aes.block_size in
-    let buf = Buffer.create (String.length s) in
-    let prev = ref iv in
-    for i = 0 to blocks - 1 do
-      let c = String.sub s (16 * i) 16 in
-      Buffer.add_string buf (Bytes_util.xor (Aes.decrypt_block key c) !prev);
-      prev := c
-    done;
-    Bytes_util.unpad_block (Buffer.contents buf)
-  end

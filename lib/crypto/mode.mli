@@ -1,20 +1,8 @@
-(** Block cipher modes of operation over {!Aes}. *)
+(** AES-CTR over {!Aes}, the one block cipher mode in use: {!Seal}'s
+    session payloads and the onion baseline's cells. The DRBG runs its
+    own counter through {!Aes.encrypt_block}. *)
 
 (** [ctr ~key ~nonce s] encrypts or decrypts [s] (any length) with AES-CTR.
     [nonce] is 16 bytes and must be unique per key; the low 32 bits are the
     running block counter. CTR is its own inverse. *)
 val ctr : key:Aes.key -> nonce:string -> string -> string
-
-(** [cbc_encrypt ~key ~iv s]: [s] is padded (ISO 7816-4) to a block
-    multiple. [iv] is 16 bytes. *)
-val cbc_encrypt : key:Aes.key -> iv:string -> string -> string
-
-(** [cbc_decrypt ~key ~iv s] returns [None] on a malformed length or
-    padding. *)
-val cbc_decrypt : key:Aes.key -> iv:string -> string -> string option
-
-(** [ecb_encrypt ~key s] / [ecb_decrypt ~key s] on exact block multiples;
-    used only as a primitive by tests and the DRBG. *)
-val ecb_encrypt : key:Aes.key -> string -> string
-
-val ecb_decrypt : key:Aes.key -> string -> string

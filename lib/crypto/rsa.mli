@@ -11,7 +11,16 @@
 
     Keys are immutable and every operation is pure given its [rng], so
     one key may be used from several domains concurrently, as long as
-    each domain brings its own [rng] stream. *)
+    each domain brings its own [rng] stream.
+
+    A private operation on a modulus of 1024 bits or more runs its two
+    CRT halves on two cores through {!Par.both} when the host has at
+    least two ({!Par.recommended}), and counts itself in
+    [crypto.rsa.crt_splits]. The result is the same value either way:
+    each half is a pure function of the key and the input. Both halves
+    run on the caller on a one-core host, when another domain holds the
+    helper, and when the helper cannot be spawned; smaller moduli (the
+    512-bit one-time keys) always run on the caller. *)
 
 type public = { n : Bignum.Nat.t; e : Bignum.Nat.t; bits : int }
 
@@ -46,6 +55,8 @@ val decrypt : private_key -> string -> string option
 val encrypt_raw : public -> Bignum.Nat.t -> Bignum.Nat.t
 
 val decrypt_raw : private_key -> Bignum.Nat.t -> Bignum.Nat.t
+(** [decrypt_raw priv c] is [c^d mod n] by the CRT, its halves split as
+    described above; {!decrypt} and {!sign} go through it. *)
 
 (** [sign priv msg] / [verify pub ~msg ~signature]: SHA-256 +
     EMSA-PKCS1-v1.5. Used to sign DNS bootstrap records. *)
@@ -57,6 +68,7 @@ val verify : public -> msg:string -> signature:string -> bool
     packets. *)
 val public_to_string : public -> string
 
-(** [None] for a truncated blob, a zero exponent, or a modulus whose
-    bit length is not the declared [bits]. *)
+(** [None] for a truncated blob, a modulus whose bit length is not the
+    declared [bits], or an exponent below 3 or longer than 17 bits
+    (17 bits hold 65537; the protocol's own keys use 3). *)
 val public_of_string : string -> public option

@@ -170,3 +170,133 @@ let round t ~n ~f =
   end
 
 let recommended () = Domain.recommended_domain_count ()
+
+(* ---- [both]: the process-wide helper domain ----
+
+   One helper domain serves every [both] call in the process. Its life
+   is one atomic state word:
+
+     dead | idle --claim--> claimed --post--> posted --f ran--> finished
+     finished --the claimant has taken f's result--> idle
+     idle --the helper, after [idle_window] without a job--> dead
+
+   A caller claims the helper by moving the word from [idle] or [dead]
+   to [claimed] with one compare-and-set; from [dead] it also joins the
+   exited helper and spawns a new one. Any other state means another
+   caller holds the helper, so this caller runs both halves itself:
+   [both] has no single-submitter rule. The helper leaves only by
+   moving [idle] to [dead] itself, so a claim and an exit cannot both
+   win. The job and its result cell are plain refs published by the
+   atomic hand-offs around them. *)
+
+let dead = 0
+let idle = 1
+let claimed = 2
+let posted = 3
+let finished = 4
+
+(* How long an idle helper spins for the next job before it exits.
+   Measured on a 2-vCPU x86 host: a cold [Domain.spawn] + [join] costs
+   0.1–0.47 ms and one 512-bit CRT half 0.55–0.69 ms, and fig1-churn's
+   RSA-1024 private operations arrive about a millisecond apart, so a
+   few milliseconds keep the helper hot across a burst of new flows and
+   let it go soon after, before it can tax a workload that has stopped
+   decrypting (every minor collection stops every live domain). In
+   nanoseconds of the monotonic clock. *)
+let idle_window = 5_000_000
+
+let cores = recommended ()
+let state = Atomic.make dead
+let nop () = ()
+let job = ref nop
+let helper : unit Domain.t option ref = ref None
+
+let c_spawns = Obs.Registry.counter Obs.Registry.default "par.helper.spawns"
+
+let now () = Int64.to_int (Monotonic_clock.now ())
+
+(* Wait for a posted job; [false] once the helper has given itself up.
+   The clock is read every 64 pauses. *)
+let rec await_job deadline spins =
+  let s = Atomic.get state in
+  if s = posted then true
+  else if
+    s = idle && spins land 63 = 0
+    && now () > deadline
+    && Atomic.compare_and_set state idle dead
+  then false
+  else begin
+    Domain.cpu_relax ();
+    await_job deadline (spins + 1)
+  end
+
+(* The helper drops the job before running it, so it pins nothing of
+   the last call once that call has returned. *)
+let rec serve () =
+  if await_job (now () + idle_window) 1 then begin
+    let f = !job in
+    job := nop;
+    f ();
+    Atomic.set state finished;
+    serve ()
+  end
+
+(* [Some respawn] when this caller now holds the helper. A failed
+   compare-and-set means the word moved: to [dead] if the helper just
+   exited (claim again), otherwise to another caller. *)
+let rec claim () =
+  let s = Atomic.get state in
+  if s <> idle && s <> dead then None
+  else if Atomic.compare_and_set state s claimed then Some (s = dead)
+  else claim ()
+
+(* Hand the posted job to the live helper, or to a fresh one. *)
+let hand_off ~respawn =
+  if not respawn then begin
+    Atomic.set state posted;
+    true
+  end
+  else begin
+    Option.iter Domain.join !helper;
+    helper := None;
+    Atomic.set state posted;
+    match Domain.spawn serve with
+    | d ->
+      helper := Some d;
+      Obs.Counter.inc c_spawns;
+      true
+    | exception _ ->
+      job := nop;
+      Atomic.set state dead;
+      false
+  end
+
+let run f = match f () with v -> Ok v | exception e -> Error e
+
+let settle fr gr =
+  match (fr, gr) with
+  | Error e, _ | Ok _, Error e -> raise e
+  | Ok a, Ok b -> (a, b)
+
+let inline f g =
+  let fr = run f in
+  settle fr (run g)
+
+let both f g =
+  match if cores >= 2 then claim () else None with
+  | None -> inline f g
+  | Some respawn ->
+    let fr = ref (Error Exit) in
+    job := (fun () -> fr := run f);
+    if not (hand_off ~respawn) then inline f g
+    else begin
+      let gr = run g in
+      while Atomic.get state <> finished do
+        Domain.cpu_relax ()
+      done;
+      let fr = !fr in
+      Atomic.set state idle;
+      settle fr gr
+    end
+
+let helper_live () = Atomic.get state <> dead

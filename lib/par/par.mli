@@ -1,4 +1,5 @@
-(** Fixed-size domain pool whose one primitive is a barrier round.
+(** Fixed-size domain pool whose one primitive is a barrier round, and
+    {!both}, a two-way fork onto one process-wide helper domain.
 
     The pool exists for the sharded event engine ({!Net.Engine}): each
     conservative-lookahead window is one {!round} with one task per
@@ -20,12 +21,12 @@
     [Domain.recommended_domain_count] never spins, so an oversubscribed
     pool does not steal the cores its own domains need.
 
-    Concurrency contract: submit from one thread at a time (in this
-    repo, the engine thread). Tasks must not call {!round} recursively
-    on the same pool and may only bump {e pre-resolved} obs
-    counters/gauges (which are atomic, see {!Obs.Counter}); resolving
-    new metrics mutates the registry hashtable and belongs on the
-    submitting thread. *)
+    Concurrency contract of a pool: submit from one thread at a time
+    (in this repo, the engine thread); {!both} has no such rule. Tasks
+    must not call {!round} recursively on the same pool and may only
+    bump {e pre-resolved} obs counters/gauges (which are atomic, see
+    {!Obs.Counter}); resolving new metrics mutates the registry
+    hashtable and belongs on the submitting thread. *)
 
 type pool
 
@@ -59,3 +60,37 @@ val with_pool : size:int -> (pool -> 'a) -> 'a
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     available to this process. *)
+
+(** {1 Two-way fork}
+
+    The second parallel path, separate from pools: {!both} runs two
+    independent computations on two cores, for work too short to pay a
+    domain spawn each time (the two CRT halves of an RSA private
+    operation, {!Crypto.Rsa}). *)
+
+val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+(** [both f g] runs [f] on the process-wide helper domain while the
+    caller runs [g], and returns both results once both have finished.
+    The results are the values [f ()] and [g ()] would give in order on
+    one domain, so a caller whose [f] and [g] share no mutable state
+    gets the same answer whichever path ran. If [f] raises, its
+    exception is re-raised after [g] has finished; if only [g] raises,
+    [g]'s exception is re-raised after [f] has finished.
+
+    Both run on the caller, [f] first, when the host has one core
+    ({!recommended}[ () = 1]), when another caller holds the helper, or
+    when [Domain.spawn] fails. So unlike {!round}, [both] may be called
+    from any number of domains at once: one of them gets the helper
+    and the rest run sequentially; a [both] nested in [f] or [g] finds
+    the helper held and runs inline too. [f] may bump pre-resolved obs
+    counters but, like a {!round} task, must not resolve new metrics.
+
+    The helper is spawned by the first call that finds none. Between
+    jobs it spins for a few milliseconds, then exits, and the next call
+    spawns it again (counted in [par.helper.spawns]); no domain outlives
+    the last call by more than that idle window. *)
+
+val helper_live : unit -> bool
+(** Whether a helper domain is alive now (spinning for a job, or
+    running one). It turns [false] within the idle window after the
+    last {!both} call. *)

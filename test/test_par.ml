@@ -114,6 +114,72 @@ let test_shutdown_spinning_or_parked () =
       Par.shutdown p)
     [ 2; 3; 4; Par.recommended () + 1 ]
 
+(* ---- the two-way fork onto the helper domain ---- *)
+
+let spawns () =
+  Obs.Counter.value
+    (Obs.Registry.counter Obs.Registry.default "par.helper.spawns")
+
+let split = Par.recommended () >= 2
+
+(* [f] runs on the helper (another domain) when the host has two cores,
+   on the caller otherwise; either way both results come back. *)
+let test_both_results () =
+  let self () = (Domain.self () :> int) in
+  let caller = self () in
+  let fd, gd = Par.both self self in
+  Alcotest.(check int) "g on the caller" caller gd;
+  Alcotest.(check bool) "f on the helper iff two cores" split (fd <> caller);
+  Alcotest.(check (pair int string)) "both results" (6, "g")
+    (Par.both (fun () -> 2 * 3) (fun () -> "g"))
+
+(* [f]'s exception reaches the caller only after [g] has finished, and
+   the helper serves the next call. *)
+let test_both_exception () =
+  let g_done = Atomic.make false in
+  (match
+     Par.both
+       (fun () -> failwith "f")
+       (fun () ->
+         Unix.sleepf 0.002;
+         Atomic.set g_done true)
+   with
+   | _ -> Alcotest.fail "expected f's exception"
+   | exception Failure msg ->
+     Alcotest.(check string) "f's exception" "f" msg;
+     Alcotest.(check bool) "raised after g finished" true (Atomic.get g_done));
+  (match Par.both (fun () -> 1) (fun () -> failwith "g") with
+   | _ -> Alcotest.fail "expected g's exception"
+   | exception Failure msg -> Alcotest.(check string) "g's exception" "g" msg);
+  Alcotest.(check (pair int int)) "helper usable after" (1, 2)
+    (Par.both (fun () -> 1) (fun () -> 2))
+
+(* Poll [cond] every millisecond until it holds or [timeout] seconds
+   pass; the timeout is generous so a loaded host does not fail it. *)
+let eventually ?(timeout = 10.0) cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ()))
+  in
+  go ()
+
+(* An idle helper exits by itself and the next call spawns it again.
+   Each step waits for the helper to go, so no assertion depends on how
+   soon the caller runs after a call. On a one-core host nothing is
+   ever spawned. *)
+let test_both_idle_exit () =
+  let gone () = eventually (fun () -> not (Par.helper_live ())) in
+  Alcotest.(check bool) "no helper left from earlier tests" true (gone ());
+  let before = spawns () in
+  let call () = ignore (Par.both (fun () -> ()) (fun () -> ())) in
+  call ();
+  Alcotest.(check int) "first call spawns iff two cores"
+    (before + Bool.to_int split) (spawns ());
+  Alcotest.(check bool) "idle helper exits" true (gone ());
+  call ();
+  Alcotest.(check int) "next call respawns iff two cores"
+    (before + (2 * Bool.to_int split)) (spawns ())
+
 (* ---- equivalence: keytab ---- *)
 
 let grant_of i : Core.Keytab.grant =
@@ -290,18 +356,25 @@ let test_crypto_reentrant_kats () =
 (* The Montgomery kernel writes into scratch: four domains sharing one
    RSA-1024 key, and one [Montgomery.ctx], must each get the sequential
    result. A kernel keeping its scratch in the ctx or in a global fails
-   here. *)
+   here. The decryptions start while the helper domain is live, so the
+   four contend for it: one at a time splits its CRT halves, the rest
+   run both halves themselves, and all must get the same bytes. *)
 let test_bignum_reentrant () =
   let key = Scenario.Keyring.e2e 0 in
   let drbg = Crypto.Drbg.create ~seed:"par-rsa" in
   let rng n = Crypto.Drbg.generate drbg n in
   let msg = "shared key, four domains" in
   let ct = Crypto.Rsa.encrypt key.Crypto.Rsa.public ~rng msg in
+  let splits () =
+    Obs.Counter.value
+      (Obs.Registry.counter Obs.Registry.default "crypto.rsa.crt_splits")
+  in
   let sign = Crypto.Rsa.sign key msg in
   let m = key.Crypto.Rsa.p in
   let ctx = Option.get (Bignum.Nat.Montgomery.create m) in
   let b = Bignum.Nat.of_bytes_be (rng 64) and e = key.Crypto.Rsa.dp in
   let pow = Bignum.Nat.Montgomery.pow_mod ctx b e in
+  let before = splits () in
   Alcotest.(check bool)
     "RSA-1024 decrypt from 4 domains" true
     (run_from_domains ~domains:4 ~iters:8 (fun () ->
@@ -310,6 +383,9 @@ let test_bignum_reentrant () =
     "RSA-1024 sign from 4 domains" true
     (run_from_domains ~domains:4 ~iters:8 (fun () ->
          Crypto.Rsa.sign key msg = sign));
+  Alcotest.(check int) "every private operation took the split path"
+    (if split then 64 else 0)
+    (splits () - before);
   Alcotest.(check bool)
     "pow_mod on one shared ctx from 4 domains" true
     (run_from_domains ~domains:4 ~iters:16 (fun () ->
@@ -487,6 +563,14 @@ let () =
             test_round_exception;
           Alcotest.test_case "shutdown while spinning or parked" `Quick
             test_shutdown_spinning_or_parked
+        ] );
+      ( "both",
+        [ Alcotest.test_case "results, f on the helper" `Quick
+            test_both_results;
+          Alcotest.test_case "exceptions after both halves" `Quick
+            test_both_exception;
+          Alcotest.test_case "idle helper exits, next call respawns" `Quick
+            test_both_idle_exit
         ] );
       ( "equivalence",
         [ keytab_parallel_equivalence;

@@ -451,6 +451,48 @@ let test_neutralizer_oversized_modulus () =
   Alcotest.(check int) "next key setup completed" 1
     (Core.Client.counters client).key_setups_completed
 
+(* A key-setup request whose blob carries a 4000-bit public exponent.
+   The box used to encrypt the grant under it, at 141x the cost of an
+   e = 3 encryption; it must refuse the key at parse time, without one
+   RSA encryption, and serve the next client. *)
+let test_neutralizer_oversized_exponent () =
+  let w = Scenario.World.create () in
+  let rejected =
+    Obs.Registry.counter
+      (Net.Engine.obs w.Scenario.World.engine)
+      ~labels:[ ("reason", "bad-pubkey") ]
+      "core.neutralizer.rejected"
+  in
+  let encrypts =
+    Obs.Registry.counter Obs.Registry.default "crypto.rsa.encrypts"
+  in
+  let base = Obs.Counter.value rejected
+  and base_enc = Obs.Counter.value encrypts in
+  let pub = (Scenario.Keyring.onetime 3).Crypto.Rsa.public in
+  let e = Bignum.Nat.of_bytes_be (String.make 500 '\xff') in
+  let request =
+    Core.Shim.encode
+      (Core.Shim.Key_setup_request
+         { pubkey = Crypto.Rsa.public_to_string { pub with Crypto.Rsa.e };
+           deadline = 0L
+         })
+  in
+  send_shim w.Scenario.World.ann_host ~dst:w.anycast request "";
+  Scenario.World.run w;
+  Alcotest.(check int) "one bad-pubkey reject" (base + 1)
+    (Obs.Counter.value rejected);
+  Alcotest.(check int) "no RSA encryption" base_enc (Obs.Counter.value encrypts);
+  let client =
+    Scenario.World.make_client w w.Scenario.World.ann_host ~seed:"after-big-e" ()
+  in
+  let got = ref [] in
+  Core.Client.set_receiver client (fun ~peer:_ msg -> got := msg :: !got);
+  Core.Client.send_to_name client ~name:"google.example" "hello";
+  Scenario.World.run w;
+  Alcotest.(check (list string)) "next client echoed" [ "re:hello" ] !got;
+  Alcotest.(check int) "next key setup completed" 1
+    (Core.Client.counters client).key_setups_completed
+
 let test_client_downgrade_refused () =
   let w = Scenario.World.create () in
   let client =
@@ -779,6 +821,8 @@ let () =
             test_neutralizer_truncated_counted;
           Alcotest.test_case "neutralizer rejects oversized modulus" `Quick
             test_neutralizer_oversized_modulus;
+          Alcotest.test_case "neutralizer rejects oversized exponent" `Quick
+            test_neutralizer_oversized_exponent;
           Alcotest.test_case "client refuses downgrade, reset forgets" `Quick
             test_client_downgrade_refused
         ] );

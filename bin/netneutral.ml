@@ -414,65 +414,6 @@ let warn_single_core what =
        not scaling. The equivalence digests are still binding.\n%!"
       what
 
-(* The committed baseline's sim_events_per_s, scanned out of the
-   previous BENCH_perf.json without a JSON parser dependency. *)
-let baseline_sim_events_per_s file =
-  match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error _ -> None
-  | body ->
-    let key = "\"sim_events_per_s\":" in
-    let rec find i =
-      if i + String.length key > String.length body then None
-      else if String.sub body i (String.length key) = key then
-        Some (i + String.length key)
-      else find (i + 1)
-    in
-    (match find 0 with
-     | None -> None
-     | Some start ->
-       let stop = ref start in
-       while
-         !stop < String.length body
-         && (match body.[!stop] with
-             | '0' .. '9' | '.' | ' ' | '-' -> true
-             | _ -> false)
-       do
-         incr stop
-       done;
-       float_of_string_opt (String.trim (String.sub body start (!stop - start))))
-
-(* `netneutral bench`: the perf regression harness — before/after rates
-   for every hot path the performance pass touched, written as
-   BENCH_perf.json. A committed baseline at the output path doubles as
-   a drift gate: a >20% sim_events_per_s regression fails the run (and
-   leaves the baseline file untouched). *)
-let run_bench quick out =
-  let baseline = baseline_sim_events_per_s out in
-  let r = Experiments.Perf.run ~min_time:(if quick then 0.05 else 0.4) () in
-  Experiments.Perf.print r;
-  (match baseline with
-   | Some base when base > 0.0 ->
-     let fresh = r.Experiments.Perf.sim_events_per_s in
-     let ratio = fresh /. base in
-     Printf.printf "bench drift: sim events/s %.0f vs committed %.0f (%.2fx)\n"
-       fresh base ratio;
-     if ratio < 0.8 then
-       if quick then
-         Printf.eprintf
-           "netneutral: warning: sim_events_per_s regressed >20%% vs %s, \
-            but --quick windows are noise; rerun without --quick to \
-            confirm\n%!"
-           out
-       else begin
-         Printf.eprintf
-           "netneutral: sim_events_per_s regressed >20%% vs committed %s \
-            (%.0f -> %.0f); baseline left untouched\n"
-           out base fresh;
-         exit 1
-       end
-   | _ -> ());
-  write_json "bench results" out (Experiments.Perf.to_json r)
-
 (* `netneutral pdes`: the sharded-engine scaling sweep — events/s and
    shard-count-equivalence digests at shard counts 1/2/4, written as
    BENCH_pdes.json. A digest divergence is a failed run. *)
@@ -703,22 +644,6 @@ let () =
             plan under a steady flow and print recovery-time statistics")
       Term.(const run_chaos $ quick_flag $ seed_opt $ plan_opt $ corrupt_opt)
   in
-  let bench_cmd =
-    let out_opt =
-      let doc = "Write the JSON results to $(docv)." in
-      Arg.(
-        value & opt string "BENCH_perf.json"
-        & info [ "out" ] ~docv:"FILE" ~doc)
-    in
-    Cmd.v
-      (Cmd.info "bench"
-         ~doc:
-           "Perf regression harness: cold one-time keygen, windowed vs \
-            binary Montgomery exponentiation, session vs stateless \
-            datapath, event-heap churn, sim events/s, and obs counter \
-            overhead")
-      Term.(const run_bench $ quick_flag $ out_opt)
-  in
   let pdes_cmd =
     let out_opt =
       let doc = "Write the JSON results to $(docv)." in
@@ -853,5 +778,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           (demo_cmd :: topology_cmd :: trace_cmd :: fig2_cmd :: stats_cmd
-           :: chaos_cmd :: overload_cmd :: bench_cmd :: pdes_cmd
+           :: chaos_cmd :: overload_cmd :: pdes_cmd
            :: scale_cmd :: fuzzpolicy_cmd :: vectors_cmd :: exp_cmds)))

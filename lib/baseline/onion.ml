@@ -17,7 +17,6 @@ let create_relay ?key ~id st =
     symmetric_ops = 0
   }
 
-let relay_id r = r.id
 let relay_state_entries r = Hashtbl.length r.circuits
 let relay_pubkey_ops r = r.pubkey_ops
 let relay_symmetric_ops r = r.symmetric_ops
@@ -113,6 +112,3 @@ let transit c payload =
        | `Forward next -> go next rest)
   in
   go first c.path
-
-let teardown c =
-  List.iter (fun r -> Hashtbl.remove r.circuits c.cid) c.path

@@ -21,7 +21,6 @@ val create_relay : ?key:Crypto.Rsa.private_key -> id:int -> Random.State.t -> re
     pregenerated one (key generation costs seconds; harnesses reuse
     fixtures). *)
 
-val relay_id : relay -> int
 val relay_state_entries : relay -> int
 (** Number of live circuits — the per-flow state §5 contrasts with. *)
 
@@ -46,6 +45,3 @@ val relay_process : relay -> string -> [ `Forward of string | `Exit of string | 
 val transit : circuit -> string -> string option
 (** Drive a payload through the whole circuit (client wrap, then each
     relay peel); [Some plaintext] on success. Used by tests and E4. *)
-
-val teardown : circuit -> unit
-(** Remove the circuit's state from every relay on the path. *)

@@ -23,6 +23,3 @@ val process : fib -> Net.Packet.t -> (int * Net.Packet.t) option
 (** [Some (next_hop, packet')] with TTL decremented, or [None] when TTL
     expired or no route. *)
 
-val header_fold : Net.Packet.t -> int
-(** The checksum-ish touch of the header bytes, included so the vanilla
-    path does honest per-packet memory work. *)

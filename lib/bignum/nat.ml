@@ -274,7 +274,6 @@ let divmod a b =
     (norm q, shift_right r d)
   end
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 (* Byte i from the end lands at bit 8i, straddling a limb boundary when
@@ -381,8 +380,6 @@ module Montgomery = struct
     r2 : int array; (* (2^26)^(2n) mod m, for entering the domain *)
     m_nat : t;
   }
-
-  let modulus ctx = ctx.m_nat
 
   (* 2-adic inverse of an odd limb by Newton iteration: each step doubles
      the number of correct low bits. *)

@@ -47,7 +47,6 @@ val mul : t -> t -> t
     is zero. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 (** [shift_left n k] is [n * 2^k]; [k >= 0]. *)
@@ -104,8 +103,6 @@ module Montgomery : sig
   val create : t -> ctx option
   (** [None] when the modulus is even or < 3. *)
 
-  val modulus : ctx -> t
-
   val mul_mod : ctx -> t -> t -> t
   (** [(a * b) mod m] through the Montgomery domain; inputs need not be
       reduced. *)
@@ -119,10 +116,6 @@ module Montgomery : sig
   (** [b^e mod m]. Fixed-window (4-bit) left-to-right ladder over a
       16-entry table of powers, with every squaring on the kernel's
       squaring rounds; exponents of 12 bits or fewer, too short for the
-      table to pay, take {!pow_mod_binary}. *)
-
-  val pow_mod_binary : ctx -> t -> t -> t
-  (** The binary square-and-multiply ladder on the same kernel: the path
-      {!pow_mod} takes for short exponents, and the reference the
-      windowed ladder is property-tested against. *)
+      table to pay, take the binary square-and-multiply ladder on the
+      same kernel. *)
 end

@@ -15,5 +15,3 @@ val generate : bits:int -> Random.State.t -> Nat.t
     the public exponent [e] is invertible mod [p-1]. *)
 val generate_coprime_pred : bits:int -> e:Nat.t -> Random.State.t -> Nat.t
 
-(** The small primes used for trial division, in increasing order. *)
-val small_primes : int list

@@ -89,5 +89,4 @@ module Pacer = struct
   let stop t = t.stopped <- true
   let sent_data t = t.n_data
   let sent_dummies t = t.n_dummies
-  let queue_length t = Queue.length t.queue
 end

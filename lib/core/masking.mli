@@ -61,5 +61,4 @@ module Pacer : sig
 
   val sent_data : t -> int
   val sent_dummies : t -> int
-  val queue_length : t -> int
 end

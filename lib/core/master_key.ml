@@ -7,7 +7,6 @@ type t = {
 
 let of_raw raw = Crypto.Cmac.key raw
 let make raw = { epoch = 0; current = of_raw raw; current_raw = raw; previous = None }
-let create ~rng () = make (rng 16)
 
 let of_seed ~seed =
   (* Epoch 0 only; later epochs come from the ratchet, not the seed, so

@@ -23,9 +23,6 @@
 
 type t
 
-val create : rng:(int -> string) -> unit -> t
-(** Epoch 0, a fresh random 16-byte master key. *)
-
 val of_seed : seed:string -> t
 (** Deterministic master key for replica sharing in tests: two calls with
     the same seed derive identical keys for every epoch (the seed fixes

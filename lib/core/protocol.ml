@@ -5,7 +5,6 @@ let wire_version = 2
 let wire_version_legacy = 1
 let max_blob_len = 4096
 let onetime_rsa_bits = 512
-let e2e_rsa_bits = 1024
 let rsa_public_exponent = 3
 let master_key_lifetime = 3_600_000_000_000L
 

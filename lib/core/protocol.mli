@@ -35,9 +35,6 @@ val onetime_rsa_bits : int
     secure as a 56-bit symmetric key", acceptable because it is used once
     and the derived symmetric key is rolled over within two RTTs. *)
 
-val e2e_rsa_bits : int
-(** 1024 — "strong end-to-end encryption, e.g. 1024-bit RSA" (§3.2). *)
-
 val rsa_public_exponent : int
 (** 3 — "an RSA encryption may involve as few as two multiplications, if
     the exponent in the public key is 3" (§3.2). *)

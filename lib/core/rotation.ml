@@ -1,12 +1,9 @@
 type t = {
-  engine : Net.Engine.t;
   master : Master_key.t;
-  every : int64;
   mutable stop_tick : unit -> unit;
   mutable crashed : bool;
   mutable count : int;
   mutable missed : int;
-  mutable next_due : int64;
 }
 
 let tick t =
@@ -16,19 +13,15 @@ let tick t =
   else begin
     Master_key.rotate t.master;
     t.count <- t.count + 1
-  end;
-  t.next_due <- Int64.add (Net.Engine.now t.engine) t.every
+  end
 
 let schedule engine master ?(every = Protocol.master_key_lifetime) () =
   let t =
-    { engine;
-      master;
-      every;
+    { master;
       stop_tick = (fun () -> ());
       crashed = false;
       count = 0;
-      missed = 0;
-      next_due = Int64.add (Net.Engine.now engine) every
+      missed = 0
     }
   in
   t.stop_tick <- Net.Engine.every engine ~period:every (fun () -> tick t);
@@ -36,7 +29,6 @@ let schedule engine master ?(every = Protocol.master_key_lifetime) () =
 
 let stop t = t.stop_tick ()
 let rotations t = t.count
-let next_due t = t.next_due
 let crash t = t.crashed <- true
 
 let restart t =

@@ -19,9 +19,6 @@ val schedule :
 val stop : t -> unit
 val rotations : t -> int
 
-val next_due : t -> int64
-(** Engine time of the next scheduled rotation. *)
-
 val crash : t -> unit
 (** The box hosting the schedule goes down mid-epoch: ticks keep
     arriving (the schedule is wall time) but rotations stop being

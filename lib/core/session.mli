@@ -46,8 +46,6 @@ val clear_table : table -> unit
 (** Drop every session — crash amnesia. Peers re-establish with fresh
     secrets (and therefore fresh sids) on the next send. *)
 
-val sid_of_secret : string -> string
-
 val register :
   table -> secret:string -> keys:Crypto.Seal.keys -> peer:Net.Ipaddr.t ->
   now:int64 -> session

@@ -25,6 +25,5 @@ let receive t ~peer = function
       | Admitted -> Ok shim))
 
 let seen t ~peer = Hashtbl.find_opt t.best peer
-let forget t ~peer = Hashtbl.remove t.best peer
 let clear t = Hashtbl.reset t.best
 let peer_count t = Hashtbl.length t.best

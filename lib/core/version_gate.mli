@@ -37,10 +37,6 @@ val receive : t -> peer:Net.Ipaddr.t -> string option -> (Shim.t, string) result
 val seen : t -> peer:Net.Ipaddr.t -> int option
 (** Highest version [peer] has spoken, if any. *)
 
-val forget : t -> peer:Net.Ipaddr.t -> unit
-(** Drop one peer's floor (e.g. its address lease expired and the
-    address may be reassigned to a different host). *)
-
 val clear : t -> unit
 (** Forget every peer — crash amnesia for hosts, not for boxes. *)
 

@@ -33,4 +33,3 @@ val encrypt_bytes : key -> src:Bytes.t -> dst:Bytes.t -> unit
 val encrypt_block_reference : key -> string -> string
 
 val block_size : int
-val key_size : int

@@ -37,12 +37,3 @@ let generate t n =
   rekey t;
   String.sub (Buffer.contents buf) 0 n
 
-let reseed t entropy =
-  let material = Sha256.digest (generate t 16 ^ entropy) in
-  let k, c = split32 material in
-  t.key <- Aes.expand_key k;
-  t.counter <- c
-
-let random_state t =
-  let ints = Array.init 8 (fun _ -> Bytes_util.get_u32 (generate t 4) 0) in
-  Random.State.make ints

@@ -15,9 +15,3 @@ val create : seed:string -> t
 val generate : t -> int -> string
 (** [generate t n] returns [n] fresh bytes and advances the state. *)
 
-val reseed : t -> string -> unit
-(** [reseed t entropy] mixes additional entropy into the state. *)
-
-val random_state : t -> Random.State.t
-(** [random_state t] seeds a stdlib PRNG from the DRBG, for callers (prime
-    generation, workload draws) that want the [Random.State] interface. *)

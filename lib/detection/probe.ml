@@ -16,16 +16,6 @@ let voip_profile =
         header ^ String.make (160 - String.length header) '\xa5')
   }
 
-let web_profile =
-  { profile_name = "web";
-    dst_port = 80;
-    pps = 20;
-    payload_of =
-      (fun seq ->
-        let req = Printf.sprintf "GET /page-%d HTTP/1.1\r\nHost: probe\r\n\r\n" seq in
-        req ^ String.make (200 - String.length req) ' ')
-  }
-
 let control_of ~seed p =
   let drbg = Crypto.Drbg.create ~seed:("probe-control-" ^ seed) in
   { profile_name = p.profile_name ^ "-control";

@@ -28,9 +28,6 @@ val voip_profile : profile
 (** 50 pps, 160-byte frames carrying SIP/RTP-style markers on port
     5060 — exactly what a DPI classifier keys on. *)
 
-val web_profile : profile
-(** 20 pps of HTTP-looking requests on port 80. *)
-
 val control_of : seed:string -> profile -> profile
 (** Same sizes and rate, payload replaced by pseudorandom bytes, port
     moved to an ephemeral-range port. *)
@@ -50,13 +47,6 @@ type verdict = {
   discriminated : bool;
   reason : string;  (** human-readable evidence, e.g. "loss 44.8% vs 0.2%" *)
 }
-
-val loss_threshold : float
-(** Flag when app loss exceeds control loss by more than this (0.05). *)
-
-val latency_factor : float
-(** ... or when app latency exceeds [latency_factor] * control + 5 ms
-    (2.0). *)
 
 val run :
   Net.Network.t ->

@@ -66,18 +66,6 @@ let verdict_to_string = function
         s.max_delay_ns
   | V_remark d -> Printf.sprintf "remark:%d" d
 
-let rec pred_size = function
-  | Not p -> 1 + pred_size p
-  | And (a, b) | Or (a, b) -> 1 + pred_size a + pred_size b
-  | _ -> 1
-
-let rec policy_size = function
-  | Nil -> 1
-  | Rule (p, _) -> 1 + pred_size p
-  | Seq (a, b) | Union (a, b) -> 1 + policy_size a + policy_size b
-  | Restrict (p, q) -> 1 + pred_size p + policy_size q
-  | In_domain (_, q) -> 1 + policy_size q
-
 let rec pp_pred fmt = function
   | True -> Format.pp_print_string fmt "true"
   | False -> Format.pp_print_string fmt "false"
@@ -440,10 +428,8 @@ module Control = struct
     logs : (string, Buffer.t) Hashtbl.t;
     mutable cur_epoch : int;
     mutable flip_at : int64;
-    mutable cur_policy : policy;
     mutable n_verdicts : int;
     mutable n_hits : int;
-    mutable n_shim_hits : int;
     mutable n_mixed : int;
   }
 
@@ -484,10 +470,7 @@ module Control = struct
     let tab = slot.tabs.(use land 1) in
     let v = verdict tab o in
     t.n_verdicts <- t.n_verdicts + 1;
-    if is_hit v then begin
-      t.n_hits <- t.n_hits + 1;
-      if o.protocol = 253 then t.n_shim_hits <- t.n_shim_hits + 1
-    end;
+    if is_hit v then t.n_hits <- t.n_hits + 1;
     if t.audit then begin
       let buf =
         match Hashtbl.find_opt t.logs key with
@@ -524,10 +507,8 @@ module Control = struct
         logs = Hashtbl.create 64;
         cur_epoch = 0;
         flip_at = 0L;
-        cur_policy = p;
         n_verdicts = 0;
         n_hits = 0;
-        n_shim_hits = 0;
         n_mixed = 0
       }
     in
@@ -560,13 +541,10 @@ module Control = struct
       t.stamps;
     t.cur_epoch <- next;
     t.flip_at <- at;
-    t.cur_policy <- p;
     Mutex.unlock t.lock
 
   let epoch t = t.cur_epoch
-  let policy t = t.cur_policy
   let verdicts t = t.n_verdicts
-  let shim_hits t = t.n_shim_hits
   let hits t = t.n_hits
   let mixed_epoch_verdicts t = t.n_mixed
   let stamped t = Hashtbl.length t.stamps

@@ -69,10 +69,7 @@ type act =
   | Delay of int64  (** extra queueing delay, ns *)
   | Throttle of throttle_spec
   | Set_dscp of int
-  | Deprioritize  (** sugar for [Set_dscp scavenger_dscp] *)
-
-val scavenger_dscp : int
-(** The "lower-effort" class {!Deprioritize} remarks into (CS1 = 8). *)
+  | Deprioritize  (** sugar for [Set_dscp 8]: CS1, the "lower-effort" class *)
 
 val throttle : rate_bps:int -> act
 (** [Throttle] at [rate_bps] with the default bucket: a 16 KiB burst and
@@ -108,9 +105,6 @@ val verdict_to_string : verdict -> string
 (** Canonical byte rendering, the unit of the differential fuzzer's
     byte-equality checks and digests. *)
 
-val policy_size : policy -> int
-(** Node count (policy + predicate nodes) — the fuzzer's size metric. *)
-
 val pp_policy : Format.formatter -> policy -> unit
 
 (** {2 Reference interpreter} *)
@@ -140,8 +134,8 @@ val compile :
     [Restrict] conjoins, [Seq] cross-products (remark rules are
     specialized into the right-hand table with the remarked DSCP
     substituted into its [Dscp] atoms). [engine] is required to render
-    {!Throttle} verdicts into actions ({!action_of}); verdict-only use
-    may omit it. [domain] prunes {!In_domain}. *)
+    {!Throttle} verdicts into actions ({!middleware});
+    verdict-only use may omit it. [domain] prunes {!In_domain}. *)
 
 val rule_count : compiled -> int
 (** Rules in the flattened table (cross-producting can expand [Seq]). *)
@@ -150,13 +144,6 @@ val verdict : compiled -> Net.Observation.t -> verdict
 (** Scan the table (updating rate meters once per call): the first
     matching rule's action is the verdict; no match is [V_forward]. *)
 
-val action_of : compiled -> Net.Observation.t -> verdict -> Net.Network.action
-(** Render a verdict as a network action. [V_throttle] consults the
-    occurrence's shaper — stateful, so equal verdicts can yield
-    different actions over time. Raises [Invalid_argument] on a
-    throttle verdict if the table was compiled without [engine].
-    A terminal verdict supersedes any remark folded into it by [Seq]
-    (a single middleware action cannot carry both). *)
 
 val middleware : compiled -> Net.Network.middleware
 (** [fun o -> action_of c o (verdict c o)]. *)
@@ -206,16 +193,9 @@ module Control : sig
   val epoch : t -> int
   (** Epochs deployed so far (0 after [install]). *)
 
-  val policy : t -> policy
-  (** The newest staged policy. *)
-
   val verdicts : t -> int
   (** Total verdicts rendered across all domains. *)
 
-  val shim_hits : t -> int
-  (** Verdicts other than forward/allow rendered on shim-protocol
-      (253) observations — "did this regime ever touch neutralized
-      traffic". *)
 
   val hits : t -> int
   (** Verdicts other than forward/allow, any protocol. *)

@@ -14,12 +14,6 @@
     actually land would flip verdicts on per-payload binomial noise and
     make paired-world comparisons meaningless. *)
 
-val gen_pred : ?stateless:bool -> Fault.Prng.t -> depth:int -> Dsl.pred
-(** [stateless] (default false) excludes {!Dsl.Rate_above}. *)
-
-val gen_act : ?stateless:bool -> Fault.Prng.t -> Dsl.act
-(** [stateless] excludes {!Dsl.Throttle}. *)
-
 val gen_policy :
   ?max_depth:int ->
   ?stateless:bool ->
@@ -29,9 +23,6 @@ val gen_policy :
 (** Whole-grammar policy generator; [max_depth] defaults to 4 ([Seq]
     operands are kept shallow so compiled tables stay small), [domains]
     (default [[|0|]]) is the pool {!Dsl.In_domain} draws from. *)
-
-val gen_throttle_spec : Fault.Prng.t -> Dsl.throttle_spec
-val gen_rate_spec : Fault.Prng.t -> Dsl.rate_spec
 
 val gen_obs : Fault.Prng.t -> at:int64 -> Net.Observation.t
 (** A wire view drawn from the Figure-1 address plan (including the

@@ -7,7 +7,6 @@ type t = {
   mutable last_refill : int64;
   mutable virtual_backlog : float; (* bytes awaiting service *)
   mutable last_drain : int64;
-  mutable n_passed : int;
   mutable n_delayed : int;
   mutable n_dropped : int;
 }
@@ -22,7 +21,6 @@ let create engine ~rate_bps ~burst_bytes ~max_delay =
     last_refill = 0L;
     virtual_backlog = 0.0;
     last_drain = 0L;
-    n_passed = 0;
     n_delayed = 0;
     n_dropped = 0
   }
@@ -45,7 +43,6 @@ let decide t ~size =
   let fsize = float_of_int size in
   if t.tokens >= fsize && t.virtual_backlog <= 0.0 then begin
     t.tokens <- t.tokens -. fsize;
-    t.n_passed <- t.n_passed + 1;
     Net.Network.Forward
   end
   else begin
@@ -62,6 +59,5 @@ let decide t ~size =
     end
   end
 
-let passed t = t.n_passed
 let delayed t = t.n_delayed
 let dropped t = t.n_dropped

@@ -16,6 +16,5 @@ val create :
 val decide : t -> size:int -> Net.Network.action
 (** Charge a packet of [size] bytes against the bucket. *)
 
-val passed : t -> int
 val delayed : t -> int
 val dropped : t -> int

@@ -40,6 +40,5 @@ val sources : t -> Net.Ipaddr.t list
 val features_of : t -> Net.Ipaddr.t -> features option
 (** [None] until a source has at least 10 packets. *)
 
-val classify : features -> verdict
 val classify_source : t -> Net.Ipaddr.t -> verdict
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -16,7 +16,6 @@ type rr =
 type qtype = Q_A | Q_NEUT | Q_KEY | Q_TXT | Q_ANY
 
 val matches : qtype -> rr -> bool
-val rr_type_tag : rr -> int
 val qtype_tag : qtype -> int
 val qtype_of_tag : int -> qtype option
 val encode_rr : Buffer.t -> rr -> unit

@@ -11,8 +11,6 @@
       countermeasure of sending encrypted queries "to DNS resolvers that
       are not controlled by the discriminatory ISP". *)
 
-val default_port : int
-
 type server
 
 val serve :

@@ -6,11 +6,6 @@ let add t ~name rr =
   let cur = Option.value ~default:[] (Hashtbl.find_opt t name) in
   Hashtbl.replace t name (cur @ [ rr ])
 
-let remove t ~name pred =
-  match Hashtbl.find_opt t name with
-  | None -> ()
-  | Some rrs -> Hashtbl.replace t name (List.filter (fun rr -> not (pred rr)) rrs)
-
 let lookup t ~name qtype =
   match Hashtbl.find_opt t name with
   | None -> []

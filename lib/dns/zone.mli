@@ -4,7 +4,6 @@ type t
 
 val create : unit -> t
 val add : t -> name:string -> Record.rr -> unit
-val remove : t -> name:string -> (Record.rr -> bool) -> unit
 val lookup : t -> name:string -> Record.qtype -> Record.rr list
 val mem : t -> name:string -> bool
 

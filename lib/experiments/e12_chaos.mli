@@ -46,8 +46,6 @@ val run :
     leaving it 0 installs no hook at all, keeping the default run's
     fault timeline (and its pinned golden digest) bit-exact. *)
 
-val quantile : float -> int64 list -> int64
-
 val to_rows : result -> string list list
 
 val print : result -> unit

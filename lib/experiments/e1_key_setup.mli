@@ -19,10 +19,6 @@ type result = {
 val run : ?min_time:float -> unit -> result
 val print : result -> unit
 
-val processing_op : unit -> unit -> unit
-(** [processing_op ()] returns the closure the measurement loops over —
-    exposed so the bechamel harness benches exactly the same work. *)
-
 val golden_rows : unit -> string list list
 (** A deterministic observation table — 16 fixed-seed key-setup
     responses with their grant fields and shim digests. Byte-identical

@@ -6,7 +6,8 @@
 
     We report every primitive on the neutralizer's two hot paths plus the
     end-to-end layer, so the cost model in {!Core.Protocol.default_costs}
-    is auditable against measurements. *)
+    is auditable against measurements, and the inline one-time key
+    generation ([rsa512-keygen-cold]) that §4 moves offline. *)
 
 type row = { op : string; ops_per_sec : float }
 

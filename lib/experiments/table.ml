@@ -48,7 +48,6 @@ let kops v =
   else Printf.sprintf "%.0f" v
 
 let f2 v = Printf.sprintf "%.2f" v
-let f0 v = Printf.sprintf "%.0f" v
 let pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 
 let measure ?(min_time = 0.4) f =

@@ -15,7 +15,6 @@ val kops : float -> string
 (** 24400.0 -> "24.4k"; 2350000.0 -> "2.35M". *)
 
 val f2 : float -> string
-val f0 : float -> string
 val pct : float -> string
 
 (** [measure f] runs [f] repeatedly for at least [min_time] wall-clock

@@ -14,9 +14,6 @@ let calm =
     reorder_max = 0L
   }
 
-let lossy ?(loss = 0.01) ?(corrupt = 0.001) () =
-  { calm with loss; corrupt }
-
 type t = {
   net : Net.Network.t;
   prng : Prng.t;

@@ -34,9 +34,6 @@ type profile = {
 val calm : profile
 (** All rates zero — installing it removes the hook. *)
 
-val lossy : ?loss:float -> ?corrupt:float -> unit -> profile
-(** The soak-test profile: 1% loss, 0.1% corruption by default. *)
-
 type t
 
 val env_seed : unit -> int
@@ -56,13 +53,9 @@ val injected : t -> int
 
 val flip_bit : Prng.t -> string -> string
 (** Flip one uniformly-chosen bit; [""] passes through. The mutation
-    primitive behind {!corrupt_packet}, exposed so the protocol fuzzer
+    primitive behind the [corrupt] profile, exposed so the protocol fuzzer
     (test_proto) mangles frames with exactly the corruption the chaos
     runs inject. *)
-
-val corrupt_packet : Prng.t -> Net.Packet.t -> Net.Packet.t
-(** Flip one bit of the packet's wire image, weighted towards whichever
-    of the shim and payload is longer. *)
 
 val perturb_link : t -> label:string -> profile:profile -> Net.Link.t -> unit
 (** Install a wire-fault hook on one link. [label] keys the link's PRNG

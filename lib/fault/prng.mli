@@ -12,7 +12,6 @@
 type t
 
 val create : seed:int -> t
-val of_int64 : int64 -> t
 
 val split : t -> label:string -> t
 (** Child stream keyed by [label]. Splitting does not consume state:

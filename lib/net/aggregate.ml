@@ -501,10 +501,6 @@ let report_of t (c : cohort) =
     ~max_latency_ms:(float_of_int (Atomic.get c.max_lat_us) /. 1000.)
     ~jitter_ms:0. ~duration_s:(duration_s t)
 
-let report t ~cohort =
-  if cohort < 0 || cohort >= Array.length t.cohorts then None
-  else Some (report_of t t.cohorts.(cohort))
-
 let reports t = Array.to_list (Array.map (report_of t) t.cohorts)
 
 (* Canonical digest of every cohort's final counters, folded in cohort

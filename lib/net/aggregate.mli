@@ -97,8 +97,6 @@ val dt : t -> int64
 val stats : t -> stats
 (** Aggregate totals; meaningful once {!Engine.run} has returned. *)
 
-val report : t -> cohort:int -> Flow.report option
-
 val reports : t -> Flow.report list
 (** Per-cohort results in {!Flow.report} form (packet counts are
     [pkt_bytes]-equivalents; jitter is not modeled and reads 0),

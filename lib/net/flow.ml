@@ -129,9 +129,6 @@ let synthetic ~flow_id ~app ~sent ~received ~sent_bytes ~received_bytes
 let report t ~flow_id =
   Option.map (to_report flow_id) (Hashtbl.find_opt t flow_id)
 
-let reports t =
-  Hashtbl.fold (fun id r acc -> to_report id r :: acc) t []
-  |> List.sort (fun a b -> Int.compare a.flow_id b.flow_id)
 
 (* Simplified E-model: R = 93.2 - latency impairment - loss impairment,
    then the standard R -> MOS mapping, clamped to [1, 4.5]. *)

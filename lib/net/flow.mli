@@ -27,7 +27,6 @@ val on_receive : t -> now:int64 -> Packet.t -> unit
 (** Call at final delivery to the application. *)
 
 val report : t -> flow_id:int -> report option
-val reports : t -> report list
 
 val synthetic :
   flow_id:int ->

@@ -8,7 +8,6 @@ type t = {
   mutable dropped : int;
 }
 
-let node t = t.node
 let network t = t.net
 let addr t = t.node.Topology.addr
 

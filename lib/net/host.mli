@@ -8,7 +8,6 @@ val attach : Network.t -> Topology.node -> t
 (** [attach net node] registers this module as [node]'s packet handler.
     At most one [Host.t] per node. *)
 
-val node : t -> Topology.node
 val network : t -> Network.t
 val addr : t -> Ipaddr.t
 

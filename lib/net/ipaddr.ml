@@ -32,10 +32,7 @@ let to_octets a =
   String.init 4 (fun i -> Char.chr ((a lsr (8 * (3 - i))) land 0xff))
 
 let equal = Int.equal
-let compare = Int.compare
-let hash = Hashtbl.hash
 let pp fmt a = Format.pp_print_string fmt (to_string a)
-let offset a n = (a + n) land max32
 
 module Prefix = struct
   type addr = t

@@ -19,13 +19,7 @@ val of_octets : string -> t
 val to_octets : t -> string
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
-
-(** [offset a n] is the address [n] above [a] (wrapping at 2^32); used to
-    carve host addresses out of a domain's block. *)
-val offset : t -> int -> t
 
 module Prefix : sig
   type addr = t

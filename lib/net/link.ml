@@ -15,9 +15,7 @@ type gate = Packet.t -> bool
 type perturb = Packet.t -> (Packet.t * int64) list
 
 (* The running totals live in the engine's obs registry as monotonic
-   counters (family net.link.*, labeled by link); the [stats]/
-   [reset_stats] API is preserved by subtracting the baseline captured
-   at the last reset. *)
+   counters (family net.link.*, labeled by link); [stats] reads them. *)
 type t = {
   engine : Engine.t;
   bandwidth_bps : int;
@@ -38,10 +36,6 @@ type t = {
   mutable queued_bytes : int;
   mutable busy_until : int64;
   mutable max_queue_bytes : int;
-  mutable base_sent_packets : int;
-  mutable base_sent_bytes : int;
-  mutable base_dropped_packets : int;
-  mutable base_dropped_bytes : int;
 }
 
 let anon_seq = ref 0
@@ -83,11 +77,7 @@ let create engine ~bandwidth_bps ~latency ?(queue_bytes = 128 * 1024) ?label
     gate = None;
     queued_bytes = 0;
     busy_until = 0L;
-    max_queue_bytes = 0;
-    base_sent_packets = 0;
-    base_sent_bytes = 0;
-    base_dropped_packets = 0;
-    base_dropped_bytes = 0
+    max_queue_bytes = 0
   }
 
 let transmission_time t bytes =
@@ -99,7 +89,6 @@ let transmission_time t bytes =
 
 let set_up t up = t.up <- up
 let is_up t = t.up
-let latency t = t.latency
 let set_perturb t f = t.perturb <- f
 let set_gate t f = t.gate <- f
 
@@ -171,19 +160,9 @@ let send t p =
   end
 
 let stats t =
-  { sent_packets = Obs.Counter.value t.c_sent_packets - t.base_sent_packets;
-    sent_bytes = Obs.Counter.value t.c_sent_bytes - t.base_sent_bytes;
-    dropped_packets =
-      Obs.Counter.value t.c_dropped_packets - t.base_dropped_packets;
-    dropped_bytes = Obs.Counter.value t.c_dropped_bytes - t.base_dropped_bytes;
+  { sent_packets = Obs.Counter.value t.c_sent_packets;
+    sent_bytes = Obs.Counter.value t.c_sent_bytes;
+    dropped_packets = Obs.Counter.value t.c_dropped_packets;
+    dropped_bytes = Obs.Counter.value t.c_dropped_bytes;
     max_queue_bytes = t.max_queue_bytes
   }
-
-let queue_occupancy t = t.queued_bytes
-
-let reset_stats t =
-  t.base_sent_packets <- Obs.Counter.value t.c_sent_packets;
-  t.base_sent_bytes <- Obs.Counter.value t.c_sent_bytes;
-  t.base_dropped_packets <- Obs.Counter.value t.c_dropped_packets;
-  t.base_dropped_bytes <- Obs.Counter.value t.c_dropped_bytes;
-  t.max_queue_bytes <- t.queued_bytes

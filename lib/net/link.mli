@@ -12,8 +12,7 @@
     [net.link.dropped_bytes], a per-reason [net.link.drops{reason}]
     family and a [net.link.queue_occupancy_bytes] histogram (sampled at
     every enqueue) into the engine's obs registry, labeled
-    [link=<label>]. The [stats]/[reset_stats] API is kept as a windowed
-    view over those counters.
+    [link=<label>]. {!stats} reads those counters.
 
     Two control surfaces exist for the fault layer: an administrative
     up/down state ({!set_up}) modeling link failure, and a perturbation
@@ -74,11 +73,6 @@ val set_up : t -> bool -> unit
 
 val is_up : t -> bool
 
-val latency : t -> int64
-(** Propagation delay in nanoseconds, as given to {!create}. The sharded
-    engine's conservative lookahead is bounded below by the smallest
-    latency of any cross-shard link. *)
-
 val set_perturb : t -> perturb option -> unit
 (** Installs (or clears) the fault-injection hook run at the start of
     propagation. The default is the identity ([[(p, 0L)]]). *)
@@ -91,5 +85,3 @@ val set_gate : t -> gate option -> unit
     from [Queue_full] congestion in every drop table. *)
 
 val stats : t -> stats
-val queue_occupancy : t -> int
-val reset_stats : t -> unit

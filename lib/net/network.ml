@@ -92,7 +92,6 @@ let add_middleware t did m =
   let d = domain_state t did in
   d.chain <- d.chain @ [ m ]
 
-let clear_middlewares t did = (domain_state t did).chain <- []
 let set_middlewares t did ms = (domain_state t did).chain <- ms
 let policed t did = match (domain_state t did).chain with [] -> false | _ -> true
 

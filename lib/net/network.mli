@@ -44,14 +44,12 @@ val add_middleware : t -> Topology.domain_id -> middleware -> unit
     domain, including ingress delivery to the domain's own nodes; it does
     not run at the node that originates a packet. *)
 
-val clear_middlewares : t -> Topology.domain_id -> unit
-
 val set_middlewares : t -> Topology.domain_id -> middleware list -> unit
 (** Replace the domain's whole chain in one step — the consistent-update
     hook: a policy controller ({!Discrimination.Dsl.Control}-style)
     swaps an entire table between rounds instead of clearing and
     re-adding, so no packet can ever race a half-built chain. The empty
-    list un-polices the domain (equivalent to {!clear_middlewares}). *)
+    list un-polices the domain. *)
 
 val policed : t -> Topology.domain_id -> bool
 (** Whether the domain currently has a non-empty middleware chain — the

@@ -26,6 +26,3 @@ let of_packet ~now (p : Packet.t) =
     observed_at = now
   }
 
-let pp fmt o =
-  Format.fprintf fmt "[%Ld] %a -> %a proto=%d dscp=%d len=%d" o.observed_at
-    Ipaddr.pp o.src Ipaddr.pp o.dst o.protocol o.dscp o.size

@@ -23,4 +23,3 @@ type t = private {
 }
 
 val of_packet : now:int64 -> Packet.t -> t
-val pp : Format.formatter -> t -> unit

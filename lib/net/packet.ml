@@ -47,11 +47,3 @@ let size p =
 
 let decrement_ttl p = if p.ttl <= 1 then None else Some { p with ttl = p.ttl - 1 }
 
-let map_shim p f = { p with shim = Option.map f p.shim }
-
-let pp fmt p =
-  Format.fprintf fmt "%a -> %a proto=%d dscp=%d len=%d%s" Ipaddr.pp p.src
-    Ipaddr.pp p.dst
-    (protocol_number p.protocol)
-    p.dscp (size p)
-    (match p.shim with None -> "" | Some _ -> " +shim")

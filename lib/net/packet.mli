@@ -63,10 +63,3 @@ val size : t -> int
 
 val decrement_ttl : t -> t option
 (** [None] when the TTL hits zero. *)
-
-val map_shim : t -> (string -> string) -> t
-(** Transform the shim bytes, if present — what fault injectors and
-    fuzzers use to mangle the frame without touching the rest of the
-    packet. *)
-
-val pp : Format.formatter -> t -> unit

@@ -122,8 +122,6 @@ let distance t ~from ~to_ =
   let d = t.dist.(from).(to_) in
   if Int64.compare d 0L < 0 then None else Some d
 
-let reachable t ~from ~to_ = distance t ~from ~to_ <> None
-
 let nearest t ~from members =
   let best =
     List.fold_left

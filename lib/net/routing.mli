@@ -23,7 +23,7 @@
     forwards along its own best policy-legal path. In topologies where
     hop-by-hop composition of per-node choices could differ from the
     source's end-to-end path (possible without BGP's export filtering),
-    prefer reading {!distance}/{!reachable} as the control-plane truth. *)
+    prefer reading {!distance} as the control-plane truth. *)
 
 type policy = Shortest | Valley_free
 
@@ -50,9 +50,3 @@ val distance :
   t -> from:Topology.node_id -> to_:Topology.node_id -> int64 option
 (** Path latency in nanoseconds (over policy-legal paths only). *)
 
-val reachable : t -> from:Topology.node_id -> to_:Topology.node_id -> bool
-
-val nearest :
-  t -> from:Topology.node_id -> Topology.node_id list ->
-  Topology.node_id option
-(** Member of the list with minimum distance from [from]. *)

@@ -11,7 +11,6 @@ let tap t obs =
 
 let length t = Queue.length t.q
 let to_list t = List.of_seq (Queue.to_seq t.q)
-let filter t f = List.filter f (to_list t)
 let exists t f = Seq.exists f (Queue.to_seq t.q)
 let count t f = Seq.fold_left (fun acc o -> if f o then acc + 1 else acc) 0 (Queue.to_seq t.q)
 let clear t = Queue.clear t.q

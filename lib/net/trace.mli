@@ -15,7 +15,6 @@ val length : t -> int
 val to_list : t -> Observation.t list
 (** Oldest first. *)
 
-val filter : t -> (Observation.t -> bool) -> Observation.t list
 val exists : t -> (Observation.t -> bool) -> bool
 val count : t -> (Observation.t -> bool) -> int
 val clear : t -> unit

@@ -148,243 +148,6 @@ let json_of_snapshot snap =
 
 let to_json reg = json_of_snapshot (snapshot reg)
 
-(* ---- JSON reader (minimal, zero-dependency) ---- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jint of int
-  | Jfloat of float
-  | Jstring of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Parse_error
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise Parse_error in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c = if peek () <> c then raise Parse_error else advance () in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else raise Parse_error
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        let e = peek () in
-        advance ();
-        (match e with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'n' -> Buffer.add_char b '\n'
-         | 'r' -> Buffer.add_char b '\r'
-         | 't' -> Buffer.add_char b '\t'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'u' ->
-           if !pos + 4 > n then raise Parse_error;
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           let code =
-             try int_of_string ("0x" ^ hex) with _ -> raise Parse_error
-           in
-           (* Only BMP codepoints below 0x80 are emitted by our writer;
-              decode others as UTF-8. *)
-           if code < 0x80 then Buffer.add_char b (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
-             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-           end
-           else begin
-             Buffer.add_char b (Char.chr (0xe0 lor (code lsr 12)));
-             Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-           end
-         | _ -> raise Parse_error);
-        go ()
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' -> true
-      | '.' | 'e' | 'E' ->
-        is_float := true;
-        true
-      | _ -> false
-    do
-      incr pos
-    done;
-    let tok = String.sub s start (!pos - start) in
-    if tok = "" then raise Parse_error;
-    if !is_float then
-      match float_of_string_opt tok with
-      | Some f -> Jfloat f
-      | None -> raise Parse_error
-    else
-      match int_of_string_opt tok with
-      | Some i -> Jint i
-      | None ->
-        (match float_of_string_opt tok with
-         | Some f -> Jfloat f
-         | None -> raise Parse_error)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> raise Parse_error
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then begin
-        advance ();
-        Jlist []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            elements (v :: acc)
-          | ']' ->
-            advance ();
-            Jlist (List.rev (v :: acc))
-          | _ -> raise Parse_error
-        in
-        elements []
-      end
-    | '"' -> Jstring (parse_string ())
-    | 't' -> literal "true" (Jbool true)
-    | 'f' -> literal "false" (Jbool false)
-    | 'n' -> literal "null" Jnull
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise Parse_error;
-  v
-
-let field name = function
-  | Jobj members -> List.assoc_opt name members
-  | _ -> None
-
-let as_int = function
-  | Jint i -> i
-  | _ -> raise Parse_error
-
-let metric_of_json j =
-  let name =
-    match field "name" j with Some (Jstring s) -> s | _ -> raise Parse_error
-  in
-  let labels =
-    match field "labels" j with
-    | None -> []
-    | Some (Jobj members) ->
-      List.map
-        (function k, Jstring v -> (k, v) | _ -> raise Parse_error)
-        members
-    | Some _ -> raise Parse_error
-  in
-  let value =
-    match field "type" j with
-    | Some (Jstring "counter") ->
-      (match field "value" j with
-       | Some (Jint v) -> Counter v
-       | _ -> raise Parse_error)
-    | Some (Jstring "gauge") ->
-      (match field "value" j with
-       | Some (Jint v) -> Gauge (float_of_int v)
-       | Some (Jfloat v) -> Gauge v
-       | Some Jnull -> Gauge nan
-       | _ -> raise Parse_error)
-    | Some (Jstring "histogram") ->
-      let get k = match field k j with Some v -> as_int v | None -> raise Parse_error in
-      let buckets =
-        match field "buckets" j with
-        | Some (Jlist l) ->
-          List.map
-            (function
-              | Jlist [ i; c ] -> (as_int i, as_int c)
-              | _ -> raise Parse_error)
-            l
-        | _ -> raise Parse_error
-      in
-      Histogram
-        { sub_bits = get "sub_bits";
-          count = get "count";
-          sum = get "sum";
-          min_value = get "min";
-          max_value = get "max";
-          buckets
-        }
-    | _ -> raise Parse_error
-  in
-  { name; labels; value }
-
-let snapshot_of_json s =
-  match parse_json s with
-  | exception Parse_error -> None
-  | j ->
-    (match field "metrics" j with
-     | Some (Jlist ms) ->
-       (try Some (List.map metric_of_json ms) with Parse_error -> None)
-     | _ -> None)
-
 (* ---- text table ---- *)
 
 let kind_of = function

@@ -1,4 +1,4 @@
-(** Exporters: JSON (machine-readable, round-trippable) and an aligned
+(** Exporters: JSON (machine-readable) and an aligned
     text table (human-readable). Both operate on an immutable snapshot
     of a registry, so a live simulation can keep mutating while a
     snapshot is serialized. *)
@@ -35,16 +35,9 @@ val value_summary : value -> string
 (** One-line rendering: counter/gauge value, or histogram
     [n=... mean=... p50=... p99=... max=...]. *)
 
-val json_of_snapshot : snapshot -> string
 val to_json : Registry.t -> string
-
-val snapshot_of_json : string -> snapshot option
-(** Inverse of {!json_of_snapshot}: [snapshot_of_json (json_of_snapshot s)]
-    is [Some s] for any snapshot whose gauge values are finite. Returns
-    [None] on malformed input. *)
-
-val to_table : Registry.t -> string list list
-(** Rows [metric; kind; value] for embedding in a report table. *)
+(** The registry as one JSON object [{"metrics":[...]}], in
+    {!snapshot} order; a non-finite gauge is written as [null]. *)
 
 val to_text : Registry.t -> string
 (** Aligned text table of the whole registry. *)

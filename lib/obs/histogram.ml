@@ -71,7 +71,6 @@ let count t = t.count
 let sum t = t.sum
 let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = t.max_v
-let mean t = if t.count = 0 then nan else float_of_int t.sum /. float_of_int t.count
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Obs.Histogram.quantile: q outside [0, 1]";
@@ -112,19 +111,3 @@ let buckets t =
     if t.buckets.(i) > 0 then acc := (i, t.buckets.(i)) :: !acc
   done;
   !acc
-
-let restore ~sub_bits ~sum ~min_value ~max_value pairs =
-  let t = create ~sub_bits () in
-  List.iter
-    (fun (i, c) ->
-      if i < 0 || c < 0 then invalid_arg "Obs.Histogram.restore: negative entry";
-      ensure_capacity t i;
-      t.buckets.(i) <- t.buckets.(i) + c;
-      t.count <- t.count + c)
-    pairs;
-  t.sum <- sum;
-  if t.count > 0 then begin
-    t.min_v <- min_value;
-    t.max_v <- max_value
-  end;
-  t

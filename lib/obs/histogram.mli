@@ -30,9 +30,6 @@ val min_value : t -> int
 val max_value : t -> int
 (** Largest recorded value; 0 when empty. *)
 
-val mean : t -> float
-(** [nan] when empty. *)
-
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0, 1]: the bucket-midpoint estimate of
     the [q]-quantile, clamped to the recorded min/max. [nan] when
@@ -51,13 +48,3 @@ val bounds_of_index : sub_bits:int -> int -> int * int
 
 val index_of_value : sub_bits:int -> int -> int
 (** The bucket a value falls into. *)
-
-val restore :
-  sub_bits:int ->
-  sum:int ->
-  min_value:int ->
-  max_value:int ->
-  (int * int) list ->
-  t
-(** Rebuild a histogram from exported state (import path of the JSON
-    codec). The count is recomputed from the bucket counts. *)

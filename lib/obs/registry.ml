@@ -44,5 +44,3 @@ let histogram t ?sub_bits ?(labels = []) name =
 let metrics t =
   Hashtbl.fold (fun (name, labels) m acc -> (name, labels, m) :: acc) t []
   |> List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2))
-
-let clear t = Hashtbl.reset t

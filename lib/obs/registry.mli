@@ -37,7 +37,3 @@ val metrics : t -> (string * (string * string) list * metric) list
 (** All registered metrics, sorted by name then labels. Labels are
     stored sorted by key. *)
 
-val clear : t -> unit
-(** Drop every metric. Useful to isolate a measurement run; individual
-    counters never decrease, but a cleared registry starts fresh
-    families. *)

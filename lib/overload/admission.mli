@@ -38,14 +38,12 @@ type config = {
   prefix_bits : int;  (** aggregate granularity; in [0, 32] *)
 }
 
-val default : config
-(** 20 ms setup backlog bound, 200 ms data bound, 200 setups/s per /24
-    with burst 50. *)
-
 type t
 
 val create : ?config:config -> unit -> t
-(** Raises [Invalid_argument] on a malformed config. *)
+(** [config] defaults to a 20 ms setup backlog bound, a 200 ms data
+    bound, and 200 setups/s per /24 with burst 50. Raises
+    [Invalid_argument] on a malformed config. *)
 
 val admit :
   t ->

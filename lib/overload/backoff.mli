@@ -20,18 +20,16 @@ type config = {
   jitter : float;  (** fraction of the delay randomized away; in [0, 1) *)
 }
 
-val default : config
-(** 50 ms base, 2x growth, 5 s cap, 0.5 jitter. *)
-
 val validate : config -> unit
 (** Raises [Invalid_argument] on a malformed config. *)
 
 type t
 
 val create : ?config:config -> prng:Fault.Prng.t -> unit -> t
-(** [prng] should be a child stream ({!Fault.Prng.split}) labeled by the
-    destination, so per-destination timelines are independent of one
-    another and of draw order elsewhere. *)
+(** [config] defaults to a 50 ms base, 2x growth, a 5 s cap and 0.5
+    jitter. [prng] should be a child stream ({!Fault.Prng.split})
+    labeled by the destination, so per-destination timelines are
+    independent of one another and of draw order elsewhere. *)
 
 val next : t -> int64
 (** Delay before the next retry; advances the attempt counter. *)

@@ -26,9 +26,6 @@ type config = {
   half_open_probes : int;  (** concurrent probes allowed half-open; > 0 *)
 }
 
-val default : config
-(** 5 consecutive failures, 1 s open, 1 probe. *)
-
 type state = Closed | Open | Half_open
 
 val state_name : state -> string
@@ -36,7 +33,8 @@ val state_name : state -> string
 type t
 
 val create : ?config:config -> now:int64 -> unit -> t
-(** Starts [Closed]. Raises [Invalid_argument] on a malformed config. *)
+(** Starts [Closed]. [config] defaults to 5 consecutive failures, 1 s
+    open and 1 probe. Raises [Invalid_argument] on a malformed config. *)
 
 val state : t -> now:int64 -> state
 (** Current state, accounting for an elapsed open timeout (an [Open]

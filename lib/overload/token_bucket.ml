@@ -34,9 +34,5 @@ let take ?(cost = 1.0) t ~now =
     false
   end
 
-let tokens t ~now =
-  refill t ~now;
-  t.tokens
-
 let granted t = t.granted
 let denied t = t.denied

@@ -27,9 +27,6 @@ val take : ?cost:float -> t -> now:int64 -> bool
     available. Time never runs backwards: a [now] earlier than the last
     refill is treated as the last refill instant. *)
 
-val tokens : t -> now:int64 -> float
-(** Current token count after refilling to [now] (no spend). *)
-
 val granted : t -> int
 (** Number of successful {!take}s since creation. *)
 

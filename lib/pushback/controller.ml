@@ -10,13 +10,6 @@ type config = {
   release_after : int64;
 }
 
-let default_config =
-  { window = 1_000_000_000L;
-    threshold_pps = 2000.0;
-    limit_pps = 100.0;
-    release_after = 10_000_000_000L
-  }
-
 (* Rate enforcement delegates to the shared overload token bucket; this
    record keeps only the detection state (windowed rate measurement and
    the armed flag). *)

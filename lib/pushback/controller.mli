@@ -23,8 +23,6 @@ type config = {
   release_after : int64;  (** quiet time before a limit is lifted *)
 }
 
-val default_config : config
-
 type t
 
 val create : Net.Engine.t -> config -> t

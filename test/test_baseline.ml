@@ -58,8 +58,7 @@ let test_onion_roundtrip_paths () =
       Alcotest.(check (option string))
         (Printf.sprintf "%d hops" hops)
         (Some "the payload")
-        (Baseline.Onion.transit c "the payload");
-      Baseline.Onion.teardown c)
+        (Baseline.Onion.transit c "the payload"))
     [ 1; 2; 3; 4 ]
 
 let test_onion_accounting () =
@@ -77,13 +76,7 @@ let test_onion_accounting () =
         (Baseline.Onion.relay_pubkey_ops r))
     path;
   Alcotest.(check int) "client ops" 3
-    (Baseline.Onion.client_pubkey_ops (List.hd circuits));
-  (* teardown removes state *)
-  List.iter Baseline.Onion.teardown circuits;
-  List.iter
-    (fun r ->
-      Alcotest.(check int) "state cleaned" 0 (Baseline.Onion.relay_state_entries r))
-    path
+    (Baseline.Onion.client_pubkey_ops (List.hd circuits))
 
 let test_onion_symmetric_ops () =
   let path = relays 3 in
@@ -113,8 +106,7 @@ let test_onion_wrong_relay () =
   (match Baseline.Onion.relay_process last first with
    | `Bad -> ()
    | `Exit _ -> Alcotest.fail "wrong relay produced exit"
-   | `Forward _ -> Alcotest.fail "wrong relay forwarded");
-  Baseline.Onion.teardown c
+   | `Forward _ -> Alcotest.fail "wrong relay forwarded")
 
 let () =
   Alcotest.run "baseline"

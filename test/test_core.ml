@@ -389,20 +389,17 @@ let test_keytab () =
   (match Keytab.current t ~neutralizer:n1 with
    | Some g -> Alcotest.(check string) "per-neutralizer" (nonce_of_seed "a") g.Keytab.nonce
    | None -> Alcotest.fail "missing");
-  (* nonce index survives replacement of the current grant *)
   Keytab.put t ~neutralizer:n1 (grant 0 "c" 300L);
-  Alcotest.(check bool) "old nonce findable" true
-    (Keytab.find_nonce t ~neutralizer:n1 ~nonce:(nonce_of_seed "a") <> None);
-  Alcotest.(check bool) "nonce scoped to neutralizer" true
-    (Keytab.find_nonce t ~neutralizer:n2 ~nonce:(nonce_of_seed "a") = None);
-  Alcotest.(check (option int64)) "age" (Some 700L)
-    (Keytab.age t ~neutralizer:n1 ~now:1000L);
+  Alcotest.(check (option string)) "replaced"
+    (Some (nonce_of_seed "c"))
+    (Option.map (fun g -> g.Keytab.nonce) (Keytab.current t ~neutralizer:n1));
   Keytab.invalidate t ~neutralizer:n1;
   Alcotest.(check bool) "invalidated" true (Keytab.current t ~neutralizer:n1 = None);
-  Alcotest.(check bool) "nonce index kept" true
-    (Keytab.find_nonce t ~neutralizer:n1 ~nonce:(nonce_of_seed "c") <> None);
-  Keytab.drop_older_than t ~now:10_000L ~max_age:100L;
-  Alcotest.(check bool) "expired all" true (Keytab.grants t = [])
+  Alcotest.(check (list string)) "other neutralizer kept"
+    [ nonce_of_seed "b" ]
+    (List.map (fun (_, g) -> g.Keytab.nonce) (Keytab.grants t));
+  Keytab.clear t;
+  Alcotest.(check bool) "cleared" true (Keytab.grants t = [])
 
 let test_keytab_session_cache () =
   let open Core in
@@ -421,12 +418,34 @@ let test_keytab_session_cache () =
   in
   Alcotest.(check string) "enc matches stateless" enc' enc;
   Alcotest.(check string) "tag matches stateless" tag' tag;
-  (* Expiring the grant evicts its cached session; a fresh grant builds
-     a fresh one. *)
-  Keytab.drop_older_than t ~now:10_000L ~max_age:100L;
+  (* Invalidating the grant evicts its cached session; installing it
+     again builds a fresh one. *)
+  Keytab.invalidate t ~neutralizer:n1;
   Keytab.put t ~neutralizer:n1 g;
   Alcotest.(check bool) "evicted with grant" true
-    (s1 != Keytab.session t g)
+    (s1 != Keytab.session t g);
+  (* A replaced grant still yields a correct session, but no memo
+     entry. *)
+  Keytab.put t ~neutralizer:n1 (grant 3 "b" 200L);
+  let stale = Keytab.session t g in
+  Alcotest.(check bool) "replaced grant not memoized" true
+    (stale != Keytab.session t g);
+  Alcotest.(check string) "replaced grant still blinds" enc
+    (fst (Datapath.blind_session stale dest))
+
+let test_keytab_sessions_evict () =
+  let open Core in
+  let t = Keytab.create () in
+  let n1 = addr "10.2.255.1" in
+  List.iter
+    (fun seed ->
+      let g = grant 3 seed 100L in
+      Keytab.put t ~neutralizer:n1 g;
+      ignore (Keytab.session t g))
+    [ "a"; "b"; "c"; "d"; "e" ];
+  Alcotest.(check int) "one session per neutralizer" 1 (Keytab.session_count t);
+  Keytab.invalidate t ~neutralizer:n1;
+  Alcotest.(check int) "none after invalidate" 0 (Keytab.session_count t)
 
 (* ---- session ---- *)
 
@@ -744,7 +763,9 @@ let () =
         @ datapath_props );
       ( "keytab",
         [ Alcotest.test_case "lifecycle" `Quick test_keytab;
-          Alcotest.test_case "session cache" `Quick test_keytab_session_cache
+          Alcotest.test_case "session cache" `Quick test_keytab_session_cache;
+          Alcotest.test_case "sessions evict with grants" `Quick
+            test_keytab_sessions_evict
         ] );
       ( "session",
         [ Alcotest.test_case "inner codec" `Quick test_inner_codec;

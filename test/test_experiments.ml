@@ -34,7 +34,9 @@ let test_micro_orderings () =
     (rate "rsa512-e3-encrypt")
     (rate "rsa512-crt-decrypt");
   check_gt "rsa512 faster than rsa1024" (rate "rsa512-crt-decrypt")
-    (rate "rsa1024-crt-decrypt")
+    (rate "rsa1024-crt-decrypt");
+  check_gt "a precomputed key beats inline keygen" (rate "rsa512-crt-decrypt")
+    (rate "rsa512-keygen-cold")
 
 (* E4: the section-5 comparison. *)
 let test_e4_shape () =

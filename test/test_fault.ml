@@ -390,7 +390,7 @@ let test_soak () =
   let w = W.create () in
   let engine = w.W.engine in
   let inj = Fault.Inject.create ~seed:root_seed w.W.net in
-  Fault.Inject.perturb_all_links inj ~profile:(Fault.Inject.lossy ());
+  Fault.Inject.perturb_all_links inj ~profile:{ Fault.Inject.calm with loss = 0.01; corrupt = 0.001 };
   List.iter
     (fun box ->
       let nid = (Core.Neutralizer.node box).nid in

@@ -434,7 +434,7 @@ let test_routing_unreachable () =
   Alcotest.(check (option int)) "no route" None
     (Routing.next_hop r topo ~from:a.nid b.addr);
   Alcotest.(check bool) "not reachable" false
-    (Routing.reachable r ~from:a.nid ~to_:b.nid)
+    (Routing.distance r ~from:a.nid ~to_:b.nid <> None)
 
 let test_routing_anycast_nearest () =
   let topo, _, _, a, b, c = star () in
@@ -660,7 +660,7 @@ let test_valley_free_up_peer_down_legal () =
     (Routing.distance vf ~from:d.nid ~to_:e.nid);
   (* Multihomed C reaches everything through its providers. *)
   Alcotest.(check bool) "c reaches e" true
-    (Routing.reachable vf ~from:c.nid ~to_:e.nid)
+    (Routing.distance vf ~from:c.nid ~to_:e.nid <> None)
 
 let test_valley_free_unreachable_without_peering () =
   (* Without the peering link, the only physical P1-P2 connection is
@@ -680,14 +680,14 @@ let test_valley_free_unreachable_without_peering () =
   let shortest = Routing.compute ~policy:Routing.Shortest topo in
   let vf = Routing.compute ~policy:Routing.Valley_free topo in
   Alcotest.(check bool) "physically connected" true
-    (Routing.reachable shortest ~from:r1.nid ~to_:r2.nid);
+    (Routing.distance shortest ~from:r1.nid ~to_:r2.nid <> None);
   Alcotest.(check bool) "policy-unreachable" false
-    (Routing.reachable vf ~from:r1.nid ~to_:r2.nid);
+    (Routing.distance vf ~from:r1.nid ~to_:r2.nid <> None);
   (* but C itself still reaches both its providers *)
   Alcotest.(check bool) "c reaches p1" true
-    (Routing.reachable vf ~from:c.nid ~to_:r1.nid);
+    (Routing.distance vf ~from:c.nid ~to_:r1.nid <> None);
   Alcotest.(check bool) "c reaches p2" true
-    (Routing.reachable vf ~from:c.nid ~to_:r2.nid)
+    (Routing.distance vf ~from:c.nid ~to_:r2.nid <> None)
 
 let test_valley_free_intra_domain_free () =
   (* intra-domain hops never change the phase *)

@@ -234,10 +234,12 @@ let keytab_parallel_equivalence =
       List.for_all (fun (_, pool) -> digest_with pool = reference) (pools ()))
 
 let test_keytab_session_memo_shared () =
-  (* Concurrent session lookups for one grant all get the one memoized
-     session — the table's mutex makes exactly one creator win. *)
+  (* Concurrent session lookups for one current grant all get the one
+     memoized session — the table's mutex makes exactly one creator
+     win. *)
   let tab = Core.Keytab.create () in
   let g = grant_of 7 in
+  Core.Keytab.put tab ~neutralizer:(neutralizer_of 7) g;
   let sessions = Array.make 64 None in
   Par.round pool4 ~n:64 ~f:(fun i ->
       sessions.(i) <- Some (Core.Keytab.session tab g));
@@ -448,52 +450,32 @@ let test_datapath_session_shared () =
 type keytab_op =
   | Put of int
   | Invalidate of int
-  | Drop of int * int  (* now, max_age *)
 
 let gen_op =
   QCheck2.Gen.(
     frequency
       [ (6, map (fun i -> Put i) (int_bound 200));
-        (2, map (fun i -> Invalidate i) (int_bound 200));
-        (1, map2 (fun now age -> Drop (now, age)) (int_bound 250) (int_bound 60))
+        (2, map (fun i -> Invalidate i) (int_bound 200))
       ])
 
 let print_op = function
   | Put i -> Printf.sprintf "Put %d" i
   | Invalidate i -> Printf.sprintf "Invalidate %d" i
-  | Drop (n, a) -> Printf.sprintf "Drop(%d,%d)" n a
 
-(* Sequential reference model: assoc lists, the spec made executable. *)
+(* Sequential reference model: an assoc list, the spec made executable. *)
 module Model = struct
-  type t = {
-    mutable cur : (string * Core.Keytab.grant) list;  (* key: addr octets *)
-    mutable by_nonce : (string * Core.Keytab.grant) list;
-  }
+  type t = { mutable cur : (string * Core.Keytab.grant) list (* key: addr octets *) }
 
-  let create () = { cur = []; by_nonce = [] }
+  let create () = { cur = [] }
   let okey a = Net.Ipaddr.to_octets a
 
   let put m ~neutralizer g =
-    m.cur <- (okey neutralizer, g) :: List.remove_assoc (okey neutralizer) m.cur;
-    let nk = okey neutralizer ^ g.Core.Keytab.nonce in
-    m.by_nonce <- (nk, g) :: List.remove_assoc nk m.by_nonce
+    m.cur <- (okey neutralizer, g) :: List.remove_assoc (okey neutralizer) m.cur
 
   let current m ~neutralizer = List.assoc_opt (okey neutralizer) m.cur
 
-  let find_nonce m ~neutralizer ~nonce =
-    List.assoc_opt (okey neutralizer ^ nonce) m.by_nonce
-
   let invalidate m ~neutralizer =
     m.cur <- List.remove_assoc (okey neutralizer) m.cur
-
-  let drop m ~now ~max_age =
-    let live (_, (g : Core.Keytab.grant)) =
-      Int64.compare (Int64.sub now g.obtained_at) max_age <= 0
-    in
-    let dropped = List.length (List.filter (fun e -> not (live e)) m.by_nonce) in
-    m.cur <- List.filter live m.cur;
-    m.by_nonce <- List.filter live m.by_nonce;
-    dropped
 end
 
 let keytab_model_stress =
@@ -503,53 +485,26 @@ let keytab_model_stress =
     (fun ops ->
       let tab = Core.Keytab.create () in
       let m = Model.create () in
-      let expected_evictions = ref 0 in
       List.iter
         (fun op ->
           match op with
           | Put i ->
             let g = grant_of i in
             Core.Keytab.put tab ~neutralizer:(neutralizer_of i) g;
+            ignore (Core.Keytab.session tab g);
             Model.put m ~neutralizer:(neutralizer_of i) g
           | Invalidate i ->
             Core.Keytab.invalidate tab ~neutralizer:(neutralizer_of i);
-            Model.invalidate m ~neutralizer:(neutralizer_of i)
-          | Drop (now, age) ->
-            let now = Int64.of_int now and max_age = Int64.of_int age in
-            Core.Keytab.drop_older_than tab ~now ~max_age;
-            expected_evictions := !expected_evictions + Model.drop m ~now ~max_age)
+            Model.invalidate m ~neutralizer:(neutralizer_of i))
         ops;
-      (* Every observable agrees with the model at every probe point. *)
+      (* Every observable agrees with the model at every probe point, and
+         the memo holds exactly the current grants' sessions. *)
       let agree_at i =
         let neutralizer = neutralizer_of i in
         Core.Keytab.current tab ~neutralizer = Model.current m ~neutralizer
-        && List.for_all
-             (fun j ->
-               let nonce = (grant_of j).Core.Keytab.nonce in
-               Core.Keytab.find_nonce tab ~neutralizer ~nonce
-               = Model.find_nonce m ~neutralizer ~nonce)
-             [ i; i + 1; i + 89 ]
       in
       List.for_all agree_at (List.init 40 (fun i -> i))
-      && Core.Keytab.evictions tab = !expected_evictions)
-
-let test_keytab_eviction_exactly_once () =
-  let tab = Core.Keytab.create () in
-  for i = 0 to 4 do
-    let g = { (grant_of i) with obtained_at = 0L } in
-    Core.Keytab.put tab ~neutralizer:(neutralizer_of i) g;
-    ignore (Core.Keytab.session tab g)
-  done;
-  Alcotest.(check int) "sessions materialized" 5 (Core.Keytab.session_count tab);
-  Core.Keytab.drop_older_than tab ~now:10L ~max_age:5L;
-  Alcotest.(check int) "each stale grant evicted once" 5 (Core.Keytab.evictions tab);
-  Alcotest.(check int) "sessions evicted with grants" 0
-    (Core.Keytab.session_count tab);
-  Alcotest.(check int) "no grants left" 0 (List.length (Core.Keytab.grants tab));
-  (* Idempotent: a second pass finds nothing stale. *)
-  Core.Keytab.drop_older_than tab ~now:10L ~max_age:5L;
-  Alcotest.(check int) "double drop evicts nothing more" 5
-    (Core.Keytab.evictions tab)
+      && Core.Keytab.session_count tab = List.length m.Model.cur)
 
 let () =
   Alcotest.run "par"
@@ -590,9 +545,5 @@ let () =
           Alcotest.test_case "datapath: shared session (regression)" `Quick
             test_datapath_session_shared
         ] );
-      ( "keytab",
-        [ keytab_model_stress;
-          Alcotest.test_case "eviction exactly once" `Quick
-            test_keytab_eviction_exactly_once
-        ] )
+      ("keytab", [ keytab_model_stress ])
     ]

@@ -325,10 +325,6 @@ let test_gate_ratchet () =
   Alcotest.(check bool) "other peers unaffected" true
     (Core.Version_gate.admit g ~peer:peer_b ~version:v1
      = Core.Version_gate.Admitted);
-  Core.Version_gate.forget g ~peer:peer_a;
-  Alcotest.(check bool) "forgotten peer re-admitted low" true
-    (Core.Version_gate.admit g ~peer:peer_a ~version:v1
-     = Core.Version_gate.Admitted);
   Core.Version_gate.clear g;
   Alcotest.(check int) "clear empties" 0 (Core.Version_gate.peer_count g)
 

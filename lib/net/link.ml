@@ -103,17 +103,18 @@ let count_drop t bytes reason =
 
 (* End of serialization: hand the packet to the propagation stage, where
    the fault layer's perturbation hook may lose, corrupt, duplicate or
-   delay (reorder) the wire image. *)
+   delay (reorder) the wire image. Without a hook the delivery is
+   scheduled directly, with no list per hop. *)
 let propagate t p =
-  let deliveries =
-    match t.perturb with None -> [ (p, 0L) ] | Some f -> f p
-  in
-  List.iter
-    (fun (p, extra) ->
-      ignore
-        (Engine.schedule t.engine ~delay:(Int64.add t.latency extra) (fun () ->
-             t.deliver p)))
-    deliveries
+  match t.perturb with
+  | None -> ignore (Engine.schedule t.engine ~delay:t.latency (fun () -> t.deliver p))
+  | Some f ->
+    List.iter
+      (fun (p, extra) ->
+        ignore
+          (Engine.schedule t.engine ~delay:(Int64.add t.latency extra)
+             (fun () -> t.deliver p)))
+      (f p)
 
 let send t p =
   let bytes = Packet.size p in

@@ -26,8 +26,9 @@ and node_state = {
   mutable handler : handler option;
   mutable busy_until : int; (* end of the service queue's committed work, ns *)
   mutable up : bool;
-  mutable out : (Topology.node_id * Link.t) list;
+  mutable out : (Topology.node_id * Link.t) array;
       (* links from this node, in creation order *)
+  out_index : int Inttbl.t; (* far-end node id -> position in [out] *)
 }
 
 and domain_state = {
@@ -62,7 +63,13 @@ let service_index = function
   | Vanilla_forward -> 3
   | Other -> 4
 
-let fresh_node _ = { handler = None; busy_until = 0; up = true; out = [] }
+let fresh_node _ =
+  { handler = None;
+    busy_until = 0;
+    up = true;
+    out = [||];
+    out_index = Inttbl.create 4
+  }
 let fresh_domain _ = { chain = []; taps = [] }
 
 (* [a] grown to hold index [i], new slots from [fresh]. *)
@@ -99,15 +106,17 @@ let add_tap t did f =
   let d = domain_state t did in
   d.taps <- d.taps @ [ f ]
 
-let rec find_link b = function
-  | [] -> None
-  | (b', link) :: rest -> if b' = b then Some link else find_link b rest
+(* Position of the link [st -> b] in [st.out], or [-1]. *)
+let out_position st b = Inttbl.find st.out_index b ~default:(-1)
 
-let link_between t a b = find_link b (node_state t a).out
+let link_between t a b =
+  let st = node_state t a in
+  let i = out_position st b in
+  if i < 0 then None else Some (snd st.out.(i))
 
 let iter_links t f =
   Array.iteri
-    (fun a st -> List.iter (fun (b, link) -> f a b link) st.out)
+    (fun a st -> Array.iter (fun (b, link) -> f a b link) st.out)
     t.nodes
 
 (* Node liveness (fault injection): a down node neither originates,
@@ -125,9 +134,10 @@ let drop_of_send_result t = function
 (* Hand [p] to the link [nid -> next], or drop it as unroutable when
    the two are not adjacent. *)
 let send_on t nid next p =
-  match find_link next (node_state t nid).out with
-  | None -> drop t `No_route
-  | Some link -> drop_of_send_result t (Link.send link p)
+  let st = node_state t nid in
+  let i = out_position st next in
+  if i < 0 then drop t `No_route
+  else drop_of_send_result t (Link.send (snd st.out.(i)) p)
 
 let fire_taps t (d : domain_state) p =
   match d.taps with
@@ -137,8 +147,7 @@ let fire_taps t (d : domain_state) p =
     List.iter (fun f -> f obs) fs
 
 let is_local t (node : Topology.node) (p : Packet.t) =
-  Ipaddr.equal p.dst node.addr
-  || List.mem node.nid (Topology.anycast_members t.topo p.dst)
+  Ipaddr.equal p.dst node.addr || Topology.serves t.topo p.dst node.nid
 
 let deliver t nid p =
   Obs.Counter.inc t.c_delivered;
@@ -197,23 +206,17 @@ and transit t nid d (p : Packet.t) =
          | Some p -> forward t nid p))
 
 and forward t nid (p : Packet.t) =
-  match Routing.next_hop t.routing t.topo ~from:nid p.dst with
-  | None -> drop t `No_route
-  | Some next when next = nid -> deliver t nid p
-  | Some next -> send_on t nid next p
+  let next = Routing.next_hop t.routing t.topo ~from:nid p.dst in
+  if next < 0 then drop t `No_route
+  else if next = nid then deliver t nid p
+  else send_on t nid next p
 
 let send t ~from p =
   if not (node_up t from) then drop t `Node_down
   else begin
     let node = Topology.node t.topo from in
     fire_taps t (domain_state t node.domain) p;
-    if is_local t node p then deliver t from p
-    else begin
-      match Routing.next_hop t.routing t.topo ~from p.Packet.dst with
-      | None -> drop t `No_route
-      | Some next when next = from -> deliver t from p
-      | Some next -> send_on t from next p
-    end
+    if is_local t node p then deliver t from p else forward t from p
   end
 
 let service ?(kind = Other) t nid ~cost k =
@@ -245,7 +248,7 @@ let recompute_routes t =
     (fun (e : Topology.edge) ->
       let ensure a b =
         let st = node_state t a in
-        if find_link b st.out = None then begin
+        if out_position st b < 0 then begin
           let label =
             (Topology.node t.topo a).node_name ^ "->"
             ^ (Topology.node t.topo b).node_name
@@ -256,7 +259,8 @@ let recompute_routes t =
               ~deliver:(fun p -> receive t b p)
               ()
           in
-          st.out <- st.out @ [ (b, link) ]
+          Inttbl.replace st.out_index b (Array.length st.out);
+          st.out <- Array.append st.out [| (b, link) |]
         end
       in
       ensure e.a e.b;
@@ -303,10 +307,10 @@ let route_path t ~from dst =
   let rec walk acc hops nid =
     if hops > n then None (* routing loop; cannot happen on converged tables *)
     else
-      match Routing.next_hop t.routing t.topo ~from:nid dst with
-      | None -> None
-      | Some next when next = nid -> Some (List.rev (nid :: acc))
-      | Some next -> walk (nid :: acc) (hops + 1) next
+      let next = Routing.next_hop t.routing t.topo ~from:nid dst in
+      if next < 0 then None
+      else if next = nid then Some (List.rev (nid :: acc))
+      else walk (nid :: acc) (hops + 1) next
   in
   walk [] 0 from
 

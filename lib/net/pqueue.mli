@@ -2,14 +2,18 @@
 
     Priorities are [(int64 * int)] pairs compared lexicographically: the
     event timestamp plus an insertion sequence number, which makes the pop
-    order of simultaneous events deterministic (FIFO).
+    order of simultaneous events deterministic (FIFO). Pop order depends
+    on the priorities alone.
 
-    Internally the heap is three parallel arrays ([int] times, [int]
-    seqs, values), so pushing an event allocates nothing once capacity is
-    reached — no per-entry record, no boxed timestamp retained per
-    entry. Timestamps must fit a native 63-bit int (about 146 simulated
-    years in nanoseconds); {!push} raises [Invalid_argument] beyond
-    that. *)
+    The heap itself holds only ints: each entry is its time, its seq and
+    the index of the slot that holds its value, interleaved in one int
+    array. A value is written into its slot once by {!push} and read
+    once by {!pop_value}; sifting moves a hole through the int array, so
+    no heap level runs the write barrier. Pushing allocates nothing once
+    capacity is reached. A slot is emptied as its value is popped, so
+    the heap never keeps a popped value reachable. Timestamps must fit a
+    native 63-bit int (about 146 simulated years in nanoseconds); {!push}
+    raises [Invalid_argument] beyond that. *)
 
 type 'a t
 
@@ -34,7 +38,3 @@ val min_time : 'a t -> int
     option, tuple or boxed timestamp per event). Raises
     [Invalid_argument] when the heap is empty. *)
 val pop_value : 'a t -> 'a
-
-(** [clear q] empties the heap, keeping its priority-array capacity for
-    reuse across runs; value references are dropped. *)
-val clear : 'a t -> unit

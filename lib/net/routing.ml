@@ -1,12 +1,13 @@
 type policy = Shortest | Valley_free
 
+(* Distances are native-int nanoseconds, so the per-hop anycast choice
+   reads them without following a boxed [int64]. *)
 type t = {
   mode : policy;
-  dist : int64 array array; (* dist.(src).(dst), -1L = unreachable *)
+  dist : int array array; (* dist.(src).(dst), -1 = unreachable *)
   first_hop : int array array; (* first_hop.(src).(dst), -1 = none *)
 }
 
-let infinity64 = Int64.max_int
 let policy t = t.mode
 
 (* How a hop from [u] to [v] over edge [e] reads in Gao-Rexford terms. *)
@@ -51,65 +52,63 @@ let compute ?(policy = Shortest) ?(usable = fun _ -> true) topo =
          makes Dijkstra converge around it, the way routing protocols
          converge around a dead router. *)
       if usable e.a && usable e.b then begin
-        adj.(e.a) <- (e.b, e.latency, e) :: adj.(e.a);
-        adj.(e.b) <- (e.a, e.latency, e) :: adj.(e.b)
+        let w = Int64.to_int e.latency in
+        adj.(e.a) <- (e.b, w, e) :: adj.(e.a);
+        adj.(e.b) <- (e.a, w, e) :: adj.(e.b)
       end)
     (Topology.edges topo);
-  let dist = Array.make_matrix n n (-1L) in
+  let dist = Array.make_matrix n n (-1) in
   let first_hop = Array.make_matrix n n (-1) in
   let phases = match policy with Shortest -> 1 | Valley_free -> 3 in
   (* state id = node * phases + phase *)
   let states = n * phases in
   for src = 0 to n - 1 do
-    let d = Array.make states infinity64 in
+    let d = Array.make states max_int in
     let hop = Array.make states (-1) in
     let visited = Array.make states false in
     let q = Pqueue.create () in
     let start = src * phases in
-    d.(start) <- 0L;
+    d.(start) <- 0;
     Pqueue.push q 0L 0 start;
     let seq = ref 1 in
-    let rec drain () =
-      match Pqueue.pop_min q with
-      | None -> ()
-      | Some (du, _, su) ->
-        if (not visited.(su)) && Int64.equal du d.(su) then begin
-          visited.(su) <- true;
-          let u = su / phases and phase = su mod phases in
-          List.iter
-            (fun (v, w, e) ->
-              let next_phase =
-                match policy with
-                | Shortest -> Some 0
-                | Valley_free -> transition phase (hop_kind topo e u)
-              in
-              match next_phase with
-              | None -> ()
-              | Some p ->
-                let sv = (v * phases) + p in
-                let nd = Int64.add du w in
-                if Int64.compare nd d.(sv) < 0 then begin
-                  d.(sv) <- nd;
-                  hop.(sv) <- (if u = src then v else hop.(su));
-                  Pqueue.push q nd !seq sv;
-                  incr seq
-                end)
-            adj.(u)
-        end;
-        drain ()
-    in
-    drain ();
+    while not (Pqueue.is_empty q) do
+      let du = Pqueue.min_time q in
+      let su = Pqueue.pop_value q in
+      if (not visited.(su)) && du = d.(su) then begin
+        visited.(su) <- true;
+        let u = su / phases and phase = su mod phases in
+        List.iter
+          (fun (v, w, e) ->
+            let next_phase =
+              match policy with
+              | Shortest -> Some 0
+              | Valley_free -> transition phase (hop_kind topo e u)
+            in
+            match next_phase with
+            | None -> ()
+            | Some p ->
+              let sv = (v * phases) + p in
+              let nd = du + w in
+              if nd < d.(sv) then begin
+                d.(sv) <- nd;
+                hop.(sv) <- (if u = src then v else hop.(su));
+                Pqueue.push q (Int64.of_int nd) !seq sv;
+                incr seq
+              end)
+          adj.(u)
+      end
+    done;
     for dst = 0 to n - 1 do
       (* best over phases *)
-      let best = ref infinity64 and best_hop = ref (-1) in
+      let best = ref max_int and best_hop = ref (-1) in
       for p = 0 to phases - 1 do
         let s = (dst * phases) + p in
-        if Int64.compare d.(s) !best < 0 then begin
+        if d.(s) < !best then begin
           best := d.(s);
           best_hop := hop.(s)
         end
       done;
-      if Int64.compare !best infinity64 < 0 then begin
+      if !best < max_int then begin
         dist.(src).(dst) <- !best;
         first_hop.(src).(dst) <- !best_hop
       end
@@ -120,36 +119,25 @@ let compute ?(policy = Shortest) ?(usable = fun _ -> true) topo =
 
 let distance t ~from ~to_ =
   let d = t.dist.(from).(to_) in
-  if Int64.compare d 0L < 0 then None else Some d
+  if d < 0 then None else Some (Int64.of_int d)
 
-let nearest t ~from members =
-  let best =
-    List.fold_left
-      (fun acc m ->
-        match distance t ~from ~to_:m with
-        | None -> acc
-        | Some d ->
-          (match acc with
-           | Some (_, bd) when Int64.compare bd d <= 0 -> acc
-           | _ -> Some (m, d)))
-      None members
-  in
-  Option.map fst best
+(* The reachable member of [members] nearest by [row] (the first on a
+   tie), or [from] itself when it is a member; [-1] when none is
+   reachable. *)
+let rec nearest row from best best_d = function
+  | [] -> best
+  | m :: rest ->
+    if m = from then from
+    else begin
+      let d = row.(m) in
+      if d >= 0 && d < best_d then nearest row from m d rest
+      else nearest row from best best_d rest
+    end
 
 let next_hop t topo ~from dst =
   let target =
     match Topology.anycast_members topo dst with
-    | [] ->
-      Option.map (fun (n : Topology.node) -> n.nid)
-        (Topology.node_of_addr topo dst)
-    | members ->
-      if List.mem from members then Some from else nearest t ~from members
+    | [] -> Topology.node_id_of_addr topo dst
+    | members -> nearest t.dist.(from) from (-1) max_int members
   in
-  match target with
-  | None -> None
-  | Some target ->
-    if target = from then Some from
-    else begin
-      let hop = t.first_hop.(from).(target) in
-      if hop < 0 then None else Some hop
-    end
+  if target < 0 || target = from then target else t.first_hop.(from).(target)

@@ -39,12 +39,12 @@ val compute : ?policy:policy -> ?usable:(Topology.node_id -> bool) -> Topology.t
 val policy : t -> policy
 
 val next_hop :
-  t -> Topology.t -> from:Topology.node_id -> Ipaddr.t ->
-  Topology.node_id option
-(** [next_hop r topo ~from dst] is the neighbour to forward to, [None] if
-    [dst] is unknown or unreachable under the mode's policy. Returns
+  t -> Topology.t -> from:Topology.node_id -> Ipaddr.t -> Topology.node_id
+(** [next_hop r topo ~from dst] is the neighbour to forward to, or [-1]
+    if [dst] is unknown or unreachable under the mode's policy. Returns
     [from] itself when the packet has arrived (dst is [from]'s address or
-    an anycast address [from] serves). *)
+    an anycast address [from] serves). Allocation-free: it runs at every
+    hop. *)
 
 val distance :
   t -> from:Topology.node_id -> to_:Topology.node_id -> int64 option

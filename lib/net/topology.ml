@@ -31,9 +31,9 @@ type t = {
   mutable next_host : (domain_id, int) Hashtbl.t;
   mutable nods : node list; (* newest first *)
   mutable edgs : edge list;
-  by_addr : (Ipaddr.t, node) Hashtbl.t;
+  by_addr : node_id Inttbl.t; (* keyed on [Ipaddr.to_int] *)
   mutable by_id : node array; (* by_id.(nid) for nid < n_nodes *)
-  anycast : (Ipaddr.t, node_id list) Hashtbl.t;
+  anycast : node_id list Inttbl.t; (* keyed on [Ipaddr.to_int] *)
   mutable n_nodes : int;
   mutable n_domains : int;
 }
@@ -43,9 +43,9 @@ let create () =
     next_host = Hashtbl.create 16;
     nods = [];
     edgs = [];
-    by_addr = Hashtbl.create 64;
+    by_addr = Inttbl.create 64;
     by_id = [||];
-    anycast = Hashtbl.create 8;
+    anycast = Inttbl.create 8;
     n_nodes = 0;
     n_domains = 0
   }
@@ -75,7 +75,7 @@ let add_node t ~domain:did ~kind ~name =
   t.n_nodes <- nid + 1;
   let n = { nid; kind; addr; domain = did; node_name = name } in
   t.nods <- n :: t.nods;
-  Hashtbl.replace t.by_addr addr n;
+  Inttbl.replace t.by_addr (Ipaddr.to_int addr) nid;
   if nid = Array.length t.by_id then begin
     let grown = Array.make (max 16 (2 * nid)) n in
     Array.blit t.by_id 0 grown 0 nid;
@@ -89,25 +89,30 @@ let add_link t a b ~bandwidth_bps ~latency ?(queue_bytes = 128 * 1024) ?rel ()
   if a = b then invalid_arg "Topology.add_link: self loop";
   t.edgs <- { a; b; bandwidth_bps; latency; queue_bytes; rel } :: t.edgs
 
+let rec mem_id nid = function
+  | [] -> false
+  | m :: rest -> Int.equal m nid || mem_id nid rest
+
 let register_anycast t addr members =
-  Hashtbl.replace t.anycast addr members
+  Inttbl.replace t.anycast (Ipaddr.to_int addr) members
 
 let remove_anycast_member t addr nid =
-  match Hashtbl.find_opt t.anycast addr with
-  | None -> ()
-  | Some members ->
-    Hashtbl.replace t.anycast addr (List.filter (fun m -> m <> nid) members)
+  let k = Ipaddr.to_int addr in
+  match Inttbl.find t.anycast k ~default:[] with
+  | [] -> ()
+  | members -> Inttbl.replace t.anycast k (List.filter (fun m -> m <> nid) members)
 
 let add_anycast_member t addr nid =
-  match Hashtbl.find_opt t.anycast addr with
-  | None -> Hashtbl.replace t.anycast addr [ nid ]
-  | Some members ->
-    if not (List.mem nid members) then
-      (* keep the original announcement order: late (re)joins append *)
-      Hashtbl.replace t.anycast addr (members @ [ nid ])
+  let k = Ipaddr.to_int addr in
+  let members = Inttbl.find t.anycast k ~default:[] in
+  if not (mem_id nid members) then
+    (* keep the original announcement order: late (re)joins append *)
+    Inttbl.replace t.anycast k (members @ [ nid ])
 
 let anycast_groups t =
-  Hashtbl.fold (fun addr members acc -> (addr, members) :: acc) t.anycast []
+  Inttbl.fold
+    (fun k members acc -> (Ipaddr.of_int k, members) :: acc)
+    t.anycast []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let node t nid =
@@ -118,15 +123,16 @@ let nodes t = List.rev t.nods
 let domains t = List.rev t.doms
 let edges t = List.rev t.edgs
 let node_count t = t.n_nodes
-let node_of_addr t addr = Hashtbl.find_opt t.by_addr addr
+let node_id_of_addr t addr =
+  Inttbl.find t.by_addr (Ipaddr.to_int addr) ~default:(-1)
 
 let node_by_name t name =
   List.find_opt (fun n -> n.node_name = name) t.nods
 
 let anycast_members t addr =
-  match Hashtbl.find_opt t.anycast addr with
-  | Some l -> l
-  | None -> []
+  Inttbl.find t.anycast (Ipaddr.to_int addr) ~default:[]
+
+let serves t addr nid = mem_id nid (anycast_members t addr)
 
 let domain_of_addr t addr =
   let candidates =

@@ -92,8 +92,10 @@ val domains : t -> domain list
 val edges : t -> edge list
 val node_count : t -> int
 
-val node_of_addr : t -> Ipaddr.t -> node option
-(** Unicast lookup; anycast addresses resolve via {!anycast_members}. *)
+val node_id_of_addr : t -> Ipaddr.t -> node_id
+(** Unicast lookup: the node with this address, or [-1] when there is
+    none (allocation-free, for the per-hop path). Anycast addresses
+    resolve via {!anycast_members}. *)
 
 val node_by_name : t -> string -> node option
 (** Lookup by the name given to {!add_node} — how declarative fault
@@ -101,6 +103,9 @@ val node_by_name : t -> string -> node option
 
 val anycast_members : t -> Ipaddr.t -> node_id list
 (** Empty when [addr] is not an anycast address. *)
+
+val serves : t -> Ipaddr.t -> node_id -> bool
+(** [serves t addr nid]: [nid] is a member of [addr]'s anycast group. *)
 
 val domain_of_addr : t -> Ipaddr.t -> domain option
 (** The domain whose prefix contains [addr] (longest match first). *)

@@ -49,24 +49,8 @@ let key_to_string m =
     ^ "}"
 
 let hist_quantile hs q =
-  (* Same estimator as Histogram.quantile, over the exported state. *)
-  if hs.count = 0 then nan
-  else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int hs.count))) in
-    let rec go cum = function
-      | [] -> float_of_int hs.max_value
-      | (i, c) :: rest ->
-        if cum + c >= rank then begin
-          let lo, hi = Histogram.bounds_of_index ~sub_bits:hs.sub_bits i in
-          Float.min
-            (float_of_int hs.max_value)
-            (Float.max (float_of_int hs.min_value)
-               (float_of_int (lo + hi) /. 2.0))
-        end
-        else go (cum + c) rest
-    in
-    go 0 hs.buckets
-  end
+  Histogram.bucket_quantile ~sub_bits:hs.sub_bits ~count:hs.count
+    ~min_value:hs.min_value ~max_value:hs.max_value hs.buckets q
 
 let value_summary = function
   | Counter v -> string_of_int v

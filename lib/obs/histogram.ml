@@ -72,20 +72,22 @@ let sum t = t.sum
 let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = t.max_v
 
-let quantile t q =
+let bucket_quantile ~sub_bits ~count ~min_value ~max_value buckets q =
   if q < 0.0 || q > 1.0 then invalid_arg "Obs.Histogram.quantile: q outside [0, 1]";
-  if t.count = 0 then nan
+  if count = 0 then nan
   else begin
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int t.count))) in
-    let cum = ref 0 in
-    let i = ref 0 in
-    while !cum < rank do
-      cum := !cum + t.buckets.(!i);
-      incr i
-    done;
-    let lo, hi = bounds_of_index ~sub_bits:t.sub_bits (!i - 1) in
-    let est = float_of_int (lo + hi) /. 2.0 in
-    Float.min (float_of_int t.max_v) (Float.max (float_of_int t.min_v) est)
+    let rank = max 1 (int_of_float (ceil (q *. float_of_int count))) in
+    let rec go cum = function
+      | [] -> float_of_int max_value
+      | (i, c) :: rest ->
+        if cum + c >= rank then begin
+          let lo, hi = bounds_of_index ~sub_bits i in
+          Float.min (float_of_int max_value)
+            (Float.max (float_of_int min_value) (float_of_int (lo + hi) /. 2.0))
+        end
+        else go (cum + c) rest
+    in
+    go 0 buckets
   end
 
 let merge ~into src =
@@ -111,3 +113,7 @@ let buckets t =
     if t.buckets.(i) > 0 then acc := (i, t.buckets.(i)) :: !acc
   done;
   !acc
+
+let quantile t q =
+  bucket_quantile ~sub_bits:t.sub_bits ~count:t.count ~min_value:(min_value t)
+    ~max_value:t.max_v (buckets t) q

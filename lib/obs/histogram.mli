@@ -35,6 +35,19 @@ val quantile : t -> float -> float
     the [q]-quantile, clamped to the recorded min/max. [nan] when
     empty. *)
 
+val bucket_quantile :
+  sub_bits:int ->
+  count:int ->
+  min_value:int ->
+  max_value:int ->
+  (int * int) list ->
+  float ->
+  float
+(** The estimator behind {!quantile}, over a histogram's state as
+    {!buckets} and the accessors beside it give it: what an exported
+    snapshot holds, so the exporters and the live histogram share one
+    rule. *)
+
 val merge : into:t -> t -> unit
 (** Add every recorded observation of the second histogram into [into].
     Raises [Invalid_argument] if the two differ in [sub_bits]. *)

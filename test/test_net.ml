@@ -66,22 +66,28 @@ let test_pqueue_fifo_ties () =
   Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ]
     [ a; b; c ]
 
-let test_pqueue_clear_reuse () =
-  let q = Pqueue.create ~capacity:8 () in
-  for round = 1 to 3 do
-    for i = 1 to 8 do
-      Pqueue.push q (Int64.of_int ((9 - i) * round)) i (i * round)
-    done;
-    Alcotest.(check int) "filled" 8 (Pqueue.length q);
-    (match Pqueue.pop_min q with
-     | Some (t, _, _) ->
-       Alcotest.(check int64) "min after refill" (Int64.of_int round) t
-     | None -> Alcotest.fail "empty after refill");
-    Pqueue.clear q;
-    Alcotest.(check int) "cleared" 0 (Pqueue.length q);
-    Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-    Alcotest.(check bool) "pop empty" true (Pqueue.pop_min q = None)
-  done
+(* The free slots of the value array must not keep a popped value
+   reachable while the heap itself lives on. *)
+let test_pqueue_no_pin () =
+  let q = Pqueue.create () in
+  let probe = Weak.create 1 in
+  let[@inline never] fill () =
+    List.iteri
+      (fun i time ->
+        let v = Bytes.make 16 (Char.chr (65 + i)) in
+        if i = 0 then Weak.set probe 0 (Some v);
+        Pqueue.push q time i v)
+      [ 1L; 2L; 3L ]
+  in
+  let[@inline never] pop_first () =
+    Alcotest.(check string) "first out" "AAAAAAAAAAAAAAAA"
+      (Bytes.to_string (Pqueue.pop_value q))
+  in
+  fill ();
+  pop_first ();
+  Gc.full_major ();
+  Alcotest.(check bool) "popped value collected" false (Weak.check probe 0);
+  Alcotest.(check int) "heap still live" 2 (Pqueue.length (Sys.opaque_identity q))
 
 let test_pqueue_time_range () =
   let q = Pqueue.create () in
@@ -154,6 +160,36 @@ let pqueue_props =
           pop_and_check ()
         done;
         !ok && !model = [])
+  ]
+
+(* ---- Inttbl ---- *)
+
+let inttbl_props =
+  [ prop "agrees with Hashtbl through growth"
+      (* Keys drawn from the address range, few enough distinct ones to
+         rebind some, many enough to grow the table several times. *)
+      QCheck2.Gen.(
+        list_size (int_bound 200)
+          (pair (oneof [ int_bound 50; int_bound 0xffffffff ]) small_nat))
+      (fun l ->
+        String.concat ","
+          (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l))
+      (fun bindings ->
+        let t = Inttbl.create 1 and model = Hashtbl.create 16 in
+        List.iter
+          (fun (k, v) ->
+            Inttbl.replace t k v;
+            Hashtbl.replace model k v)
+          bindings;
+        let probes = List.map fst bindings @ [ 51; 0xfffffffe; -1 ] in
+        List.for_all
+          (fun k ->
+            Inttbl.find t k ~default:(-1)
+            = Option.value (Hashtbl.find_opt model k) ~default:(-1))
+          probes
+        && List.sort compare (Inttbl.fold (fun k v acc -> (k, v) :: acc) t [])
+           = List.sort compare
+               (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
   ]
 
 (* ---- Engine ---- *)
@@ -397,12 +433,10 @@ let test_topology_addresses () =
   let topo, d, hub, a, b, _ = star () in
   Alcotest.(check bool) "distinct" true (not (Ipaddr.equal a.addr b.addr));
   Alcotest.(check bool) "in prefix" true (Topology.in_domain topo a.addr d);
-  (match Topology.node_of_addr topo hub.addr with
-   | Some n -> Alcotest.(check int) "lookup" hub.nid n.nid
-   | None -> Alcotest.fail "no node");
+  Alcotest.(check int) "lookup" hub.nid (Topology.node_id_of_addr topo hub.addr);
   let fresh = Topology.fresh_address topo d in
-  Alcotest.(check bool) "fresh distinct" true
-    (Topology.node_of_addr topo fresh = None)
+  Alcotest.(check int) "fresh distinct" (-1)
+    (Topology.node_id_of_addr topo fresh)
 
 let test_domain_longest_match () =
   let topo = Topology.create () in
@@ -419,9 +453,8 @@ let test_domain_longest_match () =
 let test_routing_shortest () =
   let topo, _, hub, a, _, c = star () in
   let r = Routing.compute topo in
-  (match Routing.next_hop r topo ~from:a.nid c.addr with
-   | Some hop -> Alcotest.(check int) "via hub" hub.nid hop
-   | None -> Alcotest.fail "no route");
+  Alcotest.(check int) "via hub" hub.nid
+    (Routing.next_hop r topo ~from:a.nid c.addr);
   Alcotest.(check (option int64)) "distance" (Some 51_000_000L)
     (Routing.distance r ~from:a.nid ~to_:c.nid)
 
@@ -431,7 +464,7 @@ let test_routing_unreachable () =
   let a = Topology.add_node topo ~domain:d ~kind:Host ~name:"a" in
   let b = Topology.add_node topo ~domain:d ~kind:Host ~name:"b" in
   let r = Routing.compute topo in
-  Alcotest.(check (option int)) "no route" None
+  Alcotest.(check int) "no route" (-1)
     (Routing.next_hop r topo ~from:a.nid b.addr);
   Alcotest.(check bool) "not reachable" false
     (Routing.distance r ~from:a.nid ~to_:b.nid <> None)
@@ -645,10 +678,10 @@ let test_valley_free_avoids_customer_transit () =
     (Some 30_000_000L)
     (Routing.distance vf ~from:r1.nid ~to_:r2.nid);
   (* and the actual next hop differs *)
-  Alcotest.(check (option int)) "shortest via C" (Some c.nid)
+  Alcotest.(check int) "shortest via C" c.nid
     (Routing.next_hop shortest topo ~from:r1.nid
        (Topology.node topo r2.nid).addr);
-  Alcotest.(check (option int)) "valley-free direct" (Some r2.nid)
+  Alcotest.(check int) "valley-free direct" r2.nid
     (Routing.next_hop vf topo ~from:r1.nid (Topology.node topo r2.nid).addr)
 
 let test_valley_free_up_peer_down_legal () =
@@ -752,6 +785,166 @@ let test_anycast_recompute_shortest = anycast_recompute_case Routing.Shortest
 
 let test_anycast_recompute_valley_free =
   anycast_recompute_case Routing.Valley_free
+
+(* ---- Per-hop lookups vs list-scan references ---- *)
+
+(* The references exist only here: an address resolves by scanning
+   [Topology.nodes], anycast membership by [List.mem] over the groups
+   the test itself registered, a link by scanning [iter_links]. *)
+let check_hop_lookups net topo routing groups =
+  let nodes = Topology.nodes topo in
+  let links =
+    let acc = ref [] in
+    Network.iter_links net (fun a b l -> acc := (a, b, l) :: !acc);
+    List.rev !acc
+  in
+  let ok = ref true in
+  let expect cond = if not cond then ok := false in
+  (* Every edge is one link each way, listed by source id and then in
+     creation (edge) order. *)
+  let sources = List.map (fun (a, _, _) -> a) links in
+  expect (sources = List.sort compare sources);
+  List.iter
+    (fun (n : Topology.node) ->
+      let created =
+        List.fold_left
+          (fun acc (e : Topology.edge) ->
+            let far = if e.a = n.nid then e.b else if e.b = n.nid then e.a else -1 in
+            if far < 0 || List.mem far acc then acc else acc @ [ far ])
+          [] (Topology.edges topo)
+      in
+      expect
+        (List.filter_map
+           (fun (a, b, _) -> if a = n.nid then Some b else None)
+           links
+        = created))
+    nodes;
+  List.iter
+    (fun (a : Topology.node) ->
+      List.iter
+        (fun (b : Topology.node) ->
+          let scanned =
+            List.find_map
+              (fun (a', b', l) -> if a' = a.nid && b' = b.nid then Some l else None)
+              links
+          in
+          expect
+            (match (Network.link_between net a.nid b.nid, scanned) with
+             | None, None -> true
+             | Some l, Some l' -> l == l'
+             | _ -> false))
+        nodes)
+    nodes;
+  let members addr =
+    match List.assoc_opt addr groups with Some m -> m | None -> []
+  in
+  let unicast addr =
+    match List.find_opt (fun (n : Topology.node) -> n.addr = addr) nodes with
+    | Some n -> n.nid
+    | None -> -1
+  in
+  let latency a b =
+    List.find_map
+      (fun (e : Topology.edge) ->
+        if (e.a = a && e.b = b) || (e.a = b && e.b = a) then Some e.latency
+        else None)
+      (Topology.edges topo)
+  in
+  let unused = Topology.fresh_address topo 0 in
+  let dsts =
+    unused :: List.map fst groups
+    @ List.map (fun (n : Topology.node) -> n.addr) nodes
+  in
+  expect (Topology.anycast_groups topo = List.sort compare groups);
+  List.iter
+    (fun dst ->
+      expect (Topology.node_id_of_addr topo dst = unicast dst);
+      List.iter
+        (fun (from : Topology.node) ->
+          let from = from.nid in
+          expect (Topology.serves topo dst from = List.mem from (members dst));
+          let hop = Routing.next_hop routing topo ~from dst in
+          match members dst with
+          | _ :: _ as ms ->
+            (* The nearest reachable member (the first on a tie), or
+               [from] itself when it serves. *)
+            let target =
+              if List.mem from ms then from
+              else
+                fst
+                  (List.fold_left
+                     (fun (best, bd) m ->
+                       match Routing.distance routing ~from ~to_:m with
+                       | Some d when best < 0 || d < bd -> (m, d)
+                       | _ -> (best, bd))
+                     (-1, 0L) ms)
+            in
+            expect
+              (hop
+               = if target < 0 || target = from then target
+                 else
+                   Routing.next_hop routing topo ~from
+                     (Topology.node topo target).addr)
+          | [] ->
+            let target = unicast dst in
+            if target < 0 then expect (hop = -1)
+            else if target = from then expect (hop = from)
+            else begin
+              match Routing.distance routing ~from ~to_:target with
+              | None -> expect (hop = -1)
+              | Some d ->
+                (* A neighbour on a shortest path to the target. *)
+                expect
+                  (Network.link_between net from hop <> None
+                  && Some d
+                     = Option.bind (latency from hop) (fun l ->
+                           Option.map (Int64.add l)
+                             (Routing.distance routing ~from:hop ~to_:target)))
+            end)
+        nodes)
+    dsts;
+  !ok
+
+let prop_hop_lookups =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:25
+       ~name:"link_between and next_hop agree with list-scan references"
+       ~print:(fun (domains, boxes, clients, seed) ->
+         Printf.sprintf "domains=%d boxes=%d clients=%d seed=%d" domains
+           boxes clients seed)
+       QCheck2.Gen.(
+         let* domains = 2 -- 30 in
+         let* boxes = 1 -- min 4 domains in
+         let* clients = 0 -- 3 in
+         let+ seed = 0 -- 1_000_000 in
+         (domains, boxes, clients, seed))
+       (fun (domains, box_domains, clients, seed) ->
+         let gen = Topogen.generate ~box_domains ~domains ~seed () in
+         let topo = gen.Topogen.topo in
+         for i = 1 to clients do
+           ignore
+             (Topogen.client gen ~domain:(i * 7 mod domains)
+                ~name:(Printf.sprintf "h%d" i) ()
+               : Topology.node)
+         done;
+         let net =
+           Network.create (Engine.create ~obs:(Obs.Registry.create ()) ()) topo
+         in
+         let routing = Routing.compute topo in
+         let boxes = List.map snd gen.Topogen.boxes in
+         let built = [ (gen.Topogen.anycast, boxes) ] in
+         let ok_built = check_hop_lookups net topo routing built in
+         (* A withdrawn box, with the routes recomputed. *)
+         Topology.remove_anycast_member topo gen.Topogen.anycast (List.hd boxes);
+         Network.recompute_routes net;
+         let withdrawn = [ (gen.Topogen.anycast, List.tl boxes) ] in
+         let ok_withdrawn = check_hop_lookups net topo routing withdrawn in
+         (* A fresh group and no recompute: the QoS path. *)
+         let qos = Topology.fresh_address topo (domains - 1) in
+         let qos_members = [ gen.Topogen.routers.(domains - 1); List.hd boxes ] in
+         Topology.register_anycast topo qos qos_members;
+         ok_built && ok_withdrawn
+         && check_hop_lookups net topo routing ((qos, qos_members) :: withdrawn)))
 
 (* ---- Host ---- *)
 
@@ -872,10 +1065,12 @@ let () =
       ( "pqueue",
         [ Alcotest.test_case "order" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "clear/reuse" `Quick test_pqueue_clear_reuse;
+          Alcotest.test_case "popped value not pinned" `Quick
+            test_pqueue_no_pin;
           Alcotest.test_case "time range" `Quick test_pqueue_time_range
         ]
         @ pqueue_props );
+      ("inttbl", inttbl_props);
       ( "engine",
         [ Alcotest.test_case "order" `Quick test_engine_order;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
@@ -915,7 +1110,8 @@ let () =
           Alcotest.test_case "anycast withdraw/re-announce (shortest)" `Quick
             test_anycast_recompute_shortest;
           Alcotest.test_case "anycast withdraw/re-announce (valley-free)"
-            `Quick test_anycast_recompute_valley_free
+            `Quick test_anycast_recompute_valley_free;
+          prop_hop_lookups
         ] );
       ( "network",
         [ Alcotest.test_case "ttl" `Quick test_network_ttl;

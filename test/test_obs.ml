@@ -210,6 +210,27 @@ let prop_histogram_order_insensitive =
       && H.buckets h1 = H.buckets h2
       && H.buckets h1 = H.buckets h3)
 
+let prop_text_quantiles_match_live =
+  prop ~name:"export: text p50/p99 equal the live histogram's quantiles"
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(pair (1 -- 8) gen_values)
+    (fun (sub_bits, vs) ->
+      QCheck2.assume (vs <> []);
+      let r = Obs.Registry.create () in
+      let h = Obs.Registry.histogram r ~sub_bits "k.hist" in
+      List.iter (H.add h) vs;
+      let want =
+        Printf.sprintf "p50=%.0f p99=%.0f" (H.quantile h 0.5)
+          (H.quantile h 0.99)
+      in
+      let text = Obs.Export.to_text r in
+      let n = String.length want in
+      let rec found i =
+        i + n <= String.length text
+        && (String.sub text i n = want || found (i + 1))
+      in
+      found 0)
+
 let prop_counter_monotone =
   prop ~name:"counter: value never decreases"
     ~print:QCheck2.Print.(list int)
@@ -245,5 +266,7 @@ let () =
             test_registry_memoization
         ] );
       ( "export",
-        [ Alcotest.test_case "text and JSON" `Quick test_export_text_and_json ] )
+        [ Alcotest.test_case "text and JSON" `Quick test_export_text_and_json;
+          prop_text_quantiles_match_live
+        ] )
     ]

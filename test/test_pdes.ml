@@ -264,31 +264,46 @@ let test_lookahead_violation () =
 
 (* ---- Pqueue vs a sorted-list model (satellite) ---- *)
 
-type pq_op = Push of int | Pop | Pop_value | Clear
+type pq_op = Push of int | Pop | Pop_value
 
-let pq_op_gen =
+(* A case starts the heap from [create ()] or from a capacity hint, and
+   draws its times either from 0..9 (ties carry the order) or from a
+   wide range (the sifts carry it). Pushes outnumber pops, so a long
+   case runs the heap through several capacity doublings. *)
+let pq_case_gen =
   QCheck2.Gen.(
-    frequency
-      [ (6, map (fun t -> Push t) (0 -- 9)) (* few distinct times: ties *);
-        (2, pure Pop);
-        (2, pure Pop_value);
-        (1, pure Clear)
-      ])
+    let* capacity = opt (1 -- 20) in
+    let* wide = bool in
+    let time = if wide then 0 -- 1_000_000_000_000 else 0 -- 9 in
+    let+ ops =
+      list_size (5 -- 400)
+        (frequency
+           [ (7, map (fun t -> Push t) time);
+             (2, pure Pop);
+             (1, pure Pop_value)
+           ])
+    in
+    (capacity, ops))
 
 let test_pqueue_model =
   prop ~count:200 ~name:"pqueue: interleaved ops match sorted-list model"
-    ~print:(fun ops ->
-      String.concat ";"
-        (List.map
-           (function
-             | Push t -> Printf.sprintf "push %d" t
-             | Pop -> "pop"
-             | Pop_value -> "pop_value"
-             | Clear -> "clear")
-           ops))
-    QCheck2.Gen.(list_size (5 -- 60) pq_op_gen)
-    (fun ops ->
-      let q = Net.Pqueue.create () in
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity=%s %s"
+        (match capacity with None -> "-" | Some c -> string_of_int c)
+        (String.concat ";"
+           (List.map
+              (function
+                | Push t -> Printf.sprintf "push %d" t
+                | Pop -> "pop"
+                | Pop_value -> "pop_value")
+              ops)))
+    pq_case_gen
+    (fun (capacity, ops) ->
+      let q =
+        match capacity with
+        | None -> Net.Pqueue.create ()
+        | Some capacity -> Net.Pqueue.create ~capacity ()
+      in
       (* Model: entries sorted by (time, seq); pushes append after every
          entry with time <= t, which IS the stable FIFO tie-break. *)
       let model = ref [] in
@@ -333,18 +348,15 @@ let test_pqueue_model =
                 model := rest;
                 let t' = Net.Pqueue.min_time q in
                 if not (t = t' && Net.Pqueue.pop_value q = s) then
-                  ok := false)
-           | Clear ->
-             Net.Pqueue.clear q;
-             model := []);
+                  ok := false));
           check_mins ())
         ops;
       (* Drain what's left: the full stable order must survive. *)
       let rec drain () =
         match (Net.Pqueue.pop_min q, !model) with
         | None, [] -> ()
-        | Some (t', s', _), (t, s) :: rest ->
-          if not (Int64.of_int t = t' && s = s') then ok := false;
+        | Some (t', s', v), (t, s) :: rest ->
+          if not (Int64.of_int t = t' && s = s' && v = s) then ok := false;
           model := rest;
           drain ()
         | _ -> ok := false

@@ -404,39 +404,18 @@ let run_chaos quick seed plan_file corrupt =
 let run_overload quick seed chaos =
   Experiments.E13_overload.(print (run ?seed ~chaos ~quick ()))
 
-(* Multicore sweeps measured on a single-core host silently read as
-   "no speedup"; say so out loud instead of letting the JSON mislead. *)
-let warn_single_core what =
-  if Par.recommended () <= 1 then
-    Printf.eprintf
-      "netneutral: warning: single-core host (Par.recommended = 1); %s \
-       speedups cannot exceed 1x here and measure coordination overhead, \
-       not scaling. The equivalence digests are still binding.\n%!"
-      what
-
-(* `netneutral pdes`: the sharded-engine scaling sweep — events/s and
-   shard-count-equivalence digests at shard counts 1/2/4, written as
-   BENCH_pdes.json. A digest divergence is a failed run. *)
-let run_pdes quick out =
-  warn_single_core "sharded-engine";
-  let r =
-    if quick then Experiments.Pdes_scaling.run ~tokens:32 ~hops:200 ()
-    else Experiments.Pdes_scaling.run ()
-  in
-  Experiments.Pdes_scaling.print r;
-  if not r.Experiments.Pdes_scaling.equivalent then begin
-    Printf.eprintf
-      "netneutral: sharded engine diverged from the sequential reference\n";
-    exit 1
-  end;
-  write_json "pdes results" out (Experiments.Pdes_scaling.to_json r)
-
 (* `netneutral scale`: the E14 fluid-aggregate capstone — equivalence
    gate, cross-shard digest gate, then the million-client run on a
    generated AS-scale topology, written as BENCH_scale.json. Any gate
    failure exits 1. *)
 let run_scale quick out =
-  warn_single_core "hybrid-tier";
+  (* A multicore sweep measured on a single-core host silently reads as
+     "no speedup"; say so out loud instead of letting the JSON mislead. *)
+  if Par.recommended () <= 1 then
+    prerr_endline
+      "netneutral: warning: single-core host (Par.recommended = 1); \
+       hybrid-tier speedups cannot exceed 1x here and measure coordination \
+       overhead, not scaling. The equivalence digests are still binding.";
   let r =
     if quick then
       Experiments.E14_scale.run ~domains:40 ~cohorts:80 ~clients_per_cohort:250
@@ -644,22 +623,6 @@ let () =
             plan under a steady flow and print recovery-time statistics")
       Term.(const run_chaos $ quick_flag $ seed_opt $ plan_opt $ corrupt_opt)
   in
-  let pdes_cmd =
-    let out_opt =
-      let doc = "Write the JSON results to $(docv)." in
-      Arg.(
-        value & opt string "BENCH_pdes.json"
-        & info [ "out" ] ~docv:"FILE" ~doc)
-    in
-    Cmd.v
-      (Cmd.info "pdes"
-         ~doc:
-           "Sharded-engine scaling sweep: a token workload on a ring \
-            topology at shard counts 1/2/4 with conservative lookahead, \
-            with shard-count-equivalence digests (any divergence from \
-            the sequential engine fails the run)")
-      Term.(const run_pdes $ quick_flag $ out_opt)
-  in
   let scale_cmd =
     let out_opt =
       let doc = "Write the JSON results to $(docv)." in
@@ -778,5 +741,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           (demo_cmd :: topology_cmd :: trace_cmd :: fig2_cmd :: stats_cmd
-           :: chaos_cmd :: overload_cmd :: pdes_cmd
-           :: scale_cmd :: fuzzpolicy_cmd :: vectors_cmd :: exp_cmds)))
+           :: chaos_cmd :: overload_cmd :: scale_cmd :: fuzzpolicy_cmd
+           :: vectors_cmd :: exp_cmds)))

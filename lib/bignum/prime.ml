@@ -39,7 +39,7 @@ let miller_rabin_witness ctx n ~d ~s a =
     go 0 x
   end
 
-let is_probable_prime ?(rounds = 24) n state =
+let is_probable_prime n state =
   if Nat.compare n Nat.two < 0 then false
   else if List.exists (fun p -> Nat.equal n (Nat.of_int p)) small_primes then
     true
@@ -67,7 +67,7 @@ let is_probable_prime ?(rounds = 24) n state =
       else if miller_rabin_witness ctx n ~d ~s (random_base ()) then false
       else rounds_left (k - 1)
     in
-    rounds_left rounds
+    rounds_left 24
   end
 
 let generate ~bits state =

@@ -1,10 +1,9 @@
 (** Probabilistic primality testing and prime generation. *)
 
-(** [is_probable_prime ?rounds n state] runs trial division by small primes
-    followed by [rounds] (default 24) Miller–Rabin iterations with random
-    bases drawn from [state]. A composite passes with probability at most
-    [4^-rounds]. *)
-val is_probable_prime : ?rounds:int -> Nat.t -> Random.State.t -> bool
+(** [is_probable_prime n state] runs trial division by small primes
+    followed by 24 Miller–Rabin iterations with random bases drawn from
+    [state]. A composite passes with probability at most [4^-24]. *)
+val is_probable_prime : Nat.t -> Random.State.t -> bool
 
 (** [generate ~bits state] draws random odd candidates of exactly [bits]
     bits (top bit set) until one passes {!is_probable_prime}. *)

@@ -394,33 +394,6 @@ let handle_shim t (p : Net.Packet.t) =
       t.ctrs.errors <- t.ctrs.errors + 1;
       bump t "handler_exceptions")
 
-let reset t =
-  (* Crash amnesia: every table the protocol keeps in RAM is wiped, and
-     pre-crash retry timers are cancelled so they cannot fire into the
-     reborn client. Grants, sessions, DNS cache, failure marks — all
-     gone; the next send re-bootstraps and re-runs key setup (§3.2)
-     exactly as on first boot. Waiters of in-flight setups are dropped,
-     not failed: their continuations belong to the dead incarnation. *)
-  Hashtbl.iter
-    (fun _ pending ->
-      match pending.timer with
-      | Some h -> Net.Engine.cancel h
-      | None -> ())
-    t.pending_setups;
-  Hashtbl.reset t.pending_setups;
-  Hashtbl.reset t.pending_dns;
-  Hashtbl.reset t.site_cache;
-  Hashtbl.reset t.needs_refresh;
-  Hashtbl.reset t.outstanding;
-  Keytab.clear t.keytab;
-  Session.clear_table t.sessions;
-  Multihome.clear_failures t.mh;
-  (* Unlike the neutralizer's, the client's version gate IS wiped: reset
-     models a fresh host that also lost its grants, and a host that
-     forgets peers' versions only re-learns them upward. *)
-  Version_gate.clear t.gate;
-  bump t "restarts"
-
 let create host ?keypair ?config ~seed () =
   let drbg = Crypto.Drbg.create ~seed in
   let config =

@@ -73,10 +73,7 @@ val create :
     DRBG; runs are reproducible. [keypair] enables receiving
     reverse-direction flows. Every inbound shim passes
     {!Version_gate.receive} before any handler runs; each refusal counts
-    in [core.proto.reject.client{reason}] and in [counters.errors]. The
-    gate's per-peer floors are wiped by {!reset} (a fresh host re-learns
-    peer versions upward), unlike the neutralizer's, which survive
-    crashes. *)
+    in [core.proto.reject.client{reason}] and in [counters.errors]. *)
 
 val set_receiver : t -> (peer:Net.Ipaddr.t -> string -> unit) -> unit
 (** Application delivery callback: [peer] is the {e real} address of the
@@ -108,14 +105,6 @@ val send_to :
   string ->
   unit
 (** Like {!send_to_name} with the bootstrap info already in hand. *)
-
-val reset : t -> unit
-(** Crash amnesia: wipe every in-RAM table — grants, sessions, DNS
-    cache, pending setups (their retry timers are cancelled), failure
-    marks, the per-peer version floors of the inbound gate — as a host
-    crash/restart would. The client object itself survives (it models
-    the reinstalled software); the next send re-bootstraps and re-runs
-    key setup from scratch. Bumps [core.client.restarts]. *)
 
 val counters : t -> counters
 val keytab : t -> Keytab.t

@@ -13,66 +13,21 @@ let c_grants =
 let c_key_setups =
   Obs.Registry.counter Obs.Registry.default "core.datapath.key_setup_responses"
 
-(* One AES block computed under Ks: the blinding mask for the address
-   bytes. Domain-separated from the tag block by the trailing label. *)
-let mask_block ~aes ~epoch ~nonce =
-  let block =
-    nonce ^ String.make 1 (Char.chr (epoch land 0xff)) ^ "nn-mask"
-  in
-  Crypto.Aes.encrypt_block aes block
+(* ---- Per-grant sessions ----
 
-let tag_of ~aes ~nonce addr_octets =
-  (* 4 + 8 + 4 = one AES block, domain-separated from the mask block. *)
-  let block = addr_octets ^ nonce ^ "tag\x00" in
-  String.sub (Crypto.Aes.encrypt_block aes block) 0 Protocol.tag_len
-
-let blind ~ks ~epoch ~nonce addr =
-  if String.length ks <> key_len then invalid_arg "Datapath.blind: bad key";
-  if String.length nonce <> nonce_len then invalid_arg "Datapath.blind: bad nonce";
-  let aes = Crypto.Aes.expand_key ks in
-  let mask = mask_block ~aes ~epoch ~nonce in
-  let octets = Net.Ipaddr.to_octets addr in
-  let enc = Crypto.Bytes_util.xor_prefix octets mask in
-  Obs.Counter.inc c_masked;
-  (enc, tag_of ~aes ~nonce octets)
-
-let expand ~ks =
-  if String.length ks <> key_len then invalid_arg "Datapath.expand: bad key";
-  Crypto.Aes.expand_key ks
-
-let unblind_with_schedule ~aes ~epoch ~nonce ~enc_addr ~tag =
-  if String.length enc_addr <> 4 || String.length tag <> Protocol.tag_len then begin
-    Obs.Counter.inc c_unmask_failures;
-    None
-  end
-  else begin
-    let mask = mask_block ~aes ~epoch ~nonce in
-    let octets = Crypto.Bytes_util.xor_prefix enc_addr mask in
-    if Crypto.Bytes_util.equal_ct tag (tag_of ~aes ~nonce octets) then begin
-      Obs.Counter.inc c_unmasked;
-      Some (Net.Ipaddr.of_octets octets)
-    end
-    else begin
-      Obs.Counter.inc c_unmask_failures;
-      None
-    end
-  end
-
-let unblind ~ks ~epoch ~nonce ~enc_addr ~tag =
-  unblind_with_schedule ~aes:(expand ~ks) ~epoch ~nonce ~enc_addr ~tag
-
-(* ---- Precomputed per-grant sessions ----
-
-   Everything in {!blind}/{!unblind} that depends only on the grant —
-   AES key schedule, the 4-byte mask slice, the fixed 12 trailing bytes
-   of the tag block — is computed once here, leaving one scratch block
-   and one AES call per packet. A session is immutable after
-   [make_session] (no per-call scratch is stored in it), so one session
-   may be used from several domains concurrently. *)
+   Everything in the address blinding that depends only on the grant —
+   the AES key schedule of Ks, the 4-byte mask slice, the fixed 12
+   trailing bytes of the tag block — is computed once by [make_session],
+   leaving one scratch block and one AES call per packet. A session is
+   immutable after creation (no per-call scratch is stored in it), so
+   one session may be used from several domains concurrently. *)
 
 type session = {
   s_aes : Crypto.Aes.key;
-  s_mask4 : string;  (* first [tag_len] bytes of the session mask block *)
+  s_mask4 : string;
+      (* first 4 bytes of the mask block: one AES block under Ks over
+         nonce(8) | epoch(1) | "nn-mask", domain-separated from the tag
+         block by its trailing label *)
   s_tag_tail : string;
       (* nonce(8) | "tag\x00": the fixed trailing 12 bytes of the tag
          block; the 4-byte address prefix is written per packet into a
@@ -85,7 +40,10 @@ let make_session ~ks ~epoch ~nonce =
   if String.length nonce <> nonce_len then
     invalid_arg "Datapath.make_session: bad nonce";
   let aes = Crypto.Aes.expand_key ks in
-  let mask = mask_block ~aes ~epoch ~nonce in
+  let mask =
+    Crypto.Aes.encrypt_block aes
+      (nonce ^ String.make 1 (Char.chr (epoch land 0xff)) ^ "nn-mask")
+  in
   { s_aes = aes;
     s_mask4 = String.sub mask 0 4;
     s_tag_tail = nonce ^ "tag\x00"
@@ -120,6 +78,12 @@ let unblind_session s ~enc_addr ~tag =
       None
     end
   end
+
+let blind ~ks ~epoch ~nonce addr =
+  blind_session (make_session ~ks ~epoch ~nonce) addr
+
+let unblind ~ks ~epoch ~nonce ~enc_addr ~tag =
+  unblind_session (make_session ~ks ~epoch ~nonce) ~enc_addr ~tag
 
 let grant_plaintext epoch nonce ks =
   String.make 1 (Char.chr (epoch land 0xff)) ^ nonce ^ ks

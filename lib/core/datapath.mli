@@ -9,50 +9,40 @@
     encryption or decryption"). Per key-setup packet it performs one RSA
     encryption with [e = 3]. *)
 
-(** {1 Address blinding} *)
+(** {1 Address blinding}
 
-val blind :
-  ks:string -> epoch:int -> nonce:string -> Net.Ipaddr.t -> string * string
-(** [blind ~ks ~epoch ~nonce addr] is [(enc_addr, tag)]: 4 bytes of
-    blinded address and a 4-byte tag binding (Ks, nonce, addr). *)
-
-val unblind :
-  ks:string -> epoch:int -> nonce:string -> enc_addr:string -> tag:string ->
-  Net.Ipaddr.t option
-(** Inverse of {!blind}; [None] when the tag does not verify (forged or
-    corrupted shim, or wrong key). *)
-
-val expand : ks:string -> Crypto.Aes.key
-(** Precompute the AES key schedule for [Ks]. *)
-
-val unblind_with_schedule :
-  aes:Crypto.Aes.key -> epoch:int -> nonce:string -> enc_addr:string ->
-  tag:string -> Net.Ipaddr.t option
-(** {!unblind} with the key schedule supplied — what a hypothetical
-    {e stateful} neutralizer that cached per-source keys would run. The
-    A3 ablation measures what the paper's statelessness costs per
-    packet. *)
-
-(** {1 Precomputed sessions}
-
-    Grant-side fast path: everything in {!blind}/{!unblind} that depends
-    only on the grant (AES key schedule, the 4-byte mask slice, the
-    constant tail of the tag block) is precomputed once, so the per-packet
-    cost drops to one AES block and a 4-byte XOR. Outputs are byte
-    identical to the stateless functions — property-tested in the suite.
-    Sessions are immutable after creation, so one session may be used
-    concurrently from several domains. *)
+    A grant [(Ks, epoch, nonce)] blinds an address into [(enc_addr, tag)]:
+    4 bytes of address XORed with the head of one AES block under [Ks]
+    over the nonce and epoch, and a 4-byte tag, the head of one AES
+    block under [Ks] over the address and nonce. A {!session} holds
+    everything that depends only on the grant (the AES key schedule,
+    the 4-byte mask, the constant tail of the tag block), so each packet
+    costs one AES block and a 4-byte XOR. Sessions are immutable after
+    creation, so one session may be used concurrently from several
+    domains. *)
 
 type session
 
 val make_session : ks:string -> epoch:int -> nonce:string -> session
+(** Raises [Invalid_argument] on a key or nonce of the wrong length. *)
 
 val blind_session : session -> Net.Ipaddr.t -> string * string
-(** Same result as {!blind} with the session's grant. *)
+(** [(enc_addr, tag)] for the address under the session's grant. *)
 
 val unblind_session :
   session -> enc_addr:string -> tag:string -> Net.Ipaddr.t option
-(** Same result as {!unblind} with the session's grant. *)
+(** Inverse of {!blind_session}; [None] when the tag does not verify
+    (forged or corrupted shim, or wrong key). *)
+
+val blind :
+  ks:string -> epoch:int -> nonce:string -> Net.Ipaddr.t -> string * string
+(** {!blind_session} on a session made for this one call: what the
+    stateless box pays per packet. *)
+
+val unblind :
+  ks:string -> epoch:int -> nonce:string -> enc_addr:string -> tag:string ->
+  Net.Ipaddr.t option
+(** {!unblind_session} on a session made for this one call. *)
 
 (** {1 Key setup (§3.2)} *)
 

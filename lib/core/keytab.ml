@@ -62,8 +62,3 @@ let grants t =
       Hashtbl.fold (fun k g acc -> (k, g) :: acc) t.current_tbl [])
 
 let session_count t = Mutex.protect t.mu (fun () -> Hashtbl.length t.sessions)
-
-let clear t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.reset t.current_tbl;
-      Hashtbl.reset t.sessions)

@@ -44,7 +44,3 @@ val grants : t -> (Net.Ipaddr.t * grant) list
 
 val session_count : t -> int
 (** Number of memoized datapath sessions currently held. *)
-
-val clear : t -> unit
-(** Forget everything — crash amnesia. The client re-runs key setup
-    from scratch afterwards (see {!Client.reset}). *)

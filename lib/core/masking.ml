@@ -33,10 +33,6 @@ let unwrap s =
     | _ -> None
   end
 
-let overhead ?(bucket = default_bucket) n =
-  if n <= 0 then invalid_arg "Masking.overhead: need positive payload";
-  float_of_int (padded_len ~bucket n) /. float_of_int n
-
 module Pacer = struct
   type t = {
     engine : Net.Engine.t;
@@ -48,14 +44,12 @@ module Pacer = struct
     dummy_frame : string;
         (* dummies are all identical for a bucket size; pay the frame
            allocation once, not per idle tick *)
-    mutable stopped : bool;
     mutable n_data : int;
     mutable n_dummies : int;
   }
 
   let rec tick t () =
-    if (not t.stopped) && Int64.compare (Net.Engine.now t.engine) t.deadline < 0
-    then begin
+    if Int64.compare (Net.Engine.now t.engine) t.deadline < 0 then begin
       (match Queue.take_opt t.queue with
        | Some payload ->
          t.n_data <- t.n_data + 1;
@@ -77,7 +71,6 @@ module Pacer = struct
         deadline = Int64.add (Net.Engine.now engine) duration;
         queue = Queue.create ();
         dummy_frame = dummy ~bucket ();
-        stopped = false;
         n_data = 0;
         n_dummies = 0
       }
@@ -86,7 +79,6 @@ module Pacer = struct
     t
 
   let offer t payload = Queue.push payload t.queue
-  let stop t = t.stopped <- true
   let sent_data t = t.n_data
   let sent_dummies t = t.n_dummies
 end

@@ -35,10 +35,6 @@ val unwrap : string -> string option option
 (** [Some (Some payload)] for data, [Some None] for a dummy, [None] for
     bytes that are not a masked payload at all. *)
 
-val overhead : ?bucket:int -> int -> float
-(** [overhead n] is wire bytes emitted per application byte for an
-    [n]-byte payload (excluding cover traffic). *)
-
 module Pacer : sig
   type t
 
@@ -56,8 +52,6 @@ module Pacer : sig
 
   val offer : t -> string -> unit
   (** Queue an application payload for the next tick. *)
-
-  val stop : t -> unit
 
   val sent_data : t -> int
   val sent_dummies : t -> int

@@ -6,7 +6,7 @@
     (or a copy created with the same seed), which yields the paper's
     fault-tolerance property: any box can decrypt and forward.
 
-    Rotation keeps one previous epoch alive so that in-flight packets
+    Rotating keeps one previous epoch alive so that in-flight packets
     survive a key change; sources learn the fresh epoch on their next key
     setup or refresh.
 
@@ -27,8 +27,7 @@ val of_seed : seed:string -> t
 (** Deterministic master key for replica sharing in tests: two calls with
     the same seed derive identical keys for every epoch (the seed fixes
     epoch 0 and the ratchet is deterministic, so replicas that rotate in
-    lockstep stay identical — including across {!Rotation.restart}
-    catch-up). The seed is {e not} retained: it derives epoch 0 only. *)
+    lockstep stay identical). The seed is {e not} retained: it derives epoch 0 only. *)
 
 val current_epoch : t -> int
 

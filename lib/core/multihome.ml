@@ -55,10 +55,6 @@ let note_success t addr =
   Hashtbl.remove t.failed addr;
   Hashtbl.remove t.strikes addr
 
-let clear_failures t =
-  Hashtbl.reset t.failed;
-  Hashtbl.reset t.strikes
-
 let usable t ~now addr =
   match Hashtbl.find_opt t.failed addr with
   | None -> true

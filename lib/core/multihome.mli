@@ -39,5 +39,3 @@ val note_success : t -> Net.Ipaddr.t -> unit
 val strikes : t -> Net.Ipaddr.t -> int
 (** Consecutive failures recorded against [addr] since its last
     {!note_success} (or creation). *)
-
-val clear_failures : t -> unit

@@ -231,9 +231,6 @@ let gc t ~idle =
   List.iter (fun s -> Hashtbl.remove t.peers s.Session.sid) stale;
   List.length stale
 
-let enable_gc t ?(every = 60_000_000_000L) ?(idle = 600_000_000_000L) () =
-  Net.Engine.every (engine t) ~period:every (fun () -> ignore (gc t ~idle))
-
 let create host ~private_key ~neutralizer ~seed () =
   let t =
     { host;

@@ -70,12 +70,6 @@ val gc : t -> idle:int64 -> int
 (** Drop sessions (and their return-path state) idle longer than [idle]
     ns; returns how many were collected. *)
 
-val enable_gc : t -> ?every:int64 -> ?idle:int64 -> unit -> (unit -> unit)
-(** Periodic {!gc} on the engine clock (defaults: sweep every 60 s of
-    simulated time, expire after 10 idle minutes). Returns a thunk that
-    cancels the sweep — note the recurring event keeps the simulation's
-    event queue non-empty until cancelled. *)
-
 val counters : t -> counters
 (** [undecryptable] counts ciphertext that would not open and handler
     exceptions on wire-corrupted input. Frames refused before any

@@ -91,10 +91,6 @@ type table = {
 
 let create_table () = { by_sid = Hashtbl.create 16; by_peer = Hashtbl.create 16 }
 
-let clear_table t =
-  Hashtbl.reset t.by_sid;
-  Hashtbl.reset t.by_peer
-
 let sid_of_secret secret =
   Crypto.Bytes_util.take 8 (Crypto.Sha256.digest ("nn-sid" ^ secret))
 

@@ -42,10 +42,6 @@ type table
 
 val create_table : unit -> table
 
-val clear_table : table -> unit
-(** Drop every session — crash amnesia. Peers re-establish with fresh
-    secrets (and therefore fresh sids) on the next send. *)
-
 val register :
   table -> secret:string -> keys:Crypto.Seal.keys -> peer:Net.Ipaddr.t ->
   now:int64 -> session

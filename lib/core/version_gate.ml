@@ -25,5 +25,4 @@ let receive t ~peer = function
       | Admitted -> Ok shim))
 
 let seen t ~peer = Hashtbl.find_opt t.best peer
-let clear t = Hashtbl.reset t.best
 let peer_count t = Hashtbl.length t.best

@@ -10,11 +10,10 @@
     First contact at any known version is admitted: the gate prevents
     {e downgrade}, it does not demand v2 from peers that never upgraded.
 
-    Persistence mirrors the secret material it protects. The
+    Persistence mirrors the secret material it protects: the
     neutralizer's gate survives {!Neutralizer.crash}/[restart] just as
     the master key does (the box forgets flow state, not its security
-    posture); the client's gate is wiped by {!Client.reset}, which
-    models a fresh host that also lost its grants. *)
+    posture). *)
 
 type verdict = Admitted | Downgrade of { seen : int; got : int }
 
@@ -36,8 +35,5 @@ val receive : t -> peer:Net.Ipaddr.t -> string option -> (Shim.t, string) result
 
 val seen : t -> peer:Net.Ipaddr.t -> int option
 (** Highest version [peer] has spoken, if any. *)
-
-val clear : t -> unit
-(** Forget every peer — crash amnesia for hosts, not for boxes. *)
 
 val peer_count : t -> int

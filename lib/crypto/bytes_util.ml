@@ -4,12 +4,6 @@ let xor a b =
   String.init (String.length a) (fun i ->
       Char.chr (Char.code a.[i] lxor Char.code b.[i]))
 
-let xor_prefix a b =
-  if String.length b < String.length a then
-    invalid_arg "Bytes_util.xor_prefix: second operand too short";
-  String.init (String.length a) (fun i ->
-      Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
 let equal_ct a b =
   String.length a = String.length b
   && begin

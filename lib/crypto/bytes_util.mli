@@ -5,11 +5,6 @@
     differ. *)
 val xor : string -> string -> string
 
-(** [xor_prefix a b] is [a] XORed with the first [length a] bytes of [b];
-    raises [Invalid_argument] when [b] is shorter than [a]. Saves the
-    caller a [String.sub] when the mask is longer than the data. *)
-val xor_prefix : string -> string -> string
-
 (** [equal_ct a b] compares in time independent of the position of the
     first difference (lengths are still revealed). *)
 val equal_ct : string -> string -> bool

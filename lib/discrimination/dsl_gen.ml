@@ -72,9 +72,9 @@ let gen_throttle_spec rng : Dsl.throttle_spec =
 let gen_rate_spec rng : Dsl.rate_spec =
   { bps = pick rng meter_bps_grid; window_ns = pick rng window_grid }
 
-let rec gen_pred ?(stateless = false) rng ~depth : Dsl.pred =
+let rec gen_pred rng ~depth : Dsl.pred =
   let atom () : Dsl.pred =
-    match Prng.int rng (if stateless then 15 else 16) with
+    match Prng.int rng 16 with
     | 0 -> True
     | 1 -> False
     | 2 -> Src_in (gen_prefix rng)
@@ -95,17 +95,17 @@ let rec gen_pred ?(stateless = false) rng ~depth : Dsl.pred =
   if depth <= 0 then atom ()
   else
     match Prng.int rng 10 with
-    | 0 | 1 -> Not (gen_pred ~stateless rng ~depth:(depth - 1))
+    | 0 | 1 -> Not (gen_pred rng ~depth:(depth - 1))
     | 2 | 3 ->
-        let a = gen_pred ~stateless rng ~depth:(depth - 1) in
-        And (a, gen_pred ~stateless rng ~depth:(depth - 1))
+        let a = gen_pred rng ~depth:(depth - 1) in
+        And (a, gen_pred rng ~depth:(depth - 1))
     | 4 | 5 ->
-        let a = gen_pred ~stateless rng ~depth:(depth - 1) in
-        Or (a, gen_pred ~stateless rng ~depth:(depth - 1))
+        let a = gen_pred rng ~depth:(depth - 1) in
+        Or (a, gen_pred rng ~depth:(depth - 1))
     | _ -> atom ()
 
-let gen_act ?(stateless = false) rng : Dsl.act =
-  match Prng.int rng (if stateless then 5 else 6) with
+let gen_act rng : Dsl.act =
+  match Prng.int rng 6 with
   | 0 -> Allow
   | 1 -> Drop
   | 2 -> Delay (pick rng delay_grid)
@@ -113,11 +113,8 @@ let gen_act ?(stateless = false) rng : Dsl.act =
   | 4 -> Deprioritize
   | _ -> Throttle (gen_throttle_spec rng)
 
-let gen_policy ?(max_depth = 4) ?(stateless = false) ?(domains = [| 0 |]) rng :
-    Dsl.policy =
-  let rule () : Dsl.policy =
-    Rule (gen_pred ~stateless rng ~depth:2, gen_act ~stateless rng)
-  in
+let gen_policy ~domains rng : Dsl.policy =
+  let rule () : Dsl.policy = Rule (gen_pred rng ~depth:2, gen_act rng) in
   let rec go depth : Dsl.policy =
     if depth <= 0 then rule ()
     else
@@ -133,10 +130,10 @@ let gen_policy ?(max_depth = 4) ?(stateless = false) ?(domains = [| 0 |]) rng :
           let a = go (min 1 (depth - 1)) in
           Seq (a, go (min 1 (depth - 1)))
       | 9 | 10 ->
-          Restrict (gen_pred ~stateless rng ~depth:2, go (depth - 1))
+          Restrict (gen_pred rng ~depth:2, go (depth - 1))
       | _ -> In_domain (pick rng domains, go (depth - 1))
   in
-  go max_depth
+  go 4
 
 (* ------------------------------------------------------------------ *)
 (* Observations                                                       *)

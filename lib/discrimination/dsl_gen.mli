@@ -15,14 +15,10 @@
     make paired-world comparisons meaningless. *)
 
 val gen_policy :
-  ?max_depth:int ->
-  ?stateless:bool ->
-  ?domains:Net.Topology.domain_id array ->
-  Fault.Prng.t ->
-  Dsl.policy
-(** Whole-grammar policy generator; [max_depth] defaults to 4 ([Seq]
-    operands are kept shallow so compiled tables stay small), [domains]
-    (default [[|0|]]) is the pool {!Dsl.In_domain} draws from. *)
+  domains:Net.Topology.domain_id array -> Fault.Prng.t -> Dsl.policy
+(** Whole-grammar policy generator, four combinator levels deep ([Seq]
+    operands are kept shallow so compiled tables stay small); [domains]
+    is the pool {!Dsl.In_domain} draws from. *)
 
 val gen_obs : Fault.Prng.t -> at:int64 -> Net.Observation.t
 (** A wire view drawn from the Figure-1 address plan (including the

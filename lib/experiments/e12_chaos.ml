@@ -57,8 +57,9 @@ let default_plan =
       ]
   }
 
-let run ?seed ?(plan = default_plan) ?(corrupt = 0.0) ?(duration_s = 30.0)
-    ?(period_s = 0.02) () =
+let period_s = 0.02
+
+let run ?seed ?(plan = default_plan) ?(corrupt = 0.0) ?(duration_s = 30.0) () =
   let seed = match seed with Some s -> s | None -> Fault.Inject.env_seed () in
   let world = Scenario.World.create () in
   let engine = world.Scenario.World.engine in
@@ -171,5 +172,5 @@ let print r =
        (§3.2, §3.5)"
     ~header:[ "metric"; "value" ] (to_rows r);
   Table.print_obs ~title:"E12 obs: injected faults and recovery"
-    ~prefixes:[ "fault."; "core.client.rehomes"; "core.client.restarts" ]
+    ~prefixes:[ "fault."; "core.client.rehomes" ]
     ()

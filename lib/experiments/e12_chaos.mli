@@ -37,14 +37,13 @@ val run :
   ?plan:Fault.Plan.t ->
   ?corrupt:float ->
   ?duration_s:float ->
-  ?period_s:float ->
   unit ->
   result
-(** [duration_s] (default 30) of one request every [period_s]
-    (default 0.02) from Ann to google.example under [plan]. [corrupt]
-    (default 0) adds per-packet bit-flip probability on every link;
-    leaving it 0 installs no hook at all, keeping the default run's
-    fault timeline (and its pinned golden digest) bit-exact. *)
+(** [duration_s] (default 30) of one request every 20 ms from Ann to
+    google.example under [plan]. [corrupt] (default 0) adds per-packet
+    bit-flip probability on every link; leaving it 0 installs no hook at
+    all, keeping the default run's fault timeline (and its pinned golden
+    digest) bit-exact. *)
 
 val to_rows : result -> string list list
 

@@ -6,7 +6,7 @@
    1. Equivalence: on a small generated topology with a protocol
       discrimination policy at the neutralizer domains, the fluid tier's
       delivered bytes must match a pure packet-level reference (real
-      hosts, one event per packet) within [tolerance]. The scenario is
+      hosts, one event per packet) within 10%. The scenario is
       deliberately light on the links so the comparison isolates the
       policy path: permitted traffic must arrive in full, discriminated
       traffic not at all, in both tiers.
@@ -19,9 +19,14 @@
       simulated clients, sharded engine, wall-clocked. Reported as
       events/s, client-steps/s and neutralizer goodput.
 
-   Policy placement is deterministic: every [policed]-th domain drops
-   TCP (the classic BitTorrent-throttling stand-in), so TCP cohorts
-   crossing it are discriminated while UDP cohorts pass. *)
+   Policy placement is deterministic: every [policed]-th domain runs a
+   compiled Dsl table that drops TCP (the classic BitTorrent-throttling
+   stand-in), so TCP cohorts crossing it are discriminated while UDP
+   cohorts pass. *)
+
+let client_rate_bps = 64_000
+let scale_shards = 4
+let tolerance = 0.10
 
 type hybrid_out = {
   h_digest : int;
@@ -46,7 +51,6 @@ type result = {
   eq_packet_delivered : int;
   eq_fluid_delivered : int;
   eq_ratio : float;  (* fluid / packet delivered bytes *)
-  tolerance : float;
   eq_ok : bool;
   (* gate 2: digest invariance across shard counts *)
   inv_points : scale_point list;
@@ -58,7 +62,6 @@ type result = {
   steps : int;
   dt_ns : int64;
   lookahead_ns : int64;
-  scale_shards : int;
   seed : int;
   events : int;
   seconds : float;
@@ -71,21 +74,19 @@ type result = {
   ok : bool;
 }
 
-let tcp_drop_policy (o : Net.Observation.t) =
-  if o.protocol = 6 then Net.Network.Drop else Net.Network.Forward
+let tcp_drop = Discrimination.Dsl.Rule (Protocol 6, Drop)
 
 (* Deterministic policy placement: domain d is policed iff d mod policed
-   = policed - 1 (never domain 0, which anchors the transit core). *)
+   = policed - 1 (never domain 0, which anchors the transit core). Each
+   policed domain gets its own compiled table. *)
 let install_policies net ~domains ~policed =
-  let placed = ref [] in
+  let engine = Net.Network.engine net in
   if policed > 0 then
     for d = 0 to domains - 1 do
-      if d mod policed = policed - 1 then begin
-        Net.Network.add_middleware net d tcp_drop_policy;
-        placed := d :: !placed
-      end
-    done;
-  List.rev !placed
+      if d mod policed = policed - 1 then
+        Net.Network.add_middleware net d
+          Discrimination.Dsl.(middleware (compile ~engine ~domain:d tcp_drop))
+    done
 
 (* One hybrid run: generated topology, sharded engine with auto-tuned
    lookahead, cohorts alternating UDP (permitted) and TCP (discriminated
@@ -101,7 +102,7 @@ let hybrid_run ~domains ~cohorts ~clients_per_cohort ~rate_bps ~steps ~dt
       ~shards ~topo:gen.Net.Topogen.topo ()
   in
   let net = Net.Network.create engine gen.Net.Topogen.topo in
-  ignore (install_policies net ~domains ~policed);
+  install_policies net ~domains ~policed;
   let agg = Net.Aggregate.create ~dt ~steps net in
   for i = 0 to cohorts - 1 do
     let src_dom = i mod domains in
@@ -140,7 +141,7 @@ let packet_reference ~domains ~clients_per_domain ~pps ~pkts ~pkt_bytes
   let gen = Net.Topogen.generate ~domains ~seed () in
   let engine = Net.Engine.create ~obs:(Obs.Registry.create ()) () in
   let net = Net.Network.create engine gen.Net.Topogen.topo in
-  ignore (install_policies net ~domains ~policed);
+  install_policies net ~domains ~policed;
   let hosts = ref [] in
   for d = 0 to domains - 1 do
     for c = 0 to clients_per_domain - 1 do
@@ -193,7 +194,7 @@ let fluid_reference ~domains ~clients_per_domain ~pps ~pkts ~pkt_bytes
   let gen = Net.Topogen.generate ~domains ~seed () in
   let engine = Net.Engine.create ~obs:(Obs.Registry.create ()) () in
   let net = Net.Network.create engine gen.Net.Topogen.topo in
-  ignore (install_policies net ~domains ~policed);
+  install_policies net ~domains ~policed;
   let agg = Net.Aggregate.create ~dt ~steps net in
   for d = 0 to domains - 1 do
     (* the packet reference alternates protocols per client; split each
@@ -216,8 +217,7 @@ let fluid_reference ~domains ~clients_per_domain ~pps ~pkts ~pkt_bytes
   (s.Net.Aggregate.offered_bytes, s.Net.Aggregate.delivered_bytes)
 
 let run ?(domains = 400) ?(cohorts = 1000) ?(clients_per_cohort = 1000)
-    ?(rate_bps = 64_000) ?(steps = 100) ?(dt = 50_000_000L) ?(seed = 14)
-    ?(policed = 5) ?(scale_shards = 4) ?(tolerance = 0.10)
+    ?(steps = 100) ?(dt = 50_000_000L) ?(seed = 14) ?(policed = 5)
     ?(eq_domains = 10) ?(eq_clients_per_domain = 4) () =
   (* Gate 1: equivalence on the small world. *)
   let pps = 50 and pkts = 100 and pkt_bytes = 1200 in
@@ -277,8 +277,9 @@ let run ?(domains = 400) ?(cohorts = 1000) ?(clients_per_cohort = 1000)
   let big =
     Par.with_pool ~size:(max 1 (min scale_shards (Par.recommended ())))
       (fun pool ->
-        hybrid_run ~domains ~cohorts ~clients_per_cohort ~rate_bps ~steps ~dt
-          ~seed ~policed ~shards:scale_shards ~pool:(Some pool) ())
+        hybrid_run ~domains ~cohorts ~clients_per_cohort
+          ~rate_bps:client_rate_bps ~steps ~dt ~seed ~policed
+          ~shards:scale_shards ~pool:(Some pool) ())
   in
   let s = big.h_stats in
   let clients = s.Net.Aggregate.clients in
@@ -288,7 +289,6 @@ let run ?(domains = 400) ?(cohorts = 1000) ?(clients_per_cohort = 1000)
     eq_packet_delivered = eq_packet;
     eq_fluid_delivered = eq_fluid;
     eq_ratio;
-    tolerance;
     eq_ok;
     inv_points;
     inv_ok;
@@ -298,7 +298,6 @@ let run ?(domains = 400) ?(cohorts = 1000) ?(clients_per_cohort = 1000)
     steps;
     dt_ns = dt;
     lookahead_ns = big.h_lookahead;
-    scale_shards;
     seed;
     events = big.h_events;
     seconds = big.h_seconds;
@@ -327,7 +326,7 @@ let print r =
     [ [ "offered (both tiers)"; string_of_int r.eq_offered ];
       [ "packet reference"; string_of_int r.eq_packet_delivered ];
       [ "fluid-aggregate"; string_of_int r.eq_fluid_delivered ];
-      [ Printf.sprintf "ratio (tolerance %.0f%%)" (100. *. r.tolerance);
+      [ Printf.sprintf "ratio (tolerance %.0f%%)" (100. *. tolerance);
         Printf.sprintf "%.4f %s" r.eq_ratio (if r.eq_ok then "ok" else "FAIL")
       ]
     ];
@@ -350,7 +349,7 @@ let print r =
       [ "rate-update steps"; string_of_int r.steps ];
       [ "dt"; Printf.sprintf "%Ld ns" r.dt_ns ];
       [ "auto-tuned lookahead"; Printf.sprintf "%Ld ns" r.lookahead_ns ];
-      [ "shards"; string_of_int r.scale_shards ];
+      [ "shards"; string_of_int scale_shards ];
       [ "engine events"; string_of_int r.events ];
       [ "wall clock"; Printf.sprintf "%.2f s" r.seconds ];
       [ "events/s"; Table.kops r.events_per_s ];
@@ -371,7 +370,7 @@ let to_json r =
         \"fluid_delivered\": %d, \"ratio\": %.4f, \"tolerance\": %.2f, \
         \"ok\": %b}, \"invariance\": ["
        r.eq_domains r.eq_clients r.eq_offered r.eq_packet_delivered
-       r.eq_fluid_delivered r.eq_ratio r.tolerance r.eq_ok);
+       r.eq_fluid_delivered r.eq_ratio tolerance r.eq_ok);
   List.iteri
     (fun i p ->
       Buffer.add_string buf
@@ -394,7 +393,7 @@ let to_json r =
         invariance requires bit-identical cohort digests at every shard \
         count, pool or no pool\"}"
        r.inv_ok r.domains r.cohorts r.clients r.steps r.dt_ns r.lookahead_ns
-       r.scale_shards r.seed r.events r.seconds r.events_per_s
+       scale_shards r.seed r.events r.seconds r.events_per_s
        r.client_steps_per_s r.offered_bytes r.delivered_bytes r.goodput_bps
        r.digest r.ok);
   Buffer.contents buf

@@ -22,7 +22,6 @@ type result = {
   eq_packet_delivered : int;
   eq_fluid_delivered : int;
   eq_ratio : float;  (** fluid / packet delivered bytes *)
-  tolerance : float;
   eq_ok : bool;
   inv_points : scale_point list;
   inv_ok : bool;
@@ -32,7 +31,6 @@ type result = {
   steps : int;
   dt_ns : int64;
   lookahead_ns : int64;  (** auto-tuned from the generated topology *)
-  scale_shards : int;
   seed : int;
   events : int;
   seconds : float;
@@ -49,13 +47,10 @@ val run :
   ?domains:int ->
   ?cohorts:int ->
   ?clients_per_cohort:int ->
-  ?rate_bps:int ->
   ?steps:int ->
   ?dt:int64 ->
   ?seed:int ->
   ?policed:int ->
-  ?scale_shards:int ->
-  ?tolerance:float ->
   ?eq_domains:int ->
   ?eq_clients_per_domain:int ->
   unit ->

@@ -43,12 +43,10 @@ type result = {
   seed : int;
   (* semantic tier *)
   regimes : int;
-  obs_per_regime : int;
   compiled_mismatches : int;
   max_table_rules : int;
   (* e2e tier *)
   e2e_windows : int;
-  packets_per_window : int;
   baseline_target : int;
   baseline_bystander : int;
   baseline_x_target : int;
@@ -68,10 +66,15 @@ type result = {
   ok : bool;
 }
 
+(* Observations per regime in the semantic tier, packets per window in
+   the e2e tier. *)
+let obs_per_regime = 48
+let packets_per_window = 24
+
 (* ------------------------------------------------------------------ *)
 (* Semantic tier                                                      *)
 
-let semantic_tier buf ~root ~regimes ~obs_per_regime =
+let semantic_tier buf ~root ~regimes =
   let compiled_mismatches = ref 0 in
   let max_rules = ref 0 in
   let violations = ref [] in
@@ -212,10 +215,10 @@ let exposed_world () =
   { world = w; ctl; counts; send }
 
 (* One traffic window: optionally swap in [pol] mid-window, spread
-   [packets] sends (alternating target/bystander) across the window,
-   drain to quiescence, return per-flow delivery deltas and the §3.6
-   collapse count from the access-ISP trace. *)
-let run_window ew ~window ~packets pol =
+   [packets_per_window] sends (alternating target/bystander) across the
+   window, drain to quiescence, return per-flow delivery deltas and the
+   §3.6 collapse count from the access-ISP trace. *)
+let run_window ew ~window pol =
   let w = ew.world in
   let engine = w.Scenario.World.engine in
   let t0 = Net.Engine.now engine in
@@ -225,8 +228,8 @@ let run_window ew ~window ~packets pol =
   Net.Trace.clear w.Scenario.World.att_trace;
   let t0_target = ew.counts.target and t0_bystander = ew.counts.bystander in
   let hits0 = Dsl.Control.hits ew.ctl in
-  let spacing = Int64.div 180_000_000L (Int64.of_int (max 1 packets)) in
-  for k = 0 to packets - 1 do
+  let spacing = Int64.div 180_000_000L (Int64.of_int packets_per_window) in
+  for k = 0 to packets_per_window - 1 do
     ignore
       (Net.Engine.schedule engine
          ~delay:(Int64.add 10_000_000L (Int64.mul (Int64.of_int k) spacing))
@@ -254,19 +257,19 @@ let run_window ew ~window ~packets pol =
     wcollapse
   }
 
-let e2e_tier buf ~root ~windows ~packets =
+let e2e_tier buf ~root ~windows =
   let neutral = neutralized_world () in
   let exposed = exposed_world () in
   let att = neutral.world.Scenario.World.att in
   let cogent = neutral.world.Scenario.World.cogent in
   let tol n = max 3 (n / 4) in
-  let per_flow = packets / 2 in
+  let per_flow = packets_per_window / 2 in
   (* Window 0: warmup under Nil — DNS bootstrap, key setup, refresh. *)
-  ignore (run_window neutral ~window:0 ~packets None);
-  ignore (run_window exposed ~window:0 ~packets None);
+  ignore (run_window neutral ~window:0 None);
+  ignore (run_window exposed ~window:0 None);
   (* Window 1: the undiscriminated baseline. *)
-  let base_n = run_window neutral ~window:1 ~packets None in
-  let base_x = run_window exposed ~window:1 ~packets None in
+  let base_n = run_window neutral ~window:1 None in
+  let base_x = run_window exposed ~window:1 None in
   let active = ref 0 and inert = ref 0 in
   let neutral_selective = ref 0
   and goodput_violations = ref 0
@@ -282,8 +285,8 @@ let e2e_tier buf ~root ~windows ~packets =
     let rng = Prng.split root ~label:(Printf.sprintf "e2e-%d" i) in
     let pol = Dsl_gen.gen_policy rng ~domains:[| att; cogent |] in
     let window = i + 2 in
-    let n = run_window neutral ~window ~packets (Some pol) in
-    let x = run_window exposed ~window ~packets (Some pol) in
+    let n = run_window neutral ~window (Some pol) in
+    let x = run_window exposed ~window (Some pol) in
     if n.whits > 0 then incr active else incr inert;
     if abs (n.wt - n.wb) > tol per_flow then begin
       incr neutral_selective;
@@ -331,15 +334,14 @@ let e2e_tier buf ~root ~windows ~packets =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 2006) ?(regimes = 1200) ?(obs_per_regime = 48)
-    ?(e2e_windows = 160) ?(packets_per_window = 24) () =
+let run ?(seed = 2006) ?(regimes = 1200) ?(e2e_windows = 160) () =
   let t0 = Unix.gettimeofday () in
   let buf = Buffer.create (1 lsl 20) in
   let root = Prng.create ~seed in
   let compiled_mismatches, max_rules, sem_violations =
     semantic_tier buf
       ~root:(Prng.split root ~label:"semantic")
-      ~regimes ~obs_per_regime
+      ~regimes
   in
   let ( base_n,
         base_x,
@@ -355,17 +357,15 @@ let run ?(seed = 2006) ?(regimes = 1200) ?(obs_per_regime = 48)
         e2e_violations ) =
     e2e_tier buf
       ~root:(Prng.split root ~label:"e2e")
-      ~windows:e2e_windows ~packets:packets_per_window
+      ~windows:e2e_windows
   in
   let seconds = Unix.gettimeofday () -. t0 in
   let violations = sem_violations @ e2e_violations in
   { seed;
     regimes;
-    obs_per_regime;
     compiled_mismatches;
     max_table_rules = max_rules;
     e2e_windows;
-    packets_per_window;
     baseline_target = base_n.wt;
     baseline_bystander = base_n.wb;
     baseline_x_target = base_x.wt;
@@ -395,7 +395,7 @@ let print r =
          r.regimes r.seed)
     ~header:[ "check"; "value" ]
     [ [ "regimes x observations";
-        Printf.sprintf "%d x %d" r.regimes r.obs_per_regime
+        Printf.sprintf "%d x %d" r.regimes obs_per_regime
       ];
       [ "compiled vs interpreter mismatches";
         string_of_int r.compiled_mismatches
@@ -407,7 +407,7 @@ let print r =
       (Printf.sprintf
          "e15: paired-world sweep (%d regimes, %d pkts/window, flip at +%Ld \
           ms)"
-         r.e2e_windows r.packets_per_window
+         r.e2e_windows packets_per_window
          (Int64.div flip_offset 1_000_000L))
     ~header:[ "metric"; "neutralized"; "exposed" ]
     [ [ "baseline target/bystander";
@@ -460,9 +460,9 @@ let to_json r =
      against paired exposed/neutralized Figure-1 worlds must not \
      discriminate selectively, degrade inert-window goodput, leak \
      classifiable verdicts, or mix epochs\"}"
-    r.seed r.regimes r.obs_per_regime
+    r.seed r.regimes obs_per_regime
     r.compiled_mismatches r.max_table_rules r.e2e_windows
-    r.packets_per_window r.baseline_target r.baseline_bystander
+    packets_per_window r.baseline_target r.baseline_bystander
     r.baseline_x_target r.baseline_x_bystander r.active_windows
     r.inert_windows r.exposed_selective r.neutral_selective
     r.goodput_violations r.collapse_violations r.mixed_epochs r.epochs

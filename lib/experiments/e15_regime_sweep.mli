@@ -15,11 +15,9 @@ type violation = { v_regime : int; v_kind : string; v_detail : string }
 type result = {
   seed : int;
   regimes : int;
-  obs_per_regime : int;
   compiled_mismatches : int;
   max_table_rules : int;
   e2e_windows : int;
-  packets_per_window : int;
   baseline_target : int;
   baseline_bystander : int;
   baseline_x_target : int;
@@ -42,9 +40,7 @@ type result = {
 val run :
   ?seed:int ->
   ?regimes:int ->
-  ?obs_per_regime:int ->
   ?e2e_windows:int ->
-  ?packets_per_window:int ->
   unit ->
   result
 (** Defaults: seed 2006, 1200 semantic regimes x 48 observations, 160

@@ -30,7 +30,6 @@ type row = {
 
 type result = { rows : row list }
 
-val run :
-  ?attackers:int -> ?attack_pps:int -> ?duration_s:float -> unit -> result
+val run : ?attack_pps:int -> ?duration_s:float -> unit -> result
 
 val print : result -> unit

@@ -14,8 +14,8 @@
     (its route announcements vanish, §3.5's failover trigger), marks it
     down so queued deliveries are dropped, and recomputes routes; restart
     reverses all of that. Protocol-level amnesia — a neutralizer losing
-    its in-RAM QoS state, a client losing its grant — is the caller's
-    business: register it with {!on_crash} / {!on_restart}.
+    its in-RAM QoS state — is the caller's business: register it with
+    {!on_crash} / {!on_restart}.
 
     Everything is counted in the engine's obs registry as
     [fault.injected_total{kind}]; recovery latencies measured by callers

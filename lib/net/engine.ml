@@ -256,19 +256,6 @@ let post t ~shard ~at f =
 
 let cancel ev = ev.cancelled <- true
 
-let every t ~period f =
-  if Int64.compare period 0L <= 0 then
-    invalid_arg "Engine.every: period must be positive";
-  let stopped = ref false in
-  let rec tick () =
-    if not !stopped then begin
-      f ();
-      if not !stopped then ignore (schedule t ~delay:period tick)
-    end
-  in
-  ignore (schedule t ~delay:period tick);
-  fun () -> stopped := true
-
 let pending t =
   Array.fold_left
     (fun acc s -> acc + Pqueue.length s.q + Queue.length s.outbox)
@@ -418,7 +405,7 @@ let run_rounds ?pool ~limit ?max_events t =
   t.clock <- Array.fold_left (fun acc s -> Int.max acc s.sclock) t.clock t.shards
 
 let run ?pool ?until ?max_events t =
-  let wall0 = Sys.time () in
+  let wall0 = Monotonic_clock.now () in
   let sim0 = t.clock in
   (* Events with [time > until] stay queued. *)
   let limit = match until with None -> max_int | Some l -> to_native l in
@@ -428,8 +415,10 @@ let run ?pool ?until ?max_events t =
       if Array.length t.shards = 1 then run_sequential ~limit ?max_events t
       else run_rounds ?pool ~limit ?max_events t);
   Obs.Gauge.set_int t.g_pending (pending t);
-  let wall = Sys.time () -. wall0 in
+  (* Wall-clock, not CPU time: an engine thread that waits (a handler
+     that blocks, a barrier) still spends real time. *)
+  let wall_ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) wall0) in
   let sim_ns = float_of_int (t.clock - sim0) in
-  if wall > 0.0 && sim_ns > 0.0 then
-    Obs.Gauge.set t.g_ratio (sim_ns /. (wall *. 1e9));
+  if wall_ns > 0.0 && sim_ns > 0.0 then
+    Obs.Gauge.set t.g_ratio (sim_ns /. wall_ns);
   check_invariants t

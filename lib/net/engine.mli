@@ -41,7 +41,8 @@
     back to it. It publishes [net.engine.events_processed],
     [net.engine.events_scheduled], [net.engine.events_cancelled]
     (counters), [net.engine.pending] (gauge, sampled when {!run}
-    returns) and [net.engine.sim_wall_ratio] (gauge). Sharded engines
+    returns) and [net.engine.sim_wall_ratio] (gauge: simulated over
+    monotonic wall-clock time of the last {!run}). Sharded engines
     additionally publish [net.engine.rounds] and a per-shard
     [net.engine.shard_processed{shard}] family, resolved on the
     coordinator at {!create}. The processed and scheduled counts are
@@ -147,13 +148,6 @@ val cancel : handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op.
     Cancel only from the shard that owns the event (or the coordinator
     between rounds). *)
-
-val every : t -> period:int64 -> (unit -> unit) -> unit -> unit
-(** [every t ~period f] runs [f] each [period] ns, first at
-    [now + period], until the returned stopper is called. The recurring
-    event keeps the queue non-empty, so bound runs with [~until].
-    [period] must be positive. Periodic housekeeping — GC sweeps, key
-    rotation, fault flapping — is built on this. *)
 
 val run : ?pool:Par.pool -> ?until:int64 -> ?max_events:int -> t -> unit
 (** [run t] processes events until every queue is empty, the optional

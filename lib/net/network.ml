@@ -9,7 +9,6 @@ type service_kind = Key_setup | Data_forward | Data_return | Vanilla_forward | O
 type t = {
   engine : Engine.t;
   topo : Topology.t;
-  route_policy : Routing.policy;
   mutable routing : Routing.t;
   mutable nodes : node_state array; (* by node id, grown on demand *)
   mutable domains : domain_state array; (* by domain id, grown on demand *)
@@ -266,16 +265,14 @@ let recompute_routes t =
       ensure e.a e.b;
       ensure e.b e.a)
     (Topology.edges t.topo);
-  t.routing <-
-    Routing.compute ~policy:t.route_policy ~usable:(node_up t) t.topo
+  t.routing <- Routing.compute ~usable:(node_up t) t.topo
 
-let create ?(policy = Routing.Shortest) engine topo =
+let create engine topo =
   let obs = Engine.obs engine in
   let t =
     { engine;
       topo;
-      route_policy = policy;
-      routing = Routing.compute ~policy topo;
+      routing = Routing.compute topo;
       nodes = [||];
       domains = [||];
       c_delivered = Obs.Registry.counter obs "net.network.delivered";

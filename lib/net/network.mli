@@ -24,9 +24,8 @@ type middleware = Observation.t -> action
 
 type handler = t -> Topology.node_id -> Packet.t -> unit
 
-val create : ?policy:Routing.policy -> Engine.t -> Topology.t -> t
-(** Instantiates links from the topology's edges and computes routes
-    ([policy] defaults to [Shortest]; see {!Routing.policy}). *)
+val create : Engine.t -> Topology.t -> t
+(** Instantiates links from the topology's edges and computes routes. *)
 
 val engine : t -> Engine.t
 val topology : t -> Topology.t

@@ -50,8 +50,7 @@ let tier_bandwidth degree =
 
 let intra_bandwidth = 20_000_000_000
 
-let generate ?(attach = 2) ?(peer_fraction = 0.15) ?(box_domains = 4)
-    ~domains ~seed () =
+let generate ?(attach = 2) ?(box_domains = 4) ~domains ~seed () =
   if domains < 2 then invalid_arg "Topogen.generate: need at least 2 domains";
   if attach < 1 then invalid_arg "Topogen.generate: attach must be >= 1";
   if box_domains < 1 || box_domains > domains then
@@ -92,7 +91,7 @@ let generate ?(attach = 2) ?(peer_fraction = 0.15) ?(box_domains = 4)
   (* Preferential attachment: every later domain buys transit from
      [attach] distinct providers, each drawn with probability
      proportional to (degree + 1). The provider end of the edge is [a],
-     so rel = Customer reads "d is a customer of p" (Routing.hop_kind). *)
+     so rel = Customer reads "d is a customer of p". *)
   for d = core to domains - 1 do
     let picked = Array.make d false in
     let picks = min attach d in
@@ -123,9 +122,7 @@ let generate ?(attach = 2) ?(peer_fraction = 0.15) ?(box_domains = 4)
     done
   done;
   (* Settlement-free peering mesh on top of the customer tree. *)
-  let peers =
-    int_of_float (Float.round (peer_fraction *. float_of_int domains))
-  in
+  let peers = int_of_float (Float.round (0.15 *. float_of_int domains)) in
   let attempts = ref (peers * 8) in
   let added = ref 0 in
   while !added < peers && !attempts > 0 do

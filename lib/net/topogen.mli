@@ -1,8 +1,8 @@
 (** Seeded generation of Internet-like AS topologies.
 
     The hand-built graphs in {!Topology} (the paper's Figure-1 world,
-    the PDES ring) stop at a dozen domains; the scale experiments need
-    hundreds. [generate] grows a power-law domain graph by preferential
+    the sharded-engine tests' token ring) stop at a dozen domains; the
+    scale experiments need hundreds. [generate] grows a power-law domain graph by preferential
     attachment — every new AS buys transit from [attach] existing
     providers drawn proportionally to their degree, the REPETITA-style
     family of repeatable AS-level graphs — then overlays a
@@ -26,7 +26,6 @@ type t = {
 
 val generate :
   ?attach:int ->
-  ?peer_fraction:float ->
   ?box_domains:int ->
   domains:int ->
   seed:int ->
@@ -35,10 +34,10 @@ val generate :
 (** [generate ~domains ~seed ()] builds a [domains]-AS topology: a
     fully-meshed core of [attach + 1] (default [attach = 2]) seed
     domains, preferential-attachment customer/provider edges for the
-    rest, [peer_fraction * domains] (default 0.15) extra peering links,
-    and neutralizer boxes in the [box_domains] (default 4)
-    highest-degree domains. Every domain owns one gateway router; box
-    domains additionally own the box node. Raises [Invalid_argument] on
+    rest, [0.15 * domains] extra peering links, and neutralizer boxes
+    in the [box_domains] (default 4) highest-degree domains. Every
+    domain owns one gateway router; box domains additionally own the
+    box node. Raises [Invalid_argument] on
     degenerate shapes ([domains < 2], [attach < 1], [box_domains]
     outside [1, domains]). *)
 

@@ -9,6 +9,5 @@ type t
 
 val create : unit -> t
 val set : t -> float -> unit
-val add : t -> float -> unit
 val set_int : t -> int -> unit
 val value : t -> float

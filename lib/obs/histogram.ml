@@ -90,23 +90,6 @@ let bucket_quantile ~sub_bits ~count ~min_value ~max_value buckets q =
     go 0 buckets
   end
 
-let merge ~into src =
-  if into.sub_bits <> src.sub_bits then
-    invalid_arg "Obs.Histogram.merge: sub_bits mismatch";
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        ensure_capacity into i;
-        into.buckets.(i) <- into.buckets.(i) + c
-      end)
-    src.buckets;
-  into.count <- into.count + src.count;
-  into.sum <- into.sum + src.sum;
-  if src.count > 0 then begin
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
-  end
-
 let buckets t =
   let acc = ref [] in
   for i = Array.length t.buckets - 1 downto 0 do

@@ -48,10 +48,6 @@ val bucket_quantile :
     snapshot holds, so the exporters and the live histogram share one
     rule. *)
 
-val merge : into:t -> t -> unit
-(** Add every recorded observation of the second histogram into [into].
-    Raises [Invalid_argument] if the two differ in [sub_bits]. *)
-
 val buckets : t -> (int * int) list
 (** Non-empty buckets as [(index, count)] pairs in increasing index
     order — the exact internal state, used by the exporters. *)

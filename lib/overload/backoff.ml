@@ -39,5 +39,4 @@ let next t =
   in
   Int64.sub d slice
 
-let reset t = t.attempts <- 0
 let attempts t = t.attempts

@@ -34,8 +34,5 @@ val create : ?config:config -> prng:Fault.Prng.t -> unit -> t
 val next : t -> int64
 (** Delay before the next retry; advances the attempt counter. *)
 
-val reset : t -> unit
-(** Back to the first-attempt delay (call on success). *)
-
 val attempts : t -> int
-(** Retries handed out since the last {!reset}. *)
+(** Retries handed out since creation. *)

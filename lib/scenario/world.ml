@@ -38,8 +38,7 @@ let ms n = Int64.mul (Int64.of_int n) 1_000_000L
 let mbps n = n * 1_000_000
 let gbps n = n * 1_000_000_000
 
-let create ?(costs = Core.Protocol.default_costs) ?offload_via
-    ?(policy = Net.Routing.Shortest) () =
+let create ?(costs = Core.Protocol.default_costs) ?offload_via () =
   let topo = Net.Topology.create () in
   let att = Net.Topology.add_domain topo ~name:"att" ~prefix:"10.1.0.0/16" in
   let cogent =
@@ -93,7 +92,7 @@ let create ?(costs = Core.Protocol.default_costs) ?offload_via
   let anycast = Net.Ipaddr.of_string "10.2.255.1" in
   Net.Topology.register_anycast topo anycast [ nbox1.nid; nbox2.nid ];
   let engine = Net.Engine.create () in
-  let net = Net.Network.create ~policy engine topo in
+  let net = Net.Network.create engine topo in
   (* taps *)
   let att_trace = Net.Trace.create () in
   let verizon_trace = Net.Trace.create () in

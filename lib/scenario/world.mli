@@ -56,17 +56,13 @@ val site_names : string list
 val create :
   ?costs:Core.Protocol.costs ->
   ?offload_via:string ->
-  ?policy:Net.Routing.policy ->
   unit ->
   t
 (** Builds topology, routes, boxes, DNS and site servers. Site servers
     default to an echo responder (reply ["re:" ^ request]); Ann's and
     Ben's access links run at 100 Mbit/s. [offload_via] names a site
     (e.g. ["google"]) that serves as the boxes' §3.2 RSA offload
-    helper. [policy] selects the routing mode
-    (every inter-domain link in this world is a peering or
-    provider-customer edge, so the protocol runs identically under
-    [Valley_free]). *)
+    helper. *)
 
 val site : t -> string -> site
 (** Raises [Not_found] for unknown names. *)

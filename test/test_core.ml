@@ -201,6 +201,18 @@ let test_unblind_rejects () =
   Alcotest.(check bool) "tampered address" true
     (Core.Datapath.unblind ~ks ~epoch:3 ~nonce:n ~enc_addr:tampered ~tag = None)
 
+(* The blinding spelled out from its definition, two whole AES blocks
+   per call: the oracle the session path must match byte for byte. *)
+let reference_blind ~ks ~epoch ~nonce addr =
+  let aes = Crypto.Aes.expand_key ks in
+  let block s = Crypto.Aes.encrypt_block aes s in
+  let octets = Net.Ipaddr.to_octets addr in
+  let mask =
+    block (nonce ^ String.make 1 (Char.chr (epoch land 0xff)) ^ "nn-mask")
+  in
+  ( Crypto.Bytes_util.xor octets (String.sub mask 0 4),
+    String.sub (block (octets ^ nonce ^ "tag\x00")) 0 Core.Protocol.tag_len )
+
 let datapath_props =
   [ prop "blind/unblind over random addresses"
       QCheck2.Gen.(tup2 nat (gen_bytes Core.Protocol.nonce_len))
@@ -218,12 +230,11 @@ let datapath_props =
         let target = Net.Ipaddr.of_int (i land 0xffffffff) in
         let ks = key16 's' in
         let s = Core.Datapath.make_session ~ks ~epoch ~nonce:n in
-        let enc, tag = Core.Datapath.blind ~ks ~epoch ~nonce:n target in
-        let enc', tag' = Core.Datapath.blind_session s target in
-        enc = enc' && tag = tag'
-        (* ...and the two unblind paths accept each other's output. *)
+        let enc, tag = reference_blind ~ks ~epoch ~nonce:n target in
+        Core.Datapath.blind_session s target = (enc, tag)
+        && Core.Datapath.blind ~ks ~epoch ~nonce:n target = (enc, tag)
         && Core.Datapath.unblind_session s ~enc_addr:enc ~tag = Some target
-        && Core.Datapath.unblind ~ks ~epoch ~nonce:n ~enc_addr:enc' ~tag:tag'
+        && Core.Datapath.unblind ~ks ~epoch ~nonce:n ~enc_addr:enc ~tag
            = Some target);
     prop "session unblind rejects tampered bytes"
       QCheck2.Gen.(tup2 nat (gen_bytes Core.Protocol.nonce_len))
@@ -397,9 +408,7 @@ let test_keytab () =
   Alcotest.(check bool) "invalidated" true (Keytab.current t ~neutralizer:n1 = None);
   Alcotest.(check (list string)) "other neutralizer kept"
     [ nonce_of_seed "b" ]
-    (List.map (fun (_, g) -> g.Keytab.nonce) (Keytab.grants t));
-  Keytab.clear t;
-  Alcotest.(check bool) "cleared" true (Keytab.grants t = [])
+    (List.map (fun (_, g) -> g.Keytab.nonce) (Keytab.grants t))
 
 let test_keytab_session_cache () =
   let open Core in

@@ -26,15 +26,7 @@ let test_xor () =
   Alcotest.(check string) "xor" "\x03\x00" (B.xor "\x01\x02" "\x02\x02");
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Bytes_util.xor: length mismatch") (fun () ->
-      ignore (B.xor "a" "ab"));
-  Alcotest.(check string) "xor_prefix" "\x03\x00"
-    (B.xor_prefix "\x01\x02" "\x02\x02\xff\xff");
-  Alcotest.(check string) "xor_prefix = xor on equal lengths"
-    (B.xor "\x01\x02" "\x02\x02")
-    (B.xor_prefix "\x01\x02" "\x02\x02");
-  Alcotest.check_raises "prefix too short"
-    (Invalid_argument "Bytes_util.xor_prefix: second operand too short")
-    (fun () -> ignore (B.xor_prefix "abc" "ab"))
+      ignore (B.xor "a" "ab"))
 
 let test_equal_ct () =
   Alcotest.(check bool) "equal" true (B.equal_ct "abc" "abc");

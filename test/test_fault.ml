@@ -293,70 +293,6 @@ let test_plan_stopper_and_horizon () =
     (Network.node_up net2 y2.nid);
   ignore y
 
-(* ---- rotation crash/restart catch-up ---- *)
-
-let test_rotation_catch_up () =
-  let eng = Engine.create () in
-  let m1 = Core.Master_key.of_seed ~seed:"rot" in
-  let m2 = Core.Master_key.of_seed ~seed:"rot" in
-  let e0 = Core.Master_key.current_epoch m1 in
-  let r1 = Core.Rotation.schedule eng m1 ~every:1_000_000_000L () in
-  let r2 = Core.Rotation.schedule eng m2 ~every:1_000_000_000L () in
-  ignore (Engine.schedule_s eng ~delay_s:2.5 (fun () -> Core.Rotation.crash r1));
-  ignore
-    (Engine.schedule_s eng ~delay_s:5.5 (fun () ->
-         Alcotest.(check bool) "behind while crashed" true
-           (Core.Master_key.current_epoch m1 < Core.Master_key.current_epoch m2)));
-  ignore
-    (Engine.schedule_s eng ~delay_s:6.2 (fun () -> Core.Rotation.restart r1));
-  Engine.run ~until:10_500_000_000L eng;
-  Core.Rotation.stop r1;
-  Core.Rotation.stop r2;
-  Alcotest.(check int) "caught up with the shared timeline"
-    (Core.Master_key.current_epoch m2)
-    (Core.Master_key.current_epoch m1);
-  Alcotest.(check int) "ten epochs advanced" (e0 + 10)
-    (Core.Master_key.current_epoch m1);
-  Alcotest.(check int) "rotation counts agree" (Core.Rotation.rotations r2)
-    (Core.Rotation.rotations r1);
-  (* The payoff: a grant judged by the never-crashed replica is judged
-     identically by the crashed-and-restarted one. *)
-  let nonce = String.make Core.Protocol.nonce_len 'n' in
-  let src = Ipaddr.of_string "10.1.0.2" in
-  let epoch, ks2 = Core.Master_key.derive_current m2 ~nonce ~src in
-  match Core.Master_key.derive m1 ~epoch ~nonce ~src with
-  | Some ks1 -> Alcotest.(check string) "same Ks after catch-up" ks2 ks1
-  | None -> Alcotest.fail "restarted replica rejects the current epoch"
-
-(* ---- client crash amnesia ---- *)
-
-let test_client_reset () =
-  let w = W.create () in
-  let client = W.make_client w w.W.ann_host ~seed:"reset" () in
-  let got = ref 0 in
-  Core.Client.set_receiver client (fun ~peer:_ _ -> incr got);
-  Core.Client.send_to_name client ~name:"google.example" ~app:"web" "hello";
-  W.run w;
-  Alcotest.(check int) "first reply" 1 !got;
-  Alcotest.(check bool) "grant installed" true
-    (Core.Keytab.grants (Core.Client.keytab client) <> []);
-  Alcotest.(check bool) "session live" true
-    (Core.Session.count (Core.Client.sessions client) > 0);
-  Core.Client.reset client;
-  Alcotest.(check int) "grants wiped" 0
-    (List.length (Core.Keytab.grants (Core.Client.keytab client)));
-  Alcotest.(check int) "sessions wiped" 0
-    (Core.Session.count (Core.Client.sessions client));
-  (* the reinstalled software re-bootstraps and re-runs key setup *)
-  Core.Client.send_to_name client ~name:"google.example" ~app:"web" "again";
-  W.run w;
-  Alcotest.(check int) "reply after restart" 2 !got;
-  let c = Core.Client.counters client in
-  Alcotest.(check bool) "key setup re-ran" true (c.key_setups_completed >= 2);
-  Alcotest.(check int) "restart counted" 1
-    (Obs.Counter.value
-       (Obs.Registry.counter (Engine.obs w.W.engine) "core.client.restarts"))
-
 (* ---- E12 reproducibility contract ---- *)
 
 let test_e12_deterministic () =
@@ -491,10 +427,6 @@ let () =
             test_plan_rejects_unknown_names;
           Alcotest.test_case "stopper and horizon" `Quick
             test_plan_stopper_and_horizon
-        ] );
-      ( "recovery",
-        [ Alcotest.test_case "rotation catch-up" `Quick test_rotation_catch_up;
-          Alcotest.test_case "client crash amnesia" `Quick test_client_reset
         ] );
       ( "chaos",
         [ Alcotest.test_case "e12 deterministic" `Quick test_e12_deterministic;

@@ -275,6 +275,20 @@ let test_engine_invariants () =
   Alcotest.(check int) "obs scheduled" 11 (ctr "net.engine.events_scheduled");
   Alcotest.(check int) "obs cancelled" 1 (ctr "net.engine.events_cancelled")
 
+(* [sim_wall_ratio] divides by wall-clock time: a run whose only event
+   (at 1 s simulated) blocks for 50 ms took at least 50 ms of real time,
+   so it reads at most 20, however little CPU the thread burned. *)
+let test_engine_sim_wall_ratio () =
+  let obs = Obs.Registry.create () in
+  let e = Engine.create ~obs () in
+  ignore (Engine.schedule_s e ~delay_s:1.0 (fun () -> Unix.sleepf 0.05));
+  Engine.run e;
+  let ratio = Obs.Gauge.value (Obs.Registry.gauge obs "net.engine.sim_wall_ratio") in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 < ratio <= 20 (read %g)" ratio)
+    true
+    (ratio > 0.0 && ratio <= 20.0)
+
 (* An engine recording into the process-global registry must not outlive
    its run: the registry may not hold anything that reaches the engine,
    or every world the last engine's pending events reach stays live. *)
@@ -638,12 +652,11 @@ let test_routes_converge_around_down_node () =
   Alcotest.(check int) "restored" 3 !got;
   Alcotest.(check bool) "fast again after restart" true (d2 < 5_000_000L)
 
-(* ---- valley-free policy routing ---- *)
+(* ---- anycast withdraw and re-announce ---- *)
 
-(* Two providers P1, P2 with a (deliberately slow) peering link; customer
-   C buys transit from both, with fast links — the classic temptation to
-   use a customer as free transit. D is P1's customer, E is P2's. *)
-let valley_world () =
+(* Routers R1 and R2 joined by a slow (30 ms) link; C connects to both
+   with fast (1 ms) links, D hangs off R1 and E off R2. *)
+let anycast_world () =
   let topo = Topology.create () in
   let dom name prefix = Topology.add_domain topo ~name ~prefix in
   let p1 = dom "p1" "10.1.0.0/16" and p2 = dom "p2" "10.2.0.0/16" in
@@ -652,104 +665,27 @@ let valley_world () =
   let node d name = Topology.add_node topo ~domain:d ~kind:Router ~name in
   let r1 = node p1 "r1" and r2 = node p2 "r2" in
   let c = node cd "c" and d = node dd "d" and e = node ed "e" in
-  let gbps = 1_000_000_000 in
-  (* provider -> customer direction is (provider_node, customer_node) *)
-  Topology.add_link topo r1.nid c.nid ~bandwidth_bps:gbps ~latency:1_000_000L
-    ~rel:Topology.Customer ();
-  Topology.add_link topo r2.nid c.nid ~bandwidth_bps:gbps ~latency:1_000_000L
-    ~rel:Topology.Customer ();
-  Topology.add_link topo r1.nid d.nid ~bandwidth_bps:gbps ~latency:1_000_000L
-    ~rel:Topology.Customer ();
-  Topology.add_link topo r2.nid e.nid ~bandwidth_bps:gbps ~latency:1_000_000L
-    ~rel:Topology.Customer ();
-  (* the legitimate peering path is slow: 30 ms *)
-  Topology.add_link topo r1.nid r2.nid ~bandwidth_bps:gbps
-    ~latency:30_000_000L ~rel:Topology.Peer ();
-  (topo, r1, r2, c, d, e)
-
-let test_valley_free_avoids_customer_transit () =
-  let topo, r1, r2, c, _, _ = valley_world () in
-  let shortest = Routing.compute ~policy:Routing.Shortest topo in
-  let vf = Routing.compute ~policy:Routing.Valley_free topo in
-  (* latency tempts P1->C->P2 (2 ms); policy forbids it (down then up). *)
-  Alcotest.(check (option int64)) "shortest takes the valley" (Some 2_000_000L)
-    (Routing.distance shortest ~from:r1.nid ~to_:r2.nid);
-  Alcotest.(check (option int64)) "valley-free pays for peering"
-    (Some 30_000_000L)
-    (Routing.distance vf ~from:r1.nid ~to_:r2.nid);
-  (* and the actual next hop differs *)
-  Alcotest.(check int) "shortest via C" c.nid
-    (Routing.next_hop shortest topo ~from:r1.nid
-       (Topology.node topo r2.nid).addr);
-  Alcotest.(check int) "valley-free direct" r2.nid
-    (Routing.next_hop vf topo ~from:r1.nid (Topology.node topo r2.nid).addr)
-
-let test_valley_free_up_peer_down_legal () =
-  let topo, _, _, c, d, e = valley_world () in
-  let vf = Routing.compute ~policy:Routing.Valley_free topo in
-  (* D -> P1 (up) -> P2 (peer) -> E (down): the canonical legal path. *)
-  Alcotest.(check (option int64)) "customer to customer across peering"
-    (Some 32_000_000L)
-    (Routing.distance vf ~from:d.nid ~to_:e.nid);
-  (* Multihomed C reaches everything through its providers. *)
-  Alcotest.(check bool) "c reaches e" true
-    (Routing.distance vf ~from:c.nid ~to_:e.nid <> None)
-
-let test_valley_free_unreachable_without_peering () =
-  (* Without the peering link, the only physical P1-P2 connection is
-     through their shared customer C — a valley. Shortest finds it;
-     valley-free correctly reports unreachable. *)
-  let topo = Topology.create () in
-  let dom name prefix = Topology.add_domain topo ~name ~prefix in
-  let p1 = dom "p1" "10.1.0.0/16" and p2 = dom "p2" "10.2.0.0/16" in
-  let cd = dom "c" "10.3.0.0/16" in
-  let node d name = Topology.add_node topo ~domain:d ~kind:Router ~name in
-  let r1 = node p1 "r1" and r2 = node p2 "r2" in
-  let c = node cd "c" in
-  Topology.add_link topo r1.nid c.nid ~bandwidth_bps:1_000_000_000
-    ~latency:1_000_000L ~rel:Topology.Customer ();
-  Topology.add_link topo r2.nid c.nid ~bandwidth_bps:1_000_000_000
-    ~latency:1_000_000L ~rel:Topology.Customer ();
-  let shortest = Routing.compute ~policy:Routing.Shortest topo in
-  let vf = Routing.compute ~policy:Routing.Valley_free topo in
-  Alcotest.(check bool) "physically connected" true
-    (Routing.distance shortest ~from:r1.nid ~to_:r2.nid <> None);
-  Alcotest.(check bool) "policy-unreachable" false
-    (Routing.distance vf ~from:r1.nid ~to_:r2.nid <> None);
-  (* but C itself still reaches both its providers *)
-  Alcotest.(check bool) "c reaches p1" true
-    (Routing.distance vf ~from:c.nid ~to_:r1.nid <> None);
-  Alcotest.(check bool) "c reaches p2" true
-    (Routing.distance vf ~from:c.nid ~to_:r2.nid <> None)
-
-let test_valley_free_intra_domain_free () =
-  (* intra-domain hops never change the phase *)
-  let topo = Topology.create () in
-  let d1 = Topology.add_domain topo ~name:"d1" ~prefix:"10.1.0.0/16" in
-  let d2 = Topology.add_domain topo ~name:"d2" ~prefix:"10.2.0.0/16" in
-  let node d name = Topology.add_node topo ~domain:d ~kind:Router ~name in
-  let a = node d1 "a" and b = node d1 "b" in
-  let x = node d2 "x" and y = node d2 "y" in
-  Topology.add_link topo a.nid b.nid ~bandwidth_bps:1_000_000_000 ~latency:1_000_000L ();
-  Topology.add_link topo b.nid x.nid ~bandwidth_bps:1_000_000_000
-    ~latency:1_000_000L ~rel:Topology.Peer ();
-  Topology.add_link topo x.nid y.nid ~bandwidth_bps:1_000_000_000 ~latency:1_000_000L ();
-  let vf = Routing.compute ~policy:Routing.Valley_free topo in
-  Alcotest.(check (option int64)) "a..y across one peering" (Some 3_000_000L)
-    (Routing.distance vf ~from:a.nid ~to_:y.nid)
+  let link a b latency =
+    Topology.add_link topo a.Topology.nid b.Topology.nid
+      ~bandwidth_bps:1_000_000_000 ~latency ()
+  in
+  link r1 c 1_000_000L;
+  link r2 c 1_000_000L;
+  link r1 d 1_000_000L;
+  link r2 e 1_000_000L;
+  link r1 r2 30_000_000L;
+  (topo, c, d, e)
 
 (* Anycast membership mutation (a member withdrawing is what a crashed
    neutralizer box looks like to routing) must be picked up by
-   [recompute_routes] under either policy. Group {c, e} seen from d:
-   c is 2 ms away (up-down, legal under valley-free); with c withdrawn
-   the survivor e is reached through the valley (4 ms) under [Shortest]
-   but only over the paid peering (32 ms) under [Valley_free]. *)
-let anycast_recompute_case policy () =
-  let topo, _, _, c, d, e = valley_world () in
+   [recompute_routes]. Group {c, e} seen from d: c is 2 ms away; with c
+   withdrawn the survivor e is reached through c's links (4 ms). *)
+let test_anycast_recompute () =
+  let topo, c, d, e = anycast_world () in
   let any = Ipaddr.of_string "10.200.0.1" in
   Topology.register_anycast topo any [ c.nid; e.nid ];
   let eng = Engine.create () in
-  let net = Network.create ~policy eng topo in
+  let net = Network.create eng topo in
   let hit = ref (-1) and at = ref 0L in
   let handler _ nid _ =
     hit := nid;
@@ -769,22 +705,12 @@ let anycast_recompute_case policy () =
   Network.recompute_routes net;
   let dt = send () in
   Alcotest.(check int) "re-homed to surviving member" e.nid !hit;
-  (match policy with
-   | Routing.Shortest ->
-     Alcotest.(check bool) "shortest cuts through the valley (~4 ms)" true
-       (dt < 10_000_000L)
-   | Routing.Valley_free ->
-     Alcotest.(check bool) "valley-free pays for peering (>= 32 ms)" true
-       (dt >= 32_000_000L));
+  Alcotest.(check bool) "shortest path through c's links (~4 ms)" true
+    (dt < 10_000_000L);
   Topology.add_anycast_member topo any c.nid;
   Network.recompute_routes net;
   ignore (send ());
   Alcotest.(check int) "re-announced member wins again" c.nid !hit
-
-let test_anycast_recompute_shortest = anycast_recompute_case Routing.Shortest
-
-let test_anycast_recompute_valley_free =
-  anycast_recompute_case Routing.Valley_free
 
 (* ---- Per-hop lookups vs list-scan references ---- *)
 
@@ -1079,6 +1005,8 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
           Alcotest.test_case "invariants and obs mirror" `Quick
             test_engine_invariants;
+          Alcotest.test_case "sim_wall_ratio is wall-clock" `Quick
+            test_engine_sim_wall_ratio;
           Alcotest.test_case "dropped engine collected" `Quick
             test_engine_collected
         ] );
@@ -1099,18 +1027,8 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_routing_unreachable;
           Alcotest.test_case "anycast nearest" `Quick
             test_routing_anycast_nearest;
-          Alcotest.test_case "valley-free avoids customer transit" `Quick
-            test_valley_free_avoids_customer_transit;
-          Alcotest.test_case "valley-free up-peer-down" `Quick
-            test_valley_free_up_peer_down_legal;
-          Alcotest.test_case "valley-free unreachable" `Quick
-            test_valley_free_unreachable_without_peering;
-          Alcotest.test_case "valley-free intra free" `Quick
-            test_valley_free_intra_domain_free;
           Alcotest.test_case "anycast withdraw/re-announce (shortest)" `Quick
-            test_anycast_recompute_shortest;
-          Alcotest.test_case "anycast withdraw/re-announce (valley-free)"
-            `Quick test_anycast_recompute_valley_free;
+            test_anycast_recompute;
           prop_hop_lookups
         ] );
       ( "network",

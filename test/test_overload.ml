@@ -183,7 +183,7 @@ let prop_backoff_bounds =
              >= 0)
         [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])
 
-let test_backoff_determinism_and_reset () =
+let test_backoff_determinism () =
   let mk () =
     BO.create ~config:backoff_test_config
       ~prng:(Fault.Prng.split (Fault.Prng.create ~seed:9) ~label:"dst")
@@ -194,11 +194,6 @@ let test_backoff_determinism_and_reset () =
   Alcotest.(check (list int64)) "same seed, same retry timeline" (seq a)
     (seq b);
   Alcotest.(check int) "attempts counted" 12 (BO.attempts a);
-  BO.reset a;
-  Alcotest.(check int) "reset clears attempts" 0 (BO.attempts a);
-  let first = BO.next a in
-  Alcotest.(check bool) "after reset back to first window" true
-    (Int64.compare first backoff_test_config.base <= 0);
   Alcotest.check_raises "jitter must stay below 1"
     (Invalid_argument "Backoff: jitter must be in [0, 1)") (fun () ->
       BO.validate { backoff_test_config with jitter = 1.0 })
@@ -358,8 +353,7 @@ let () =
           prop_breaker_transitions
         ] );
       ( "backoff",
-        [ Alcotest.test_case "determinism and reset" `Quick
-            test_backoff_determinism_and_reset;
+        [ Alcotest.test_case "determinism" `Quick test_backoff_determinism;
           prop_backoff_bounds
         ] );
       ( "admission",

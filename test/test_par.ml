@@ -260,11 +260,6 @@ let obs_counter_equivalence =
       Par.round pool4 ~n ~f:(fun _ -> Obs.Counter.inc c);
       Obs.Counter.value c = n)
 
-let test_gauge_concurrent_add () =
-  let g = Obs.Gauge.create () in
-  Par.round pool4 ~n:4000 ~f:(fun _ -> Obs.Gauge.add g 1.0);
-  Alcotest.(check (float 1e-6)) "CAS add loses nothing" 4000.0 (Obs.Gauge.value g)
-
 (* ---- crypto reentrancy: KATs from 4 domains at once ---- *)
 
 let aes_kat () =
@@ -531,9 +526,7 @@ let () =
         [ keytab_parallel_equivalence;
           obs_counter_equivalence;
           Alcotest.test_case "session memo shared" `Quick
-            test_keytab_session_memo_shared;
-          Alcotest.test_case "gauge concurrent add" `Quick
-            test_gauge_concurrent_add
+            test_keytab_session_memo_shared
         ] );
       ( "reentrancy",
         [ Alcotest.test_case "crypto KATs from 4 domains" `Quick

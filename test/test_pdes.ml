@@ -19,20 +19,140 @@ let pool2 = Par.create ~size:2 ()
 let pool4 = Par.create ~size:4 ()
 let () = at_exit (fun () -> Par.shutdown pool2; Par.shutdown pool4)
 
-(* Same avalanche as the pdes workload: every choice both the engine
-   driver and the reference model make derives from chains of this. *)
+(* LCG-based avalanche: every choice the engine workloads and the
+   reference model make derives from chains of this. The mask keeps
+   results non-negative native ints. *)
 let mix x =
   let x = (x * 2685821657736338717) + 1442695040888963407 in
   let x = x lxor (x lsr 29) in
   x * 2685821657736338717 land max_int
 
-(* ---- shard-count invariance on the real token workload ---- *)
+(* ---- shard-count invariance on the token-ring workload ---- *)
 
+(* [domains] stub sites around a ring, built as a real Net.Topology:
+   one router plus [hosts_per_domain] hosts each, hosts on their router
+   (2 us), routers linked to both ring neighbours at latencies that vary
+   per edge, so the engine's lookahead auto-tuner (the minimum
+   cross-shard latency) meets a non-uniform minimum. Returns the
+   topology and the host ids. *)
+let ring_topology ~domains ~hosts_per_domain =
+  let top = Net.Topology.create () in
+  let routers = Array.make domains (-1) in
+  let hosts = Array.make_matrix domains hosts_per_domain (-1) in
+  for d = 0 to domains - 1 do
+    let did =
+      Net.Topology.add_domain top
+        ~name:(Printf.sprintf "isp%d" d)
+        ~prefix:(Printf.sprintf "10.%d.0.0/16" (d + 1))
+    in
+    let r =
+      Net.Topology.add_node top ~domain:did ~kind:Router
+        ~name:(Printf.sprintf "r%d" d)
+    in
+    routers.(d) <- r.Net.Topology.nid;
+    for h = 0 to hosts_per_domain - 1 do
+      let n =
+        Net.Topology.add_node top ~domain:did ~kind:Host
+          ~name:(Printf.sprintf "h%d-%d" d h)
+      in
+      hosts.(d).(h) <- n.Net.Topology.nid;
+      Net.Topology.add_link top r.Net.Topology.nid n.Net.Topology.nid
+        ~bandwidth_bps:1_000_000_000 ~latency:2_000L ()
+    done
+  done;
+  for d = 0 to domains - 1 do
+    Net.Topology.add_link top routers.(d)
+      routers.((d + 1) mod domains)
+      ~bandwidth_bps:10_000_000_000
+      ~latency:(Int64.of_int (200_000 + (20_000 * (d mod 5))))
+      ()
+  done;
+  (top, hosts)
+
+(* Adjacency split by locality: [intra] neighbours share the node's
+   domain (and so its shard, under Topology.shard_of); [inter]
+   neighbours are cross-domain, each with its link's latency, the lower
+   bound a hop along that edge always respects. *)
+let adjacency top =
+  let n = Net.Topology.node_count top in
+  let intra = Array.make n [] and inter = Array.make n [] in
+  List.iter
+    (fun (e : Net.Topology.edge) ->
+      let domain nid = (Net.Topology.node top nid).Net.Topology.domain in
+      if domain e.a = domain e.b then begin
+        intra.(e.a) <- e.b :: intra.(e.a);
+        intra.(e.b) <- e.a :: intra.(e.b)
+      end
+      else begin
+        inter.(e.a) <- (e.b, e.latency) :: inter.(e.a);
+        inter.(e.b) <- (e.a, e.latency) :: inter.(e.b)
+      end)
+    (Net.Topology.edges top);
+  ( Array.map (fun l -> Array.of_list (List.rev l)) intra,
+    Array.map (fun l -> Array.of_list (List.rev l)) inter )
+
+(* Tokens hop the ring for [hops] arrivals each, on an engine of
+   [shards] shards, on [pool] when given. An arrival folds its identity
+   into its node's XOR accumulator (commutative, so same-time arrivals
+   digest alike in any round interleaving) and derives the next hop
+   from the payload alone: cross-domain at the edge's latency plus
+   jitter, never below the lookahead; intra-domain at any positive
+   delay on the node's own shard. The digest over the per-node
+   accumulators and arrival counts is a pure function of the parameters,
+   never of [shards] or [pool]. *)
 let workload_digest ~domains ~hosts_per_domain ~tokens ~hops ~seed ~shards
     ~pool =
-  (Experiments.Pdes_scaling.run_workload ~domains ~hosts_per_domain ~tokens
-     ~hops ~seed ~shards ~pool ())
-    .Experiments.Pdes_scaling.digest
+  let top, hosts = ring_topology ~domains ~hosts_per_domain in
+  let intra, inter = adjacency top in
+  let n = Net.Topology.node_count top in
+  let shard_of =
+    Array.init n (fun nid -> Net.Topology.shard_of top ~shards nid)
+  in
+  let acc = Array.make n 0 and cnt = Array.make n 0 in
+  let engine =
+    Net.Engine.create
+      ~obs:(Obs.Registry.create ())
+      ~capacity:(max 16 tokens) ~shards ~topo:top ()
+  in
+  let rec arrive time nid payload ttl =
+    acc.(nid) <- acc.(nid) lxor mix (payload lxor (nid * 0x9e3779b9));
+    cnt.(nid) <- cnt.(nid) + 1;
+    if ttl > 0 then begin
+      let r = mix payload in
+      let go_inter =
+        Array.length inter.(nid) > 0
+        && (r land 3 = 0 || Array.length intra.(nid) = 0)
+      in
+      let next, delay =
+        if go_inter then begin
+          let dst, lat =
+            inter.(nid).(mix (r + 1) mod Array.length inter.(nid))
+          in
+          (dst, Int64.add lat (Int64.of_int (mix (r + 2) mod 100_000)))
+        end
+        else
+          ( intra.(nid).(mix (r + 3) mod Array.length intra.(nid)),
+            Int64.of_int (1 + (mix (r + 4) mod 2_000)) )
+      in
+      let at = Int64.add time delay in
+      ignore
+        (Net.Engine.post engine ~shard:shard_of.(next) ~at (fun () ->
+             arrive at next (mix (r + 5)) (ttl - 1)))
+    end
+  in
+  for k = 0 to tokens - 1 do
+    let nid = hosts.(k mod domains).(k / domains mod hosts_per_domain) in
+    let at = Int64.of_int (1 + (mix (seed + k) mod 1_000)) in
+    ignore
+      (Net.Engine.post engine ~shard:shard_of.(nid) ~at (fun () ->
+           arrive at nid (mix (seed lxor (k * 7919))) hops))
+  done;
+  Net.Engine.run ?pool engine;
+  let buf = Buffer.create (n * 24) in
+  for nid = 0 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "%d:%d:%x;" nid cnt.(nid) acc.(nid))
+  done;
+  Crypto.Sha256.digest_hex (Buffer.contents buf)
 
 let test_shard_invariance =
   let gen =

@@ -324,9 +324,7 @@ let test_gate_ratchet () =
     (Core.Version_gate.seen g ~peer:peer_a = Some v2);
   Alcotest.(check bool) "other peers unaffected" true
     (Core.Version_gate.admit g ~peer:peer_b ~version:v1
-     = Core.Version_gate.Admitted);
-  Core.Version_gate.clear g;
-  Alcotest.(check int) "clear empties" 0 (Core.Version_gate.peer_count g)
+     = Core.Version_gate.Admitted)
 
 (* ---- box + host integration on the Figure-1 world ---- *)
 
@@ -506,13 +504,6 @@ let test_client_downgrade_refused () =
   send_shim mallory ~dst:ann (legacy stale) "";
   Scenario.World.run w;
   Alcotest.(check int) "legacy after v2 refused by the client" (base + 1)
-    (proto_reject_count w "client" "downgrade");
-  (* reset is crash amnesia for hosts: the floor is forgotten and a
-     legacy-only world keeps working *)
-  Core.Client.reset client;
-  send_shim mallory ~dst:ann (legacy stale) "";
-  Scenario.World.run w;
-  Alcotest.(check int) "fresh host re-admits legacy first contact" (base + 1)
     (proto_reject_count w "client" "downgrade")
 
 (* ---- rotation x wire epochs (satellite 3) ---- *)
@@ -562,48 +553,6 @@ let test_rotation_wire_epochs () =
        g.Core.Keytab.epoch
        = Core.Master_key.current_epoch w.Scenario.World.master
      | None -> false)
-
-let test_rotation_restart_wire_agreement () =
-  (* Crash/restart catch-up seen from the wire: a Data frame stamped at
-     the shared timeline's epoch derives the same Ks on a replica that
-     slept through rotations and caught up, and a frame from a retired
-     epoch is judged fail-closed by both. *)
-  let eng = Net.Engine.create () in
-  let m1 = Core.Master_key.of_seed ~seed:"wire-rot" in
-  let m2 = Core.Master_key.of_seed ~seed:"wire-rot" in
-  let r1 = Core.Rotation.schedule eng m1 ~every:1_000_000_000L () in
-  let r2 = Core.Rotation.schedule eng m2 ~every:1_000_000_000L () in
-  ignore
-    (Net.Engine.schedule_s eng ~delay_s:1.5 (fun () -> Core.Rotation.crash r1));
-  ignore
-    (Net.Engine.schedule_s eng ~delay_s:4.5 (fun () -> Core.Rotation.restart r1));
-  Net.Engine.run ~until:5_500_000_000L eng;
-  Core.Rotation.stop r1;
-  Core.Rotation.stop r2;
-  Alcotest.(check int) "replicas agree on the epoch"
-    (Core.Master_key.current_epoch m2)
-    (Core.Master_key.current_epoch m1);
-  let src = Net.Ipaddr.of_string "10.1.0.2" in
-  let nonce = String.make Core.Protocol.nonce_len 'w' in
-  let epoch, ks2 = Core.Master_key.derive_current m2 ~nonce ~src in
-  (* round-trip the grant reference through the wire codec, as a packet
-     would carry it *)
-  let wire =
-    Core.Shim.encode (Core.Shim.Return { epoch; nonce; initiator = src })
-  in
-  (match Core.Shim.decode_strict wire with
-   | Ok (Core.Shim.Return { epoch = e; nonce = n; _ }) ->
-     (match Core.Master_key.derive m1 ~epoch:e ~nonce:n ~src with
-      | Some ks1 ->
-        Alcotest.(check string) "same Ks through the wire after catch-up" ks2 ks1
-      | None -> Alcotest.fail "caught-up replica rejects the current epoch")
-   | _ -> Alcotest.fail "wire roundtrip failed");
-  (* an epoch retired on the shared timeline fails closed on both *)
-  let retired = (epoch + 254) land 0xff (* = epoch - 2 mod 256 *) in
-  Alcotest.(check bool) "retired epoch: m1 refuses" true
-    (Core.Master_key.derive m1 ~epoch:retired ~nonce ~src = None);
-  Alcotest.(check bool) "retired epoch: m2 refuses" true
-    (Core.Master_key.derive m2 ~epoch:retired ~nonce ~src = None)
 
 let test_ratchet_forward_secrecy () =
   (* The concrete FS property: epoch keys are a one-way chain, so two
@@ -819,14 +768,12 @@ let () =
             test_neutralizer_oversized_modulus;
           Alcotest.test_case "neutralizer rejects oversized exponent" `Quick
             test_neutralizer_oversized_exponent;
-          Alcotest.test_case "client refuses downgrade, reset forgets" `Quick
+          Alcotest.test_case "client refuses downgrade" `Quick
             test_client_downgrade_refused
         ] );
       ( "rotation",
         [ Alcotest.test_case "wire epochs across rotation + stale-grant"
             `Quick test_rotation_wire_epochs;
-          Alcotest.test_case "crash/restart catch-up agrees on the wire"
-            `Quick test_rotation_restart_wire_agreement;
           Alcotest.test_case "hash-ratchet forward secrecy" `Quick
             test_ratchet_forward_secrecy
         ] );

@@ -189,7 +189,14 @@ let test_e14_smoke () =
     r.Experiments.E14_scale.inv_ok;
   Alcotest.(check int) "simulated client population" 2400
     r.Experiments.E14_scale.clients;
-  Alcotest.(check bool) "all gates" true r.Experiments.E14_scale.ok
+  Alcotest.(check bool) "all gates" true r.Experiments.E14_scale.ok;
+  (* Golden digests: the scale run's cohort digest and the shards=1
+     invariance reference. *)
+  let hex = Printf.sprintf "%016x" in
+  Alcotest.(check string) "scale-run digest" "31ad5757b053f4b6"
+    (hex r.Experiments.E14_scale.digest);
+  Alcotest.(check string) "invariance reference digest" "25e52743b740c657"
+    (hex (List.hd r.Experiments.E14_scale.inv_points).point_digest)
 
 let () =
   Alcotest.run "scale"

@@ -13,6 +13,9 @@ let gen_bytes n =
 let gen_short = QCheck2.Gen.(string_size ~gen:char (int_bound 200))
 let pr = Printf.sprintf "%S"
 
+(* [pattern n]: byte i is i land 0xff. *)
+let pattern n = String.init n (fun i -> Char.chr (i land 0xff))
+
 (* ---- bytes_util ---- *)
 
 let test_hex () =
@@ -107,6 +110,24 @@ let test_ctr_keystream_position () =
   Alcotest.(check string) "prefix" (String.sub a 0 12) (String.sub b 0 12);
   Alcotest.(check int) "length" 28 (String.length a)
 
+(* A nonce whose low 32 bits are all ones: the second block's counter
+   wraps to zero inside those 32 bits and leaves the upper 96 alone. The
+   keystream is rebuilt from single blocks, then the output is pinned. *)
+let test_ctr_counter_wraps () =
+  let key = Crypto.Aes.expand_key (pattern 16) in
+  let nonce = hex "f0f1f2f3f4f5f6f7f8f9fafbffffffff" in
+  let pt = pattern 40 in
+  let ct = Crypto.Mode.ctr ~key ~nonce pt in
+  let block low = Crypto.Aes.encrypt_block key (String.sub nonce 0 12 ^ hex low) in
+  let ks = block "ffffffff" ^ block "00000000" ^ block "00000001" in
+  Alcotest.(check string) "keystream wraps in the low 32 bits"
+    (B.to_hex (B.xor pt (String.sub ks 0 40)))
+    (B.to_hex ct);
+  Alcotest.(check string) "pinned"
+    "e0d277a566a0b01d6304b7e5eeef52497a0d8f19658d2932c0fe3b44a00de93f\
+     f2566b7a0d205fb1"
+    (B.to_hex ct)
+
 (* ---- CMAC (RFC 4493) ---- *)
 
 let cmac_key = hex "2b7e151628aed2a6abf7158809cf4f3c"
@@ -148,9 +169,6 @@ let test_sha256_vectors () =
     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1";
   check "FIPS 180-4 one million a" (String.make 1_000_000 'a')
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-
-(* [pattern n]: byte i is i land 0xff. *)
-let pattern n = String.init n (fun i -> Char.chr (i land 0xff))
 
 (* SHA-256 of [pattern n] for n = 0 .. 200, computed with python3's
    hashlib: every tail length, and one, two and three blocks. *)
@@ -475,6 +493,24 @@ let test_drbg () =
   Alcotest.(check bool) "advances" true (a <> Crypto.Drbg.generate d1 33);
   Alcotest.(check int) "length" 7 (String.length (Crypto.Drbg.generate d1 7))
 
+(* Draws from one state that cross the 16-byte block and the rekey after
+   every draw, as the block-at-a-time generator produced them. *)
+let golden_drbg =
+  [ (1, "ea");
+    (15, "3f8e4965d94ab029fbb315443c74ba");
+    (16, "954bedfda7ceec17992f1fc680567b90");
+    (17, "718a002dfa376261f675f5187c633bff50");
+    (33, "f347b636c2cdbaaa7ce47ece988a5a36fc0a6c92447c069a47bf145cf60db42ecc")
+  ]
+
+let test_drbg_golden () =
+  let d = Crypto.Drbg.create ~seed:"golden-drbg" in
+  List.iter
+    (fun (n, expect) ->
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) expect
+        (B.to_hex (Crypto.Drbg.generate d n)))
+    golden_drbg
+
 (* ---- RSA ---- *)
 
 let fixed_key = lazy (Scenario.Keyring.onetime 0)
@@ -712,6 +748,97 @@ let test_seal_bytes_pinned () =
      c8af730d4271fb53"
     (B.to_hex (seal_fresh ~rng ~pub:key.Crypto.Rsa.public "pinned envelope"))
 
+(* [seal_sym] under one fixed DRBG, as the copy-per-step implementation
+   produced it. The lengths cross CTR's partial block (15, 16, 17) and
+   HMAC's tail: the inner hash covers the 64-byte ipad block, then
+   nonce ‖ ciphertext, 16 + n bytes, so its padding spills into a second
+   block when n mod 64 is 40 to 47. *)
+let golden_seal_sym =
+  [ (0, "73e4de37bfc5f681221693a13b78a9e6bae9c007c166c34c987717cb896719da");
+    ( 1,
+      "efd32793bd7f5350ea52efd1e1ecaaeed73b0b51ccdbbe22113d8e898e13b4ec\
+       ed" );
+    ( 15,
+      "d79263343b109c4276ff0cd636b529998bbd7ebe6cc3b1d84c9f5df06163ab9b\
+       2b8b67a40857b1d6aa889f84242bde" );
+    ( 16,
+      "445f4360058024e7ce921bb9aa49d5fe7c59e58c406b26de90aa3252e1b90bf8\
+       e78e4301d48d5e4d66f2bb5bd3183bd1" );
+    ( 17,
+      "2f37b2613b71983962636fc128492399226fd332bd070af035c6b22ea286add6\
+       3587e268778d7acb8ef0b604b84294629f" );
+    ( 39,
+      "1ae4ae0d4290154a4ce914936d35fca4f4bad560b8bd48b52c0f7e54d646e679\
+       fb122cbc736984caa08f7919b63a011d59209dcf4a54d5f987247359923f43c1\
+       69bcffa46fcad0" );
+    ( 40,
+      "b61fa013c3b2c26c4b346a63741a498d0727b43c126c3161726f6a563adffcca\
+       c031370682c232bada712cf1d5cd973752f793baae35e4771708e86b01e17353\
+       afd2f42501bea3d6" );
+    ( 47,
+      "6221c964c9ec530504587bcf77651fc5997c20c42e6e5665552ba070e595763f\
+       9b3368f24f47e7999a4ca3a1f4f5e14ef1ad24c46bc397c3f3d3833e643bd81d\
+       e7a8d5f21a8880df5262ad06ffe0c4" );
+    ( 48,
+      "0dfd6af136f66465cd7776bcc79f14c28cfa2eb61bf88feab201df7fac26a9f5\
+       1e8ac5c52691d6b7eb8580089e63b9ce24f5a2bf1127a52dc3c24faa7216dd63\
+       1f1d1c67f5fd66ad8377504e3399f3a9" );
+    ( 65,
+      "235f6f7091f68b80add8d68b0b03493700dd07c025adac83c4bcdf92c1319a5a\
+       e6f49719ffd7efc85707a9f1c18b15da9cb6188ac72dfa604f3c7fe9d17b4d25\
+       96f79fc297bd86af9c9f595bec258333782cf29ae7427e0601f3d5c7af8b3c29\
+       3e" );
+    ( 1201,
+      "39310f409cc2df2ae157ba3b6f4b46d6339640778587bd243e83159c65f1b1e1\
+       2200b0daa4f9c7f35797686af0d4e11a2255d245d5a64fc20dcf8b9f5b2ec74e\
+       fa428186d990c434c3c0d8ce7c82e182707f2f16316bf97fa3f9f0effe608f92\
+       3e40d92b944736f7ecf4186302505e1cac990eca8b5aaf53c452b258027ad599\
+       4d7f9811dff840405498df0ec02706712900bb71cda42ff566b54398c06fd9fb\
+       2b8056dfef7d30740f973aac238a1d65ebb3ede2f13571ce29b5c6575984285b\
+       dcf8a31d65e44a7f828e9352bf0c7801f43b076a1bba61afc02fd77f9a8be0c7\
+       9391064f9b94176bc0629e60e29175bdbf1e41ccab9f60119fceededafab4349\
+       d7d0304d645c9877fc15bd905391a9b6ffa001ebe8affe6b60077efc07280f97\
+       a55e946ff3cbb3d75485ab5d8fefe278124aa1caa661289c725d2a66707d40e5\
+       fd87138bf69cdad647efe262dada110c105c14107345d6bf7aefdb237867afbc\
+       3a0d40c3604b72eead50b43153d9925773a4153621ca9ea4e15bb57653b087c2\
+       d45bfa5b3c1207de181a41aa8336c71af611a79f30566bf2a16229bc15c7f349\
+       037f49ce42e121b9aa0abcbea949225591cf83486983f181cd641ab7b6ea2bcf\
+       53467ff68407ce7cc1bbc898d3a25222ab00e8cfed7b3519426250cf9e78ebc4\
+       a5cf78bc401f25102e23ad8f342390cff32886d8a34b6967001ed0f545a2ec4d\
+       8c4586cb7e16d2869504a87cd6b0f2febbd8091e1eb8068482322da07fdc94e7\
+       4fa4777cf8ccebfcaccf9e8a7823a01a00f7c6f22205142c188bc398911cdbd3\
+       b9aa34fe571251ca527dd8d4a8938b0b6f1ce5ca34bb307e144f498a630d06bc\
+       b82287a7964268417ab4fd1cca1f9a87ccb400f1a66e8c9129fcb37564de5747\
+       ce07d7fedca76eb2637b77342393201997ad5d9ae6c874a3690917266ff567ce\
+       800ec31597c11b9926d0e2e583e7d5729fc515aa17c33d7275b7a9bb9f812bcd\
+       5710331e9bd18a93add0bb88ec6dae7a2ea98f21874c1d13a5df0650c864a20e\
+       86d4650a28b3a1ab40648982f30b8ec1576364a6e946c2bcc3d573628595643a\
+       36a1d0a0d7dec9c804cdf228927452e7e478fea6b2838cf65fb6f8f0ccfd877c\
+       61c329bf71c4b68e69668545e5353f2d52a32f633a999b53c38390b50c843eb4\
+       30604931122e18653248b7d2d11672222c199739f721b770b86df324182a210f\
+       f05b14a12164f78e99477c2ee898365e129137ed0608019bade88bc254f14cfa\
+       edb529f505bd34f61c2aa075b5030ebfbfdf40762769f6518a245b93703472a9\
+       2b671f5664c466597219b8187919d1432fb52a612bfe39767cb1742c186c9e8f\
+       6668c97112c645f3810a270d3dfa32e206af60b55ec232eebb7c41ce360ad830\
+       dc44e0810c00da946429eaef469b066be93db4b39afa6e0f0350da4676274b59\
+       73ec4c13ce8b7e87cfa05cecc69d11ac07c83999788c91a0fcd434f7796daf6e\
+       078e440c14b67ee1b682936e23b0f808d71a444e9b7ba534f3dd12db0e7d5c05\
+       9c9be5df1c9b905599be9150301b48d63930034fb3e77b2d1da207e67473f5ed\
+       4a287a2950544664b5186e1ae7fd93b1906785e0b997abb4228045669181806d\
+       a4f6064721c98b9e9f4b77123ad0c65afddbbf4c6232bd017b339b0509c895ed\
+       90e97ecc06a51e9f50dac7de48fb43e8a077e16b80589af3747f53e5cfb4f0ce\
+       4bef2d96dda3c150c37b6373194c4fdd43" )
+  ]
+
+let test_seal_sym_golden () =
+  let rng = drbg_rng "golden-seal" in
+  let keys = Crypto.Seal.keys (rng 32) in
+  List.iter
+    (fun (n, expect) ->
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) expect
+        (B.to_hex (Crypto.Seal.seal_sym ~rng keys (pattern n))))
+    golden_seal_sym
+
 let () =
   Alcotest.run "crypto"
     [ ( "bytes-util",
@@ -729,7 +856,8 @@ let () =
         @ aes_props );
       ( "modes",
         [ Alcotest.test_case "ctr keystream position" `Quick
-            test_ctr_keystream_position
+            test_ctr_keystream_position;
+          Alcotest.test_case "ctr counter wraps" `Quick test_ctr_counter_wraps
         ]
         @ mode_props );
       ( "cmac",
@@ -745,7 +873,10 @@ let () =
           Alcotest.test_case "hmac derive" `Quick test_hmac_derive
         ]
         @ sha_props );
-      ("drbg", [ Alcotest.test_case "determinism" `Quick test_drbg ]);
+      ( "drbg",
+        [ Alcotest.test_case "determinism" `Quick test_drbg;
+          Alcotest.test_case "golden stream" `Quick test_drbg_golden
+        ] );
       ( "rsa",
         [ Alcotest.test_case "roundtrip" `Quick test_rsa_roundtrip;
           Alcotest.test_case "randomized padding" `Quick
@@ -763,6 +894,8 @@ let () =
           Alcotest.test_case "symmetric" `Quick test_seal_sym;
           Alcotest.test_case "recover secret" `Quick test_seal_recover_secret;
           Alcotest.test_case "envelope bytes pinned" `Quick
-            test_seal_bytes_pinned
+            test_seal_bytes_pinned;
+          Alcotest.test_case "symmetric golden vectors" `Quick
+            test_seal_sym_golden
         ] )
     ]

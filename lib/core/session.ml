@@ -127,7 +127,8 @@ let initial_payload ~rng ~peer_key ~secret ~keys inner =
   "N" ^ Crypto.Seal.seal ~rng ~pub:peer_key ~secret keys (encode_inner inner)
 
 let data_payload ~rng session inner =
-  "D" ^ session.sid ^ Crypto.Seal.seal_sym ~rng session.keys (encode_inner inner)
+  Crypto.Seal.seal_sym ~rng session.keys ~header:("D" ^ session.sid)
+    (encode_inner inner)
 
 let accept_initial ~private_key payload =
   if String.length payload < 2 || payload.[0] <> 'N' then None
@@ -144,9 +145,7 @@ let open_data t ~now payload =
     match find t ~sid with
     | None -> None
     | Some session ->
-      (match
-         Crypto.Seal.unseal_sym session.keys (Crypto.Bytes_util.drop 9 payload)
-       with
+      (match Crypto.Seal.unseal_sym session.keys ~off:9 payload with
        | None -> None
        | Some body ->
          (match decode_inner body with

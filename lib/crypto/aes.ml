@@ -79,17 +79,25 @@ let c_enc_blocks =
 let c_dec_blocks =
   Obs.Registry.counter Obs.Registry.default "crypto.aes.blocks_decrypted"
 
-let expand_key k =
-  if String.length k <> key_size then invalid_arg "Aes.expand_key: need 16 bytes";
+external get32 : string -> int -> int32 = "%caml_string_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* Big-endian 32-bit words, unchecked: callers check their bounds. *)
+let load_be s off =
+  let v = get32 s off in
+  Int32.to_int (if Sys.big_endian then v else bswap32 v) land 0xffffffff
+
+let store_be b off v =
+  let v = Int32.of_int v in
+  set32 b off (if Sys.big_endian then v else bswap32 v)
+
+(* AES-128 expands 4 key words to 44, here packed as 32-bit ints,
+   written over [w]. *)
+let expand_into w k =
   Obs.Counter.inc c_expansions;
-  (* AES-128 expands 4 key words to 44, here packed as 32-bit ints. *)
-  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    w.(i) <-
-      (Char.code k.[4 * i] lsl 24)
-      lor (Char.code k.[(4 * i) + 1] lsl 16)
-      lor (Char.code k.[(4 * i) + 2] lsl 8)
-      lor Char.code k.[(4 * i) + 3]
+    w.(i) <- load_be k (4 * i)
   done;
   let rcon = ref 1 in
   for i = 4 to 43 do
@@ -111,8 +119,18 @@ let expand_key k =
       else prev
     in
     w.(i) <- w.(i - 4) lxor t
-  done;
+  done
+
+let expand_key k =
+  if String.length k <> key_size then invalid_arg "Aes.expand_key: need 16 bytes";
+  let w = Array.make 44 0 in
+  expand_into w k;
   { rkw = w; rk = Atomic.make None }
+
+let rekey key k =
+  if Bytes.length k <> key_size then invalid_arg "Aes.rekey: need 16 bytes";
+  expand_into key.rkw (Bytes.unsafe_to_string k);
+  Atomic.set key.rk None
 
 (* Byte-level round keys, built on first use by decryption or the
    reference encryptor. Pure function of [rkw], so concurrent builders
@@ -201,6 +219,14 @@ let encrypt_block_reference key block =
 
 external tget : int array -> int -> int = "%array_unsafe_get"
 
+(* Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns. *)
+let final w0 w1 w2 w3 rk =
+  ((tget sbox (w0 lsr 24) lsl 24)
+  lor (tget sbox ((w1 lsr 16) land 0xff) lsl 16)
+  lor (tget sbox ((w2 lsr 8) land 0xff) lsl 8)
+  lor tget sbox (w3 land 0xff))
+  lxor rk
+
 (* Tables and round keys are read unchecked: every table index is a byte
    of a 32-bit state word, so below 256, and [rkw] is checked once to
    hold the 44 words [expand_key] always builds. *)
@@ -211,16 +237,11 @@ let encrypt_bytes { rkw; _ } ~src ~dst =
     invalid_arg "Aes.encrypt_bytes: dst needs 16 bytes";
   if Array.length rkw <> 44 then invalid_arg "Aes.encrypt_bytes: bad key";
   Obs.Counter.inc c_enc_blocks;
-  let word off =
-    (Char.code (Bytes.unsafe_get src off) lsl 24)
-    lor (Char.code (Bytes.unsafe_get src (off + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get src (off + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get src (off + 3))
-  in
-  let c0 = ref (word 0 lxor tget rkw 0)
-  and c1 = ref (word 4 lxor tget rkw 1)
-  and c2 = ref (word 8 lxor tget rkw 2)
-  and c3 = ref (word 12 lxor tget rkw 3) in
+  let src = Bytes.unsafe_to_string src in
+  let c0 = ref (load_be src 0 lxor tget rkw 0)
+  and c1 = ref (load_be src 4 lxor tget rkw 1)
+  and c2 = ref (load_be src 8 lxor tget rkw 2)
+  and c3 = ref (load_be src 12 lxor tget rkw 3) in
   for round = 1 to 9 do
     let t0 =
       tget te0 (!c0 lsr 24)
@@ -252,29 +273,15 @@ let encrypt_bytes { rkw; _ } ~src ~dst =
     c2 := t2;
     c3 := t3
   done;
-  (* Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns. *)
-  let final w0 w1 w2 w3 rk =
-    ((tget sbox (w0 lsr 24) lsl 24)
-    lor (tget sbox ((w1 lsr 16) land 0xff) lsl 16)
-    lor (tget sbox ((w2 lsr 8) land 0xff) lsl 8)
-    lor tget sbox (w3 land 0xff))
-    lxor rk
-  in
   let o0 = final !c0 !c1 !c2 !c3 (tget rkw 40)
   and o1 = final !c1 !c2 !c3 !c0 (tget rkw 41)
   and o2 = final !c2 !c3 !c0 !c1 (tget rkw 42)
   and o3 = final !c3 !c0 !c1 !c2 (tget rkw 43) in
   (* [src] may alias [dst]: all reads happened above. *)
-  let put off v =
-    Bytes.unsafe_set dst off (Char.unsafe_chr ((v lsr 24) land 0xff));
-    Bytes.unsafe_set dst (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-    Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (v land 0xff))
-  in
-  put 0 o0;
-  put 4 o1;
-  put 8 o2;
-  put 12 o3
+  store_be dst 0 o0;
+  store_be dst 4 o1;
+  store_be dst 8 o2;
+  store_be dst 12 o3
 
 let encrypt_block key block =
   if String.length block <> block_size then

@@ -9,12 +9,18 @@
 
 type key
 (** An expanded key is immutable apart from a write-once atomic cache of
-    decrypt-side round keys, so one [key] may be shared freely across
-    domains: concurrent [encrypt_*] / [decrypt_block] calls are safe and
-    deterministic. *)
+    decrypt-side round keys and {!rekey}, so one [key] that nobody
+    rekeys may be shared freely across domains: concurrent [encrypt_*] /
+    [decrypt_block] calls are safe and deterministic. *)
 
 (** [expand_key k] precomputes the round keys. [k] must be 16 bytes. *)
 val expand_key : string -> key
+
+(** [rekey key k] expands the 16 bytes of [k] over [key]'s round keys,
+    in place, as {!expand_key} would. It is for a key one owner holds
+    alone (the DRBG's, which changes after every draw): whoever else
+    holds [key] sees it change. Counted as a key expansion. *)
+val rekey : key -> Bytes.t -> unit
 
 (** [encrypt_block key block] / [decrypt_block key block]: [block] must be
     exactly 16 bytes. *)
@@ -24,8 +30,8 @@ val decrypt_block : key -> string -> string
 
 (** [encrypt_bytes key ~src ~dst] is the allocation-free form of
     {!encrypt_block}: both buffers must be exactly 16 bytes, and [src] may
-    alias [dst]. This is the datapath hot-path entry point — the string
-    variant is a thin wrapper around it. *)
+    alias [dst]. This is the hot-path entry point of the datapath, CTR,
+    CMAC and the DRBG; the string variant is a thin wrapper around it. *)
 val encrypt_bytes : key -> src:Bytes.t -> dst:Bytes.t -> unit
 
 (** Byte-wise reference implementation of encryption, kept for

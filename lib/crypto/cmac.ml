@@ -20,24 +20,46 @@ let key k =
   let k2 = dbl k1 in
   { aes; k1; k2 }
 
-let mac { aes; k1; k2 } msg =
-  let len = String.length msg in
-  let nblocks = if len = 0 then 1 else (len + 15) / 16 in
-  let last_complete = len > 0 && len mod 16 = 0 in
-  let x = ref (String.make 16 '\x00') in
-  for i = 0 to nblocks - 2 do
-    let block = String.sub msg (16 * i) 16 in
-    x := Aes.encrypt_block aes (Bytes_util.xor !x block)
+let xor_byte x i c =
+  Bytes.unsafe_set x i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get x i) lxor Char.code c))
+
+(* XOR [p] into the CBC state [x], which already holds [fill] bytes of
+   the current block, and return the new fill. A full block is
+   encrypted only when more input follows it: the last block takes K1
+   or K2 first. *)
+let absorb aes x fill p =
+  let fill = ref fill in
+  for i = 0 to String.length p - 1 do
+    if !fill = 16 then begin
+      Aes.encrypt_bytes aes ~src:x ~dst:x;
+      fill := 0
+    end;
+    xor_byte x !fill (String.unsafe_get p i);
+    incr fill
   done;
+  !fill
+
+let rec absorb_all aes x fill = function
+  | [] -> fill
+  | p :: rest -> absorb_all aes x (absorb aes x fill p) rest
+
+(* The parts are XORed straight into one 16-byte block, which becomes
+   the tag: no concatenation and no per-block string. *)
+let mac_parts { aes; k1; k2 } parts =
+  let x = Bytes.make 16 '\x00' in
+  let fill = absorb_all aes x 0 parts in
   let last =
-    if last_complete then
-      Bytes_util.xor (String.sub msg (16 * (nblocks - 1)) 16) k1
+    if fill = 16 then k1
     else begin
-      let tail = String.sub msg (16 * (nblocks - 1)) (len - (16 * (nblocks - 1))) in
-      let padded = tail ^ "\x80" ^ String.make (15 - String.length tail) '\x00' in
-      Bytes_util.xor padded k2
+      xor_byte x fill '\x80';
+      k2
     end
   in
-  Aes.encrypt_block aes (Bytes_util.xor !x last)
+  for i = 0 to 15 do
+    xor_byte x i (String.unsafe_get last i)
+  done;
+  Aes.encrypt_bytes aes ~src:x ~dst:x;
+  Bytes.unsafe_to_string x
 
-let mac_parts key parts = mac key (String.concat "" parts)
+let mac key msg = mac_parts key [ msg ]

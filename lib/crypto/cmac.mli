@@ -14,6 +14,7 @@ val mac : key -> string -> string
 (** [mac key msg] is the 16-byte tag over a message of any length. *)
 
 val mac_parts : key -> string list -> string
-(** [mac_parts key parts] is [mac key (String.concat "" parts)] without the
-    intermediate concatenation being part of the contract — convenient for
+(** [mac_parts key parts] is [mac key (String.concat "" parts)], without
+    the concatenation: the parts are XORed into one 16-byte block that
+    becomes the tag, so the tag is the only allocation. Convenient for
     tuple-style inputs such as [(nonce, srcIP)]. *)

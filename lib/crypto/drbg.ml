@@ -1,39 +1,39 @@
-type t = { mutable key : Aes.key; mutable counter : string }
-
-let split32 s = (Bytes_util.take 16 s, String.sub s 16 16)
+(* [block] holds the last keystream block: a draw's partial tail, and the
+   next key during a rekey. The generator owns all three buffers. *)
+type t = { key : Aes.key; counter : Bytes.t; block : Bytes.t }
 
 let create ~seed =
   let material = Sha256.digest ("nn-drbg-init" ^ seed) in
-  let k, c = split32 material in
-  { key = Aes.expand_key k; counter = c }
+  { key = Aes.expand_key (String.sub material 0 16);
+    counter = Bytes.of_string (String.sub material 16 16);
+    block = Bytes.create 16
+  }
 
-let bump t =
-  let b = Bytes.of_string t.counter in
-  let rec go i =
-    if i >= 0 then begin
-      let v = (Char.code (Bytes.get b i) + 1) land 0xff in
-      Bytes.set b i (Char.chr v);
-      if v = 0 then go (i - 1)
-    end
-  in
-  go 15;
-  t.counter <- Bytes.to_string b
+(* The counter is one 128-bit big-endian number. *)
+let rec bump c i =
+  if i >= 0 then begin
+    let v = (Char.code (Bytes.unsafe_get c i) + 1) land 0xff in
+    Bytes.unsafe_set c i (Char.unsafe_chr v);
+    if v = 0 then bump c (i - 1)
+  end
 
-let block t =
-  bump t;
-  Aes.encrypt_block t.key t.counter
+let next t dst =
+  bump t.counter 15;
+  Aes.encrypt_bytes t.key ~src:t.counter ~dst
 
-let rekey t =
-  let k = block t in
-  let c = block t in
-  t.key <- Aes.expand_key k;
-  t.counter <- c
-
+(* Every draw ends with a rekey: the next two blocks become the key and
+   the counter, so a later compromise of the state does not reveal
+   earlier output. *)
 let generate t n =
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    Buffer.add_string buf (block t)
+  let out = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
+    next t t.block;
+    let k = min 16 (n - !pos) in
+    Bytes.blit t.block 0 out !pos k;
+    pos := !pos + k
   done;
-  rekey t;
-  String.sub (Buffer.contents buf) 0 n
-
+  next t t.block;
+  next t t.counter;
+  Aes.rekey t.key t.block;
+  Bytes.unsafe_to_string out

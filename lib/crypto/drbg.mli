@@ -13,5 +13,7 @@ val create : seed:string -> t
     SHA-256. *)
 
 val generate : t -> int -> string
-(** [generate t n] returns [n] fresh bytes and advances the state. *)
+(** [generate t n] returns [n] fresh bytes and advances the state. It
+    allocates only the result: the state's counter, key and keystream
+    block are rewritten in place. *)
 

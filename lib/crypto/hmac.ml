@@ -15,8 +15,19 @@ let key k =
     outer = Sha256.feed (Sha256.init ()) (pad 0x5c)
   }
 
-let mac { inner; outer } msg =
-  Sha256.finalize (Sha256.feed outer (Sha256.finalize (Sha256.feed inner msg)))
+(* The inner hash, per domain: the outer hash reads it as its message. *)
+let inner_digest = Domain.DLS.new_key (fun () -> Bytes.create 32)
+
+let mac_into { inner; outer } s ~off ~len dst ~dst_off ~dst_len =
+  let ih = Domain.DLS.get inner_digest in
+  Sha256.finish_into inner s ~off ~len ih ~dst_off:0 ~dst_len:32;
+  Sha256.finish_into outer (Bytes.unsafe_to_string ih) ~off:0 ~len:32 dst
+    ~dst_off ~dst_len
+
+let mac key msg =
+  let out = Bytes.create 32 in
+  mac_into key msg ~off:0 ~len:(String.length msg) out ~dst_off:0 ~dst_len:32;
+  Bytes.unsafe_to_string out
 
 let derive ~secret ~label ~length =
   let prf = key secret in

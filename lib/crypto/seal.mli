@@ -34,9 +34,15 @@ val unseal : priv:Rsa.private_key -> string -> (string * keys * string) option
     one RSA decryption, or [None] if the layout, the secret or the tag is
     wrong. *)
 
-val seal_sym : rng:(int -> string) -> keys -> string -> string
-(** [seal_sym ~rng keys plaintext] is nonce ‖ ciphertext ‖ tag. The tag
-    is the first 16 bytes of the MAC over nonce ‖ ciphertext. *)
+val seal_sym : rng:(int -> string) -> keys -> header:string -> string -> string
+(** [seal_sym ~rng keys ~header plaintext] is header ‖ nonce ‖ ciphertext
+    ‖ tag, so a caller's framing costs no second copy of the envelope.
+    The tag is the first 16 bytes of the MAC over nonce ‖ ciphertext; the
+    header is not authenticated. [rng] draws the 16-byte nonce. The
+    result is the only allocation besides the nonce. *)
 
-val unseal_sym : keys -> string -> string option
-(** Checks the tag in constant time before it decrypts anything. *)
+val unseal_sym : keys -> off:int -> string -> string option
+(** [unseal_sym keys ~off blob] opens the envelope that starts at [off]
+    and runs to the end of [blob]. It checks the tag in place and in
+    constant time before it decrypts anything, and allocates only the
+    plaintext (and its option). *)

@@ -34,21 +34,25 @@ let c_blocks = Obs.Registry.counter Obs.Registry.default "crypto.sha256.blocks"
 external get : int array -> int -> int = "%array_unsafe_get"
 external set : int array -> int -> int -> unit = "%array_unsafe_set"
 external get32 : string -> int -> int32 = "%caml_string_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
 let load_be s off =
   let v = get32 s off in
   Int32.to_int (if Sys.big_endian then v else bswap32 v) land m32
 
-(* [compress h s off n] runs the [n] 64-byte blocks of [s] that start at
-   [off] through the chaining state [h], in place, with one message
-   schedule for all of them. Lengths are checked here once; the loops
-   below index unchecked. *)
-let compress h s off n =
-  if Array.length h <> 8 || off < 0 || n < 0 || off + (64 * n) > String.length s
-  then invalid_arg "Sha256.compress";
+let store_be b off v =
+  let v = Int32.of_int v in
+  set32 b off (if Sys.big_endian then v else bswap32 v)
+
+(* [compress h w s off n] runs the [n] 64-byte blocks of [s] that start
+   at [off] through the chaining state [h], in place, with [w] as the
+   message schedule. Callers check the bounds; the loops index
+   unchecked. A rotation of a 32-bit word [x] right by [r] < 32 is bits
+   [r .. r + 31] of the doubled word [x lor (x lsl 32)], which the
+   63-bit native int holds up to bit 62, so each sigma masks once. *)
+let compress h w s off n =
   Obs.Counter.add c_blocks n;
-  let w = Array.make 64 0 in
   for blk = 0 to n - 1 do
     let base = off + (64 * blk) in
     for t = 0 to 15 do
@@ -56,25 +60,21 @@ let compress h s off n =
     done;
     for t = 16 to 63 do
       let x = get w (t - 15) and y = get w (t - 2) in
-      let s0 = ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3) in
-      let s1 = ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10) in
-      set w t ((get w (t - 16) + (s0 land m32) + get w (t - 7) + (s1 land m32)) land m32)
+      let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+      let s0 = ((dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3)) land m32 in
+      let s1 = ((dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10)) land m32 in
+      set w t ((get w (t - 16) + s0 + get w (t - 7) + s1) land m32)
     done;
     let a = ref (get h 0) and b = ref (get h 1) and c = ref (get h 2) in
     let d = ref (get h 3) and e = ref (get h 4) and f = ref (get h 5) in
     let g = ref (get h 6) and hh = ref (get h 7) in
     for t = 0 to 63 do
       let ev = !e and av = !a in
-      let s1 =
-        ((ev lsr 6) lor (ev lsl 26)) lxor ((ev lsr 11) lor (ev lsl 21))
-        lxor ((ev lsr 25) lor (ev lsl 7))
-      in
+      let de = ev lor (ev lsl 32) and da = av lor (av lsl 32) in
+      let s1 = ((de lsr 6) lxor (de lsr 11) lxor (de lsr 25)) land m32 in
       let ch = !g lxor (ev land (!f lxor !g)) in
-      let t1 = !hh + (s1 land m32) + ch + get k t + get w t in
-      let s0 =
-        ((av lsr 2) lor (av lsl 30)) lxor ((av lsr 13) lor (av lsl 19))
-        lxor ((av lsr 22) lor (av lsl 10))
-      in
+      let t1 = !hh + s1 + ch + get k t + get w t in
+      let s0 = ((da lsr 2) lxor (da lsr 13) lxor (da lsr 22)) land m32 in
       let maj = (av land !b) lor (!c land (av lor !b)) in
       hh := !g;
       g := !f;
@@ -83,7 +83,7 @@ let compress h s off n =
       d := !c;
       c := !b;
       b := av;
-      a := (t1 + (s0 land m32) + maj) land m32
+      a := (t1 + s0 + maj) land m32
     done;
     set h 0 ((get h 0 + !a) land m32);
     set h 1 ((get h 1 + !b) land m32);
@@ -95,46 +95,93 @@ let compress h s off n =
     set h 7 ((get h 7 + !hh) land m32)
   done
 
-(* Immutable: [h] is never written once a ctx holds it ([feed] and
-   [finalize] compress into copies), so a ctx may be shared across
-   domains. *)
+(* One domain's working space: the message schedule, the chaining state
+   of the hash being finished, and its padded tail (one or two blocks).
+   A call uses it from start to end and calls nothing that could use it
+   again, so a domain never has two hashes in it at once. *)
+type scratch = { w : int array; st : int array; tail : Bytes.t }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { w = Array.make 64 0; st = Array.make 8 0; tail = Bytes.create 128 })
+
+(* Immutable: [h] is never written once a ctx holds it ([feed] compresses
+   into a copy, [finish_into] into the scratch state), so a ctx may be
+   shared across domains. *)
 type ctx = { h : int array; pending : string; total : int }
 
-let init () = { h = h0; pending = ""; total = 0 }
+let initial = { h = h0; pending = ""; total = 0 }
+let init () = initial
 
 let feed ctx s =
   let len = String.length s and p = String.length ctx.pending in
   let total = ctx.total + len in
   if p + len < 64 then { ctx with pending = ctx.pending ^ s; total }
   else begin
-    let h = Array.copy ctx.h in
+    let h = Array.copy ctx.h and w = (Domain.DLS.get scratch).w in
     (* Top up the pending partial block, then run every whole block
        straight out of [s]. *)
     let off =
       if p = 0 then 0
       else begin
-        compress h (ctx.pending ^ String.sub s 0 (64 - p)) 0 1;
+        compress h w (ctx.pending ^ String.sub s 0 (64 - p)) 0 1;
         64 - p
       end
     in
     let n = (len - off) / 64 in
-    compress h s off n;
+    compress h w s off n;
     let used = off + (64 * n) in
     { h; pending = String.sub s used (len - used); total }
   end
 
-let finalize ctx =
+let finish_into ctx s ~off ~len dst ~dst_off ~dst_len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.finish_into: source out of bounds";
+  if dst_len < 0 || dst_len > 32 || dst_off < 0
+     || dst_off > Bytes.length dst - dst_len
+  then invalid_arg "Sha256.finish_into: destination out of bounds";
+  let { w; st = h; tail } = Domain.DLS.get scratch in
+  Array.blit ctx.h 0 h 0 8;
+  let tail_s = Bytes.unsafe_to_string tail in
   let p = String.length ctx.pending in
-  let tail_len = if p + 9 <= 64 then 64 else 128 in
-  let tail = Bytes.make tail_len '\x00' in
   Bytes.blit_string ctx.pending 0 tail 0 p;
-  Bytes.set tail p '\x80';
-  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (ctx.total * 8));
-  let h = Array.copy ctx.h in
-  compress h (Bytes.unsafe_to_string tail) 0 (tail_len / 64);
+  (* Top up the pending partial block first; after that either no
+     bytes are pending or the slice is used up. *)
+  let top = if p = 0 then 0 else min (64 - p) len in
+  Bytes.blit_string s off tail p top;
+  let fill = ref (p + top) in
+  if !fill = 64 then begin
+    compress h w tail_s 0 1;
+    fill := 0
+  end;
+  let off = off + top and len = len - top in
+  let n = len / 64 in
+  compress h w s off n;
+  let rest = len - (64 * n) in
+  Bytes.blit_string s (off + (64 * n)) tail !fill rest;
+  (* Padding: 0x80, zeros, then the bit length in the last 8 bytes of
+     the one or two tail blocks. *)
+  let f = !fill + rest in
+  let tail_len = if f + 9 <= 64 then 64 else 128 in
+  Bytes.unsafe_set tail f '\x80';
+  Bytes.unsafe_fill tail (f + 1) (tail_len - 8 - f - 1) '\x00';
+  let bits = (ctx.total + top + len) * 8 in
+  store_be tail (tail_len - 8) (bits lsr 32);
+  store_be tail (tail_len - 4) (bits land m32);
+  compress h w tail_s 0 (tail_len / 64);
+  for i = 0 to dst_len - 1 do
+    Bytes.unsafe_set dst (dst_off + i)
+      (Char.unsafe_chr ((get h (i lsr 2) lsr (24 - (8 * (i land 3)))) land 0xff))
+  done
+
+let finalize ctx =
   let out = Bytes.create 32 in
-  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
+  finish_into ctx "" ~off:0 ~len:0 out ~dst_off:0 ~dst_len:32;
   Bytes.unsafe_to_string out
 
-let digest msg = finalize (feed (init ()) msg)
+let digest msg =
+  let out = Bytes.create 32 in
+  finish_into initial msg ~off:0 ~len:(String.length msg) out ~dst_off:0 ~dst_len:32;
+  Bytes.unsafe_to_string out
+
 let digest_hex msg = Bytes_util.to_hex (digest msg)

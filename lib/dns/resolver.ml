@@ -65,7 +65,7 @@ let handle server host (p : Net.Packet.t) =
           | Some q ->
             server.served <- server.served + 1;
             let resp = Message.encode_response (answer server q) in
-            reply ("E" ^ Crypto.Seal.seal_sym ~rng keys resp)))
+            reply (Crypto.Seal.seal_sym ~rng keys ~header:"E" resp)))
     | _ -> ()
   end
   else serve_plain p.payload
@@ -115,7 +115,7 @@ let resolve host ~server ?(port = default_port) ?encrypt_to ?rng ?verify
       | None -> Some raw
       | Some k ->
         if String.length raw > 1 && raw.[0] = 'E' then
-          Crypto.Seal.unseal_sym k (String.sub raw 1 (String.length raw - 1))
+          Crypto.Seal.unseal_sym k ~off:1 raw
         else None
     in
     match body with

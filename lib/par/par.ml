@@ -176,7 +176,9 @@ let recommended () = Domain.recommended_domain_count ()
    One helper domain serves every [both] call in the process. Its life
    is one atomic state word:
 
-     dead | idle --claim--> claimed --post--> posted --f ran--> finished
+     dead | idle --claim--> claimed --post--> posted
+     posted --the helper takes the job--> running --f ran--> finished
+     posted --the caller takes f back--> claimed --f ran--> idle
      finished --the claimant has taken f's result--> idle
      idle --the helper, after [idle_window] without a job--> dead
 
@@ -184,16 +186,23 @@ let recommended () = Domain.recommended_domain_count ()
    to [claimed] with one compare-and-set; from [dead] it also joins the
    exited helper and spawns a new one. Any other state means another
    caller holds the helper, so this caller runs both halves itself:
-   [both] has no single-submitter rule. The helper leaves only by
-   moving [idle] to [dead] itself, so a claim and an exit cannot both
-   win. The job and its result cell are plain refs published by the
-   atomic hand-offs around them. *)
+   [both] has no single-submitter rule. The helper takes a posted job
+   with a compare-and-set too, and so does a caller that finishes [g]
+   while the job is still posted: exactly one of them runs [f], and a
+   helper that is slow to wake (a fresh spawn, or a domain descheduled
+   on a shared core) costs the caller nothing. A caller that finds [f]
+   running spins a bounded number of pauses, then parks on [done_] until
+   the helper signals, with the same Dekker-style hand-off as a pool's
+   [finished]. The helper leaves only by moving [idle] to [dead] itself,
+   so a claim and an exit cannot both win. The job and its result cell
+   are plain refs published by the atomic hand-offs around them. *)
 
 let dead = 0
 let idle = 1
 let claimed = 2
 let posted = 3
-let finished = 4
+let running = 4
+let finished = 5
 
 (* How long an idle helper spins for the next job before it exits.
    Measured on a 2-vCPU x86 host: a cold [Domain.spawn] + [join] costs
@@ -210,16 +219,20 @@ let state = Atomic.make dead
 let nop () = ()
 let job = ref nop
 let helper : unit Domain.t option ref = ref None
+let m = Mutex.create ()
+let done_ = Condition.create ()
+let waiting = Atomic.make false  (* a caller is parked on [done_] *)
 
 let c_spawns = Obs.Registry.counter Obs.Registry.default "par.helper.spawns"
+let c_steals = Obs.Registry.counter Obs.Registry.default "par.helper.steals"
 
 let now () = Int64.to_int (Monotonic_clock.now ())
 
-(* Wait for a posted job; [false] once the helper has given itself up.
-   The clock is read every 64 pauses. *)
+(* Wait for a posted job and take it; [false] once the helper has given
+   itself up. The clock is read every 64 pauses. *)
 let rec await_job deadline spins =
   let s = Atomic.get state in
-  if s = posted then true
+  if s = posted && Atomic.compare_and_set state posted running then true
   else if
     s = idle && spins land 63 = 0
     && now () > deadline
@@ -238,6 +251,11 @@ let rec serve () =
     job := nop;
     f ();
     Atomic.set state finished;
+    if Atomic.get waiting then begin
+      Mutex.lock m;
+      Condition.broadcast done_;
+      Mutex.unlock m
+    end;
     serve ()
   end
 
@@ -271,6 +289,19 @@ let hand_off ~respawn =
       false
   end
 
+(* The helper is running [f]: spin, then park until it has finished. *)
+let await_finished () =
+  let ready () = Atomic.get state = finished in
+  if not (spin_until ready spin_limit) then begin
+    Atomic.set waiting true;
+    Mutex.lock m;
+    while not (ready ()) do
+      Condition.wait done_ m
+    done;
+    Mutex.unlock m;
+    Atomic.set waiting false
+  end
+
 let run f = match f () with v -> Ok v | exception e -> Error e
 
 let settle fr gr =
@@ -291,10 +322,17 @@ let both f g =
     if not (hand_off ~respawn) then inline f g
     else begin
       let gr = run g in
-      while Atomic.get state <> finished do
-        Domain.cpu_relax ()
-      done;
-      let fr = !fr in
+      let fr =
+        if Atomic.compare_and_set state posted claimed then begin
+          job := nop;
+          Obs.Counter.inc c_steals;
+          run f
+        end
+        else begin
+          await_finished ();
+          !fr
+        end
+      in
       Atomic.set state idle;
       settle fr gr
     end

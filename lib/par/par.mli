@@ -69,13 +69,19 @@ val recommended : unit -> int
     operation, {!Crypto.Rsa}). *)
 
 val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** [both f g] runs [f] on the process-wide helper domain while the
+(** [both f g] posts [f] to the process-wide helper domain while the
     caller runs [g], and returns both results once both have finished.
     The results are the values [f ()] and [g ()] would give in order on
     one domain, so a caller whose [f] and [g] share no mutable state
     gets the same answer whichever path ran. If [f] raises, its
     exception is re-raised after [g] has finished; if only [g] raises,
     [g]'s exception is re-raised after [f] has finished.
+
+    A caller that finishes [g] before the helper has taken [f] takes [f]
+    back and runs it itself (counted in [par.helper.steals]), so a slow
+    helper never makes [both] slower than [g] then [f]. A caller that
+    finds [f] running spins briefly, then parks until the helper
+    signals.
 
     Both run on the caller, [f] first, when the host has one core
     ({!recommended}[ () = 1]), when another caller holds the helper, or

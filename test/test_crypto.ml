@@ -98,7 +98,30 @@ let mode_props =
   let print (k, n, m) = String.concat "/" [ pr k; pr n; pr m ] in
   [ prop "ctr involution" gen print (fun (key, nonce, msg) ->
         let k = Crypto.Aes.expand_key key in
-        Crypto.Mode.ctr ~key:k ~nonce (Crypto.Mode.ctr ~key:k ~nonce msg) = msg)
+        Crypto.Mode.ctr ~key:k ~nonce (Crypto.Mode.ctr ~key:k ~nonce msg) = msg);
+    (* The nonce, the source and the destination each sit inside a
+       larger buffer; bytes outside the destination slice stay put. *)
+    prop "ctr_into on slices = ctr of the subs"
+      QCheck2.Gen.(
+        tup4 (gen_bytes 16) (string_size ~gen:char (int_range 16 40))
+          (string_size ~gen:char (int_bound 300))
+          (tup4 (int_bound 40) (int_bound 300) (int_bound 300) (int_bound 20)))
+      (fun (k, n, s, (a, b, c, d)) ->
+        String.concat "/" [ pr k; pr n; pr s ]
+        ^ Printf.sprintf " %d,%d,%d,%d" a b c d)
+      (fun (k, nbuf, s, (a, b, c, d)) ->
+        let key = Crypto.Aes.expand_key k in
+        let nonce_off = a mod (String.length nbuf - 15) in
+        let off = min b (String.length s) in
+        let len = min c (String.length s - off) in
+        let dst = Bytes.make (len + (2 * d)) '\xa5' in
+        Crypto.Mode.ctr_into ~key ~nonce:nbuf ~nonce_off s ~src_off:off dst
+          ~dst_off:d ~len;
+        Bytes.sub_string dst d len
+        = Crypto.Mode.ctr ~key ~nonce:(String.sub nbuf nonce_off 16)
+            (String.sub s off len)
+        && Bytes.sub_string dst 0 d = String.make d '\xa5'
+        && Bytes.sub_string dst (d + len) d = String.make d '\xa5')
   ]
 
 let test_ctr_keystream_position () =
@@ -440,7 +463,25 @@ let sha_props =
         let key = Crypto.Hmac.key k in
         List.for_all
           (fun m -> Crypto.Hmac.mac key m = hmac_one_shot ~key:k m)
-          msgs)
+          msgs);
+    prop "mac_into on a slice = mac of the sub"
+      QCheck2.Gen.(
+        tup3
+          (string_size ~gen:char (int_bound 100))
+          (string_size ~gen:char (int_bound 300))
+          (tup4 (int_bound 300) (int_bound 300) (int_bound 20) (int_range 0 32)))
+      (fun (k, s, (a, b, c, d)) ->
+        pr k ^ " / " ^ pr s ^ Printf.sprintf " %d,%d,%d,%d" a b c d)
+      (fun (k, s, (a, b, d, n)) ->
+        let key = Crypto.Hmac.key k in
+        let off = min a (String.length s) in
+        let len = min b (String.length s - off) in
+        let dst = Bytes.make (n + (2 * d)) '\x5a' in
+        Crypto.Hmac.mac_into key s ~off ~len dst ~dst_off:d ~dst_len:n;
+        Bytes.sub_string dst d n
+        = String.sub (Crypto.Hmac.mac key (String.sub s off len)) 0 n
+        && Bytes.sub_string dst 0 d = String.make d '\x5a'
+        && Bytes.sub_string dst (d + n) d = String.make d '\x5a')
   ]
 
 (* RFC 4231 test cases 1-4, 6 and 7 as (key, data, HMAC-SHA256). Case 5
@@ -714,11 +755,11 @@ let test_seal_tamper () =
 let test_seal_sym () =
   let rng = drbg_rng "seal3" in
   let keys = Crypto.Seal.keys (rng 32) in
-  let blob = Crypto.Seal.seal_sym ~rng keys "payload" in
+  let blob = Crypto.Seal.seal_sym ~rng keys ~header:"" "payload" in
   Alcotest.(check (option string)) "roundtrip" (Some "payload")
-    (Crypto.Seal.unseal_sym keys blob);
+    (Crypto.Seal.unseal_sym keys ~off:0 blob);
   Alcotest.(check (option string)) "wrong secret" None
-    (Crypto.Seal.unseal_sym (Crypto.Seal.keys (rng 32)) blob)
+    (Crypto.Seal.unseal_sym (Crypto.Seal.keys (rng 32)) ~off:0 blob)
 
 (* [unseal] hands back the secret and its keys, which open the
    symmetric answer on the same exchange. *)
@@ -733,7 +774,8 @@ let test_seal_recover_secret () =
     Alcotest.(check string) "secret" secret s;
     Alcotest.(check string) "plaintext" "x" pt;
     Alcotest.(check (option string)) "answer opens" (Some "reply")
-      (Crypto.Seal.unseal_sym keys (Crypto.Seal.seal_sym ~rng keys' "reply"))
+      (Crypto.Seal.unseal_sym keys ~off:0
+         (Crypto.Seal.seal_sym ~rng keys' ~header:"" "reply"))
   | None -> Alcotest.fail "no secret"
 
 (* The envelope's bytes under a fixed rng, as the derive-per-message
@@ -836,8 +878,69 @@ let test_seal_sym_golden () =
   List.iter
     (fun (n, expect) ->
       Alcotest.(check string) (Printf.sprintf "%d bytes" n) expect
-        (B.to_hex (Crypto.Seal.seal_sym ~rng keys (pattern n))))
+        (B.to_hex (Crypto.Seal.seal_sym ~rng keys ~header:"" (pattern n))))
     golden_seal_sym
+
+(* ---- allocation budgets ----
+
+   Minor-heap words one call allocates, read with [Gc.minor_words] on
+   this domain after a warm-up call (which also creates the domain's
+   scratch). Allocation does not depend on timing, so these are exact
+   counts, not timings. Each bound is the count the in-place kernels
+   give plus 8 words of headroom, one more small block; the copying
+   kernels they replaced are in parentheses. The results themselves are
+   the floor: the envelope or plaintext, the 16-byte nonce, a digest or
+   tag. *)
+
+let words f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () -. before)
+
+let test_alloc_budgets () =
+  let budget name bound f =
+    let w = words f in
+    if w > bound then
+      Alcotest.failf "%s allocates %d minor words, budget %d" name w bound
+  in
+  let rng = drbg_rng "alloc" in
+  let keys = Crypto.Seal.keys (rng 32) in
+  let p65 = pattern 65 and p1201 = pattern 1201 in
+  let seal p () = Crypto.Seal.seal_sym ~rng keys ~header:"" p in
+  let b65 = seal p65 () and b1201 = seal p1201 () in
+  (* 14 words of envelope and 4 of nonce, then 160 = 156 + 4. *)
+  budget "seal_sym 65 B (539)" 26 (seal p65);
+  budget "seal_sym 1201 B (1886)" 168 (seal p1201);
+  (* The plaintext and its option. *)
+  budget "unseal_sym 65 B (409)" 20 (fun () ->
+      Crypto.Seal.unseal_sym keys ~off:0 b65);
+  budget "unseal_sym 1201 B (1756)" 162 (fun () ->
+      Crypto.Seal.unseal_sym keys ~off:0 b1201);
+  let aes = Crypto.Aes.expand_key (pattern 16) in
+  let block = Bytes.make 16 'b' in
+  (* The .mli promises no allocation at all: no headroom. *)
+  budget "Aes.encrypt_bytes (9)" 0 (fun () ->
+      Crypto.Aes.encrypt_bytes aes ~src:block ~dst:block);
+  let d = Crypto.Drbg.create ~seed:"alloc-drbg" in
+  budget "Drbg.generate 16 (144)" 12 (fun () -> Crypto.Drbg.generate d 16);
+  let m64 = pattern 64 in
+  budget "Sha256.digest 64 B (179)" 14 (fun () -> Crypto.Sha256.digest m64);
+  let hk = Crypto.Hmac.key "alloc" in
+  budget "Hmac.mac 64 B (280)" 14 (fun () -> Crypto.Hmac.mac hk m64);
+  let ck = Crypto.Cmac.key (pattern 16) in
+  let parts = [ "ks-derive"; "nonce-12"; "\x0a\x01\x00\x02" ] in
+  budget "Cmac.mac_parts 21 B (77)" 12 (fun () -> Crypto.Cmac.mac_parts ck parts);
+  (* The slice kernels write into their caller's buffers. *)
+  let out = Bytes.create 1232 in
+  budget "Sha256.finish_into" 0 (fun () ->
+      Crypto.Sha256.finish_into (Crypto.Sha256.init ()) p1201 ~off:0 ~len:1201
+        out ~dst_off:0 ~dst_len:32);
+  budget "Hmac.mac_into" 0 (fun () ->
+      Crypto.Hmac.mac_into hk p1201 ~off:0 ~len:1201 out ~dst_off:0 ~dst_len:16);
+  budget "Mode.ctr_into" 0 (fun () ->
+      Crypto.Mode.ctr_into ~key:aes ~nonce:p1201 ~nonce_off:0 p1201 ~src_off:0
+        out ~dst_off:0 ~len:1201)
 
 let () =
   Alcotest.run "crypto"
@@ -897,5 +1000,8 @@ let () =
             test_seal_bytes_pinned;
           Alcotest.test_case "symmetric golden vectors" `Quick
             test_seal_sym_golden
-        ] )
+        ] );
+      ( "alloc",
+        [ Alcotest.test_case "allocation budgets" `Quick test_alloc_budgets ]
+      )
     ]

@@ -123,11 +123,24 @@ let spawns () =
 let split = Par.recommended () >= 2
 
 (* [f] runs on the helper (another domain) when the host has two cores,
-   on the caller otherwise; either way both results come back. *)
+   on the caller otherwise; either way both results come back. [g] waits
+   until [f] has started: a caller that finishes [g] while [f] is still
+   posted takes [f] back (see the steal test below). *)
 let test_both_results () =
   let self () = (Domain.self () :> int) in
   let caller = self () in
-  let fd, gd = Par.both self self in
+  let f_started = Atomic.make false in
+  let f () =
+    Atomic.set f_started true;
+    self ()
+  in
+  let g () =
+    while not (Atomic.get f_started) do
+      Domain.cpu_relax ()
+    done;
+    self ()
+  in
+  let fd, gd = Par.both f g in
   Alcotest.(check int) "g on the caller" caller gd;
   Alcotest.(check bool) "f on the helper iff two cores" split (fd <> caller);
   Alcotest.(check (pair int string)) "both results" (6, "g")
@@ -179,6 +192,40 @@ let test_both_idle_exit () =
   call ();
   Alcotest.(check int) "next call respawns iff two cores"
     (before + (2 * Bool.to_int split)) (spawns ())
+
+let steals () =
+  Obs.Counter.value
+    (Obs.Registry.counter Obs.Registry.default "par.helper.steals")
+
+(* A fresh helper takes longer to start than an instant [g] takes to
+   run, so the caller usually takes [f] back and runs it itself. Each
+   attempt waits for the helper to exit first. [f] runs exactly once
+   whoever takes it, and the results are the same. On a one-core host
+   nothing is posted, so nothing is stolen. *)
+let test_both_steal () =
+  let gone () = eventually (fun () -> not (Par.helper_live ())) in
+  let before = steals () in
+  let f_runs = Atomic.make 0 in
+  let f () =
+    Atomic.incr f_runs;
+    "f"
+  in
+  let rec attempt calls =
+    Alcotest.(check bool) "helper gone" true (gone ());
+    Alcotest.(check (pair string int)) "results" ("f", 2)
+      (Par.both f (fun () -> 2));
+    if split && steals () = before && calls < 20 then attempt (calls + 1)
+    else calls
+  in
+  let calls = attempt 1 in
+  Alcotest.(check int) "f ran once per call" calls (Atomic.get f_runs);
+  Alcotest.(check bool) "an instant g took f back iff two cores" split
+    (steals () > before);
+  (* A stolen [f] that raises still raises after [g]. *)
+  Alcotest.(check bool) "helper gone" true (gone ());
+  match Par.both (fun () -> failwith "f") (fun () -> ()) with
+  | _ -> Alcotest.fail "expected f's exception"
+  | exception Failure msg -> Alcotest.(check string) "f's exception" "f" msg
 
 (* ---- equivalence: keytab ---- *)
 
@@ -341,14 +388,41 @@ let test_crypto_reentrant_kats () =
   let rng n = Crypto.Drbg.generate drbg n in
   let keys = Crypto.Seal.keys (rng 32) in
   let plaintext = String.init 1200 (fun i -> Char.chr (i land 0xff)) in
-  let blob = Crypto.Seal.seal_sym ~rng keys plaintext in
-  let sequential = Crypto.Seal.unseal_sym keys blob in
+  let blob = Crypto.Seal.seal_sym ~rng keys ~header:"" plaintext in
+  let sequential = Crypto.Seal.unseal_sym keys ~off:0 blob in
   Alcotest.(check (option string)) "Seal keys open sequentially"
     (Some plaintext) sequential;
   Alcotest.(check bool)
     "Seal keys shared by 4 domains open one blob" true
     (run_from_domains ~domains:4 ~iters:50 (fun () ->
-         Crypto.Seal.unseal_sym keys blob = sequential))
+         Crypto.Seal.unseal_sym keys ~off:0 blob = sequential));
+  (* Independent DRBG streams, each sealing and opening under its own
+     keys: the kernels' per-domain scratch must give every domain the
+     bytes its stream gives sequentially. *)
+  let seal_stream i =
+    let d = Crypto.Drbg.create ~seed:(Printf.sprintf "par-stream-%d" i) in
+    let rng n = Crypto.Drbg.generate d n in
+    let keys = Crypto.Seal.keys (rng 32) in
+    List.map
+      (fun n ->
+        let pt = String.init n (fun j -> Char.chr (((j * 7) + i) land 0xff)) in
+        let blob = Crypto.Seal.seal_sym ~rng keys ~header:"" pt in
+        (rng 17, blob, Crypto.Seal.unseal_sym keys ~off:0 blob = Some pt))
+      [ 0; 17; 40; 65; 1201 ]
+  in
+  let streams = Array.init 4 seal_stream in
+  Alcotest.(check bool) "seal_sym round trips sequentially" true
+    (Array.for_all (List.for_all (fun (_, _, ok) -> ok)) streams);
+  let spawned =
+    List.init 4 (fun i ->
+        Domain.spawn (fun () ->
+            List.for_all
+              (fun _ -> seal_stream i = streams.(i))
+              (List.init 50 Fun.id)))
+  in
+  Alcotest.(check bool)
+    "DRBG streams and seal_sym round trips on 4 domains = sequential" true
+    (List.for_all Domain.join spawned)
 
 (* The Montgomery kernel writes into scratch: four domains sharing one
    RSA-1024 key, and one [Montgomery.ctx], must each get the sequential
@@ -520,7 +594,9 @@ let () =
           Alcotest.test_case "exceptions after both halves" `Quick
             test_both_exception;
           Alcotest.test_case "idle helper exits, next call respawns" `Quick
-            test_both_idle_exit
+            test_both_idle_exit;
+          Alcotest.test_case "instant g after exit takes f back" `Quick
+            test_both_steal
         ] );
       ( "equivalence",
         [ keytab_parallel_equivalence;

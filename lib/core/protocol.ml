@@ -15,11 +15,15 @@ type costs = {
   vanilla_forward : int64;
 }
 
-(* Measured on the repository's own crypto code ([netneutral e1] and
-   [netneutral e2]): a full key-setup response — parse the one-time key, derive
-   Ks, pad and RSA-encrypt with e=3 — lands near 55 us; the symmetric
-   per-packet transform near 3 us; a vanilla forwarding decision against
-   a 4k-entry FIB near 2.5 us. *)
+(* Set from early measurements of the repository's crypto code
+   ([netneutral e1] and [netneutral e2]): a full key-setup response —
+   parse the one-time key, derive Ks, pad and RSA-encrypt with e=3 —
+   near 55 us; the symmetric per-packet transform near 3 us; a vanilla
+   forwarding decision against a 4k-entry FIB near 2.5 us. The code has
+   since got faster (E1 reads about 22 us a key setup), so these now
+   overprice the box, and calibrating them from the code is an open
+   roadmap item. The pinned digests depend on them, so they change only
+   with a re-pin. *)
 let default_costs =
   { key_setup = 55_000L;
     data_forward = 3_000L;

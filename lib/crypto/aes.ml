@@ -83,7 +83,9 @@ external get32 : string -> int -> int32 = "%caml_string_get32u"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
-(* Big-endian 32-bit words, unchecked: callers check their bounds. *)
+(* Big-endian 32-bit words, unchecked: callers check their bounds.
+   Sha256 keeps its own copy: modules are compiled opaque, so a call
+   across modules is never inlined, and these run per word. *)
 let load_be s off =
   let v = get32 s off in
   Int32.to_int (if Sys.big_endian then v else bswap32 v) land 0xffffffff

@@ -453,6 +453,22 @@ let sha_props =
             [ String.sub s 0 i; String.sub s i (j - i); String.sub s j (n - j) ]
         in
         Crypto.Sha256.finalize ctx = Crypto.Sha256.digest s);
+    (* [finish_into] tops a pending partial block up from its slice. *)
+    prop "feed, then finish_into a slice = digest"
+      QCheck2.Gen.(
+        tup3
+          (string_size ~gen:char (int_bound 300))
+          (int_bound 300) (int_bound 300))
+      (fun (s, i, j) -> Printf.sprintf "%s@%d,%d" (pr s) i j)
+      (fun (s, i, j) ->
+        let n = String.length s in
+        let i = min i n in
+        let j = min (max i j) n in
+        let ctx = Crypto.Sha256.feed (Crypto.Sha256.init ()) (String.sub s 0 i) in
+        let out = Bytes.create 32 in
+        Crypto.Sha256.finish_into ctx s ~off:i ~len:(j - i) out ~dst_off:0
+          ~dst_len:32;
+        Bytes.to_string out = Crypto.Sha256.digest (String.sub s 0 j));
     prop "prepared-key mac = one-shot mac"
       QCheck2.Gen.(
         tup2

@@ -45,7 +45,7 @@ let rec absorb_all aes x fill = function
   | p :: rest -> absorb_all aes x (absorb aes x fill p) rest
 
 (* The parts are XORed straight into one 16-byte block, which becomes
-   the tag: no concatenation and no per-block string. *)
+   the tag. *)
 let mac_parts { aes; k1; k2 } parts =
   let x = Bytes.make 16 '\x00' in
   let fill = absorb_all aes x 0 parts in

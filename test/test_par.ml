@@ -221,7 +221,7 @@ let test_both_steal () =
   Alcotest.(check int) "f ran once per call" calls (Atomic.get f_runs);
   Alcotest.(check bool) "an instant g took f back iff two cores" split
     (steals () > before);
-  (* A stolen [f] that raises still raises after [g]. *)
+  (* An [f] that raises, taken back or not, still raises after [g]. *)
   Alcotest.(check bool) "helper gone" true (gone ());
   match Par.both (fun () -> failwith "f") (fun () -> ()) with
   | _ -> Alcotest.fail "expected f's exception"

@@ -428,6 +428,117 @@ let test_link_queue_drop_reason () =
   Alcotest.(check int) "down family untouched" 0 (drops "down");
   Engine.run e
 
+(* A [bytes]-byte packet whose meta seq is [seq]. *)
+let sized ?(seq = 0) bytes =
+  Packet.make ~seq
+    ~src:(Ipaddr.of_string "1.1.1.1")
+    ~dst:(Ipaddr.of_string "2.2.2.2")
+    (String.make (bytes - 28) 'x')
+
+(* One 1000-byte packet sent at 0 on an 8 Mbit/s link with 2 ms of
+   latency (serialization ends at 1 ms, delivery at 3 ms), with the
+   link's administrative state flipped at the given instants (ns). The
+   delivery times and the link's "down" drops. *)
+let down_flips flips =
+  let e = Engine.create ~obs:(Obs.Registry.create ()) () in
+  let arrivals = ref [] in
+  let link =
+    Link.create e ~bandwidth_bps:8_000_000 ~latency:2_000_000L ~label:"t-flip"
+      ~deliver:(fun _ -> arrivals := Engine.now e :: !arrivals)
+      ()
+  in
+  List.iter
+    (fun (at, up) -> ignore (Engine.schedule e ~delay:at (fun () -> Link.set_up link up)))
+    flips;
+  Alcotest.(check bool) "sent" true (Link.send link (sized 1000) = Link.Sent);
+  Engine.run e;
+  let down =
+    Obs.Counter.value
+      (Obs.Registry.counter (Engine.obs e)
+         ~labels:[ ("reason", "down"); ("link", "t-flip") ]
+         "net.link.drops")
+  in
+  (List.rev !arrivals, down, Link.stats link)
+
+let test_link_down_at_serialization_end () =
+  let arrivals, down, stats = down_flips [ (500_000L, false) ] in
+  Alcotest.(check (list int64)) "never delivered" [] arrivals;
+  Alcotest.(check int) "counted as link_down" 1 down;
+  Alcotest.(check int) "not sent" 0 stats.sent_packets;
+  Alcotest.(check int) "dropped" 1 stats.dropped_packets;
+  (* Back up before the delivery instant: the state at the end of
+     serialization still decides. *)
+  let arrivals, down, _ = down_flips [ (500_000L, false); (1_500_000L, true) ] in
+  Alcotest.(check (list int64)) "up again in flight: still lost" [] arrivals;
+  Alcotest.(check int) "still link_down" 1 down
+
+let test_link_down_after_serialization () =
+  let arrivals, down, stats = down_flips [ (1_500_000L, false) ] in
+  Alcotest.(check (list int64)) "delivered" [ 3_000_000L ] arrivals;
+  Alcotest.(check int) "no link_down" 0 down;
+  Alcotest.(check int) "sent" 1 stats.sent_packets
+
+let test_link_down_up_within_serialization () =
+  let arrivals, down, stats =
+    down_flips [ (200_000L, false); (800_000L, true) ]
+  in
+  Alcotest.(check (list int64)) "delivered" [ 3_000_000L ] arrivals;
+  Alcotest.(check int) "no link_down" 0 down;
+  Alcotest.(check int) "no drop" 0 stats.dropped_packets
+
+(* Drop-tail at an exact serialization end: a send made, at that
+   instant, by an event queued before the departing packet was sent
+   still finds the departing bytes in the queue; one nanosecond later
+   they are gone. *)
+let test_link_tail_tie () =
+  let attempt offset =
+    let e = Engine.create ~obs:(Obs.Registry.create ()) () in
+    let link =
+      Link.create e ~bandwidth_bps:8_000_000 ~latency:0L ~queue_bytes:1500
+        ~deliver:(fun _ -> ())
+        ()
+    in
+    let result = ref None in
+    ignore
+      (Engine.schedule e ~delay:(Int64.add 1_000_000L offset) (fun () ->
+           result := Some (Link.send link (sized ~seq:1 1000))));
+    Alcotest.(check bool) "first sent" true
+      (Link.send link (sized 1000) = Link.Sent);
+    Engine.run e;
+    !result
+  in
+  Alcotest.(check bool) "at the serialization end: queue full" true
+    (attempt 0L = Some (Link.Dropped Link.Queue_full));
+  Alcotest.(check bool) "just after it: sent" true
+    (attempt 1L = Some Link.Sent)
+
+let test_link_perturb_at_serialization_end () =
+  let e = Engine.create ~obs:(Obs.Registry.create ()) () in
+  let hooked = ref [] and delivered = ref [] in
+  let link =
+    Link.create e ~bandwidth_bps:8_000_000 ~latency:1_000_000L
+      ~deliver:(fun p ->
+        delivered := (Engine.now e, p.Packet.meta.seq) :: !delivered)
+      ()
+  in
+  Link.set_perturb link
+    (Some
+       (fun p ->
+         hooked := (Engine.now e, p.Packet.meta.seq) :: !hooked;
+         [ (p, 0L) ]));
+  for seq = 0 to 2 do
+    ignore (Link.send link (sized ~seq 1000))
+  done;
+  Engine.run e;
+  Alcotest.(check (list (pair int64 int)))
+    "once per packet, at each serialization end, FIFO"
+    [ (1_000_000L, 0); (2_000_000L, 1); (3_000_000L, 2) ]
+    (List.rev !hooked);
+  Alcotest.(check (list (pair int64 int)))
+    "delivered a latency later"
+    [ (2_000_000L, 0); (3_000_000L, 1); (4_000_000L, 2) ]
+    (List.rev !delivered)
+
 (* ---- Topology / Routing / Network ---- *)
 
 let star () =
@@ -1018,7 +1129,17 @@ let () =
           Alcotest.test_case "admin down refused+counted" `Quick
             test_link_admin_down;
           Alcotest.test_case "tail drop reason label" `Quick
-            test_link_queue_drop_reason
+            test_link_queue_drop_reason;
+          Alcotest.test_case "down at serialization end drops" `Quick
+            test_link_down_at_serialization_end;
+          Alcotest.test_case "down after serialization end delivers" `Quick
+            test_link_down_after_serialization;
+          Alcotest.test_case "down and up within serialization delivers"
+            `Quick test_link_down_up_within_serialization;
+          Alcotest.test_case "tail drop tie at serialization end" `Quick
+            test_link_tail_tie;
+          Alcotest.test_case "perturb hook at serialization end" `Quick
+            test_link_perturb_at_serialization_end
         ] );
       ( "topology-routing",
         [ Alcotest.test_case "addresses" `Quick test_topology_addresses;

@@ -51,7 +51,7 @@ let rec atomic_max a v =
 type cell = {
   mutable a_count : int;
   mutable a_bytes : int;
-  mutable a_lat_ns : int64;
+  mutable a_lat_ns : int;
 }
 
 type spill = {
@@ -63,13 +63,13 @@ type spill = {
   entry_node : Topology.node_id;
   entry_shard : int;
   cell : cell;  (* shared by the cohort's spills with this station *)
+  probe : Packet.t;  (* the representative, to be stamped with seq and time *)
 }
 
 type dir_edge = {
   cap_step : int;  (* bytes the channel carries per dt *)
-  e_lat : int64;
-  queue : int;
-  bw : int;
+  e_lat : int;  (* ns *)
+  q_delay : int;  (* ns to drain a full queue, charged when overloaded *)
   idx : int;  (* index into the load buffers *)
 }
 
@@ -88,7 +88,7 @@ type cohort = {
   spills : spill array;  (* ascending entry index *)
   shard : int;
   per_step : int;  (* offered bytes per grid step *)
-  path_lat_ns : int64;
+  path_lat_ns : int;
   mutable offered_bytes : int;  (* cohort-shard events only *)
   delivered_bytes : int Atomic.t;
   spilled_bytes : int Atomic.t;
@@ -115,8 +115,8 @@ type t = {
   net : Network.t;
   engine : Engine.t;
   topo : Topology.t;
-  dt : int64;
-  half_dt : int64;
+  dt : int;  (* ns *)
+  half_dt : int;
   steps : int;
   spill_pkts : int;
   pkt_bytes : int;
@@ -131,7 +131,7 @@ type t = {
   mutable launched : bool;
 }
 
-let dt t = t.dt
+let dt t = Int64.of_int t.dt
 
 let create ?(spill_pkts = 8) ?(pkt_bytes = 1200) ~dt ~steps net =
   if steps <= 0 then invalid_arg "Aggregate.create: steps must be positive";
@@ -151,21 +151,19 @@ let create ?(spill_pkts = 8) ?(pkt_bytes = 1200) ~dt ~steps net =
   (* dt >= lookahead puts consecutive grid steps in different
      conservative rounds — the happens-before edge the triple-buffered
      load arrays rely on. *)
-  let dt = if Int64.compare dt la < 0 then la else dt in
+  let dt = Int64.to_int (if Int64.compare dt la < 0 then la else dt) in
   let edges = Topology.edges topo in
   let ndirs = 2 * List.length edges in
   let dirs = Hashtbl.create (2 * ndirs) in
   List.iteri
     (fun i (e : Topology.edge) ->
-      let cap_step =
-        Int64.to_int
-          (Int64.div
-             (Int64.mul (Int64.of_int (e.bandwidth_bps / 8)) dt)
-             1_000_000_000L)
-      in
+      let cap_step = e.bandwidth_bps / 8 * dt / 1_000_000_000 in
       let de idx =
-        { cap_step; e_lat = e.latency; queue = e.queue_bytes;
-          bw = e.bandwidth_bps; idx }
+        { cap_step;
+          e_lat = Int64.to_int e.latency;
+          q_delay = e.queue_bytes * 8 * 1_000_000_000 / e.bandwidth_bps;
+          idx
+        }
       in
       Hashtbl.replace dirs (e.a, e.b) (de (2 * i));
       Hashtbl.replace dirs (e.b, e.a) (de ((2 * i) + 1)))
@@ -174,7 +172,7 @@ let create ?(spill_pkts = 8) ?(pkt_bytes = 1200) ~dt ~steps net =
     engine;
     topo;
     dt;
-    half_dt = Int64.max 1L (Int64.div dt 2L);
+    half_dt = Int.max 1 (dt / 2);
     steps;
     spill_pkts;
     pkt_bytes;
@@ -208,19 +206,16 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
             "Aggregate.add_cohort: path uses a link added after \
              Aggregate.create")
   in
-  let path_lat =
-    Array.fold_left (fun acc de -> Int64.add acc de.e_lat) 0L edges
-  in
-  let per_client =
-    Int64.to_int
-      (Int64.div (Int64.mul (Int64.of_int (rate_bps / 8)) t.dt) 1_000_000_000L)
-  in
+  let path_lat = Array.fold_left (fun acc de -> acc + de.e_lat) 0 edges in
+  let per_client = rate_bps / 8 * t.dt / 1_000_000_000 in
   let per_step = clients * per_client in
   if per_step <= 0 then
     invalid_arg "Aggregate.add_cohort: rate too small to emit one byte per dt";
   let shards = Engine.shards t.engine in
   let dom i = (Topology.node t.topo path.(i)).Topology.domain in
   let final = Topology.node t.topo path.(n - 1) in
+  let id = t.next_id in
+  let src_addr = (Topology.node t.topo src).Topology.addr in
   (* Walk the path's runs of same-domain nodes; every run that enters a
      policed domain — or ends the path at a neutralizer box — becomes a
      spill point. *)
@@ -240,23 +235,26 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
       let cell =
         match List.find_opt (fun sp -> sp.station_node = station_node) !spills with
         | Some sp -> sp.cell
-        | None -> { a_count = 0; a_bytes = 0; a_lat_ns = 0L }
+        | None -> { a_count = 0; a_bytes = 0; a_lat_ns = 0 }
       in
+      let target = (Topology.node t.topo station_node).Topology.addr in
       spills :=
         { entry = !i;
           egress = !j;
           terminal;
-          target = (Topology.node t.topo station_node).Topology.addr;
+          target;
           station_node;
           entry_node;
           entry_shard = Topology.shard_of t.topo ~shards entry_node;
-          cell
+          cell;
+          probe =
+            Packet.make ~protocol ~dscp ~dst_port ~flow_id:id ~app
+              ~src:src_addr ~dst:target t.payload
         }
         :: !spills
     end;
     i := !j + 1
   done;
-  let id = t.next_id in
   t.next_id <- id + 1;
   let c =
     { id;
@@ -289,12 +287,12 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
 (* Unique event timestamps per cohort: +id+1 ns keeps simultaneous
    spills from different cohorts totally ordered by time, so queue and
    middleware state sees one order at every shard count. *)
-let jitter c = Int64.of_int (c.id + 1)
+let jitter c = c.id + 1
 
 let record_delivery (c : cohort) ~through ~lat_ns =
   ignore (Atomic.fetch_and_add c.delivered_bytes through);
   let kb = through / 1024 in
-  let us = Int64.to_int (Int64.div lat_ns 1000L) in
+  let us = lat_ns / 1000 in
   ignore (Atomic.fetch_and_add c.lat_prod (kb * us));
   atomic_max c.max_lat_us us
 
@@ -313,17 +311,11 @@ let rec walk t c ~step ~s ~idx ~through ~seg_lat ~lat_ns =
       let de = c.edges.(idx) in
       ignore (Atomic.fetch_and_add t.loads.(step mod 3).(de.idx) through);
       let prev = Atomic.get t.loads.((step + 2) mod 3).(de.idx) in
-      let through, qdelay =
-        if de.cap_step > 0 && prev > de.cap_step then
-          ( through * de.cap_step / prev,
-            Int64.div
-              (Int64.mul (Int64.of_int (de.queue * 8)) 1_000_000_000L)
-              (Int64.of_int de.bw) )
-        else (through, 0L)
-      in
-      let hop = Int64.add de.e_lat qdelay in
-      walk t c ~step ~s ~idx:(idx + 1) ~through
-        ~seg_lat:(Int64.add seg_lat hop) ~lat_ns:(Int64.add lat_ns hop)
+      let overloaded = de.cap_step > 0 && prev > de.cap_step in
+      let through = if overloaded then through * de.cap_step / prev else through in
+      let hop = if overloaded then de.e_lat + de.q_delay else de.e_lat in
+      walk t c ~step ~s ~idx:(idx + 1) ~through ~seg_lat:(seg_lat + hop)
+        ~lat_ns:(lat_ns + hop)
     end
   end
 
@@ -332,11 +324,9 @@ and spill t c ~s ~through ~seg_lat ~lat_ns =
   (* Rides the accumulated segment latency: when the entry node is on
      another shard the segment crossed shards, so seg_lat >= the
      engine's (auto-tuned) lookahead and the post clears the horizon. *)
-  let at =
-    Int64.add (Engine.now t.engine) (Int64.add seg_lat (jitter c))
-  in
+  let at = Engine.now_int t.engine + seg_lat + jitter c in
   ignore
-    (Engine.post t.engine ~shard:sp.entry_shard ~at (fun () ->
+    (Engine.post_int t.engine ~shard:sp.entry_shard ~at (fun () ->
          inject t c ~s ~through ~lat_ns))
 
 and inject t c ~s ~through ~lat_ns =
@@ -344,21 +334,19 @@ and inject t c ~s ~through ~lat_ns =
   let cell = sp.cell in
   cell.a_count <- 0;
   cell.a_bytes <- 0;
-  cell.a_lat_ns <- 0L;
-  let now = Engine.now t.engine in
-  let src_addr = (Topology.node t.topo c.src).Topology.addr in
+  cell.a_lat_ns <- 0;
+  let meta = sp.probe.Packet.meta in
+  let sent_at = Int64.of_int (Engine.now_int t.engine) in
   for i = 0 to t.spill_pkts - 1 do
     Network.inject t.net sp.entry_node
-      (Packet.make ~protocol:c.protocol ~dscp:c.dscp ~dst_port:c.dst_port
-         ~flow_id:c.id ~seq:i ~sent_at:now ~app:c.app ~src:src_addr
-         ~dst:sp.target t.payload)
+      { sp.probe with meta = { meta with seq = i; sent_at } }
   done;
   ignore (Atomic.fetch_and_add c.spill_sent t.spill_pkts);
   ignore (Atomic.fetch_and_add c.spilled_bytes through);
   (* Harvest at +dt/2: past every probe's intra-domain flight time,
      strictly before the next step's injection re-uses the cell. *)
   ignore
-    (Engine.schedule t.engine ~delay:t.half_dt (fun () ->
+    (Engine.schedule_int t.engine ~delay:t.half_dt (fun () ->
          harvest t c ~s ~through ~lat_ns))
 
 and harvest t c ~s ~through ~lat_ns =
@@ -371,26 +359,22 @@ and harvest t c ~s ~through ~lat_ns =
     else back * 1_000_000 / t.spill_pkts
   in
   let passed = through * pass_ppm / 1_000_000 in
-  let probe_lat =
-    if back > 0 then Int64.div cell.a_lat_ns (Int64.of_int back) else 0L
-  in
+  let probe_lat = if back > 0 then cell.a_lat_ns / back else 0 in
   if passed > 0 then
     if sp.terminal then begin
       ignore (Atomic.fetch_and_add t.box_goodput passed);
-      record_delivery c ~through:passed ~lat_ns:(Int64.add lat_ns probe_lat)
+      record_delivery c ~through:passed ~lat_ns:(lat_ns + probe_lat)
     end
     else begin
       (* Re-aggregate on egress: resume as fluid at the next grid step,
          so the resumed bytes read a fully-settled load buffer. *)
-      let now = Engine.now t.engine in
-      let k = Int64.to_int (Int64.div now t.dt) + 1 in
-      let at = Int64.mul (Int64.of_int k) t.dt in
-      let wait = Int64.sub at now in
+      let now = Engine.now_int t.engine in
+      let k = (now / t.dt) + 1 in
+      let wait = (k * t.dt) - now in
       ignore
-        (Engine.schedule t.engine ~delay:wait (fun () ->
+        (Engine.schedule_int t.engine ~delay:wait (fun () ->
              walk t c ~step:k ~s:(s + 1) ~idx:sp.egress ~through:passed
-               ~seg_lat:0L
-               ~lat_ns:(Int64.add (Int64.add lat_ns probe_lat) wait)))
+               ~seg_lat:0 ~lat_ns:(lat_ns + probe_lat + wait)))
     end
 
 (* A station's arrivals land in the cell of the cohort named by the
@@ -398,17 +382,21 @@ and harvest t c ~s ~through ~lat_ns =
    delivered here is ignored. *)
 let station_handler t _net nid (p : Packet.t) =
   let id = p.Packet.meta.flow_id in
-  if id >= 0 && id < Array.length t.cohorts then
-    match
-      Array.find_opt (fun sp -> sp.station_node = nid) t.cohorts.(id).spills
-    with
-    | None -> ()
-    | Some { cell; _ } ->
+  if id >= 0 && id < Array.length t.cohorts then begin
+    let spills = t.cohorts.(id).spills in
+    let i = ref 0 in
+    while !i < Array.length spills && spills.(!i).station_node <> nid do
+      incr i
+    done;
+    if !i < Array.length spills then begin
+      let cell = spills.(!i).cell in
       cell.a_count <- cell.a_count + 1;
       cell.a_bytes <- cell.a_bytes + Packet.size p;
       cell.a_lat_ns <-
-        Int64.add cell.a_lat_ns
-          (Int64.sub (Engine.now t.engine) p.Packet.meta.sent_at)
+        cell.a_lat_ns + Engine.now_int t.engine
+        - Int64.to_int p.Packet.meta.sent_at
+    end
+  end
 
 let launch t =
   if t.launched then invalid_arg "Aggregate.launch: already launched";
@@ -432,9 +420,7 @@ let launch t =
   let slack =
     Array.fold_left
       (fun acc c ->
-        let lat_steps =
-          Int64.to_int (Int64.div (Int64.mul 2L c.path_lat_ns) t.dt)
-        in
+        let lat_steps = 2 * c.path_lat_ns / t.dt in
         max acc (lat_steps + (3 * Array.length c.spills) + 6))
       6 cohorts
   in
@@ -442,19 +428,18 @@ let launch t =
   let rec tick k () =
     Array.iter (fun a -> Atomic.set a 0) t.loads.((k + 1) mod 3);
     if k + 1 < ticks then
-      ignore (Engine.schedule t.engine ~delay:t.dt (tick (k + 1)))
+      ignore (Engine.schedule_int t.engine ~delay:t.dt (tick (k + 1)))
   in
-  ignore (Engine.post t.engine ~shard:0 ~at:0L (tick 0));
+  ignore (Engine.post_int t.engine ~shard:0 ~at:0 (tick 0));
   Array.iter
     (fun (c : cohort) ->
       let rec step k () =
         c.offered_bytes <- c.offered_bytes + c.per_step;
-        walk t c ~step:k ~s:0 ~idx:0 ~through:c.per_step ~seg_lat:0L
-          ~lat_ns:0L;
+        walk t c ~step:k ~s:0 ~idx:0 ~through:c.per_step ~seg_lat:0 ~lat_ns:0;
         if k + 1 < t.steps then
-          ignore (Engine.schedule t.engine ~delay:t.dt (step (k + 1)))
+          ignore (Engine.schedule_int t.engine ~delay:t.dt (step (k + 1)))
       in
-      ignore (Engine.post t.engine ~shard:c.shard ~at:0L (step 0)))
+      ignore (Engine.post_int t.engine ~shard:c.shard ~at:0 (step 0)))
     cohorts
 
 let clients t =
@@ -462,7 +447,7 @@ let clients t =
     Array.fold_left (fun acc (c : cohort) -> acc + c.clients) 0 t.cohorts
   else List.fold_left (fun acc (c : cohort) -> acc + c.clients) 0 t.cohorts_rev
 
-let duration_s t = Int64.to_float t.dt *. 1e-9 *. float_of_int t.steps
+let duration_s t = float_of_int t.dt *. 1e-9 *. float_of_int t.steps
 
 let stats t =
   let z = (0, 0, 0, 0, 0, 0) in

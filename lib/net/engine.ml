@@ -34,7 +34,7 @@ type shard = {
      (destination shard, absolute time, event), FIFO. Only this shard
      appends during a round; only the coordinator drains at the
      barrier. *)
-  outbox : (int * int64 * event) Queue.t;
+  outbox : (int * int * event) Queue.t;
   (* Per-shard processed counter, resolved on the coordinator at
      [create] (registry mutation is not domain-safe). *)
   c_shard : Obs.Counter.t option;
@@ -178,16 +178,16 @@ let obs t = t.obs
    identically at every shard count; the round base is a scheduling
    artifact that must never leak into the simulation. A single-shard
    engine's shard clock is its clock, so it skips the DLS read. *)
-let now t =
-  if Array.length t.shards = 1 then Int64.of_int t.clock
+let now_int t =
+  if Array.length t.shards = 1 then t.clock
   else begin
     let i = Domain.DLS.get executing_shard in
-    Int64.of_int
-      (if i >= 0 && i < Array.length t.shards then t.shards.(i).sclock
-       else t.clock)
+    if i >= 0 && i < Array.length t.shards then t.shards.(i).sclock
+    else t.clock
   end
 
-let now_s t = Int64.to_float (now t) *. 1e-9
+let now t = Int64.of_int (now_int t)
+let now_s t = float_of_int (now_int t) *. 1e-9
 let shards t = Array.length t.shards
 let lookahead t = t.lookahead
 let rounds t = t.nrounds
@@ -208,23 +208,27 @@ let calling_shard t =
   end
 
 let push_event s ~time ev =
-  Pqueue.push s.q time s.sseq ev;
+  Pqueue.push_int s.q time s.sseq ev;
   s.sseq <- s.sseq + 1;
   s.sscheduled <- s.sscheduled + 1
 
-let schedule t ~delay f =
-  if Int64.compare delay 0L < 0 then invalid_arg "Engine.schedule: negative delay";
+let schedule_int t ~delay f =
+  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let s = calling_shard t in
   let base = if Array.length t.shards = 1 then t.clock else s.sclock in
+  let time = base + delay in
+  if time < base then invalid_arg "Engine.schedule: time out of range";
   let ev = { f; cancelled = false } in
-  push_event s ~time:(Int64.add (Int64.of_int base) delay) ev;
+  push_event s ~time ev;
   ev
+
+let schedule t ~delay f = schedule_int t ~delay:(to_native delay) f
 
 let schedule_s t ~delay_s f =
   if delay_s < 0.0 then invalid_arg "Engine.schedule_s: negative delay";
   schedule t ~delay:(Int64.of_float (delay_s *. 1e9)) f
 
-let post t ~shard ~at f =
+let post_int t ~shard ~at f =
   let n = Array.length t.shards in
   if shard < 0 || shard >= n then invalid_arg "Engine.post: unknown shard";
   let dst = t.shards.(shard) in
@@ -234,10 +238,14 @@ let post t ~shard ~at f =
     (* Cross-shard, from inside a round: the destination heap belongs to
        another domain right now, so the event must clear the round's
        safe horizon and wait in the outbox for the barrier. *)
-    if to_native at < t.horizon then
+    if at < t.horizon then
       raise
         (Lookahead_violation
-           { src = src_id; dst = shard; at; horizon = Int64.of_int t.horizon });
+           { src = src_id;
+             dst = shard;
+             at = Int64.of_int at;
+             horizon = Int64.of_int t.horizon
+           });
     Queue.add (shard, at, ev) t.shards.(src_id).outbox
   end
   else begin
@@ -248,11 +256,12 @@ let post t ~shard ~at f =
       else if n = 1 then t.clock
       else dst.sclock
     in
-    if to_native at < floor then
-      invalid_arg "Engine.post: event scheduled in the past";
+    if at < floor then invalid_arg "Engine.post: event scheduled in the past";
     push_event dst ~time:at ev
   end;
   ev
+
+let post t ~shard ~at f = post_int t ~shard ~at:(to_native at) f
 
 let cancel ev = ev.cancelled <- true
 

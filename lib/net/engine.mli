@@ -94,13 +94,16 @@ val obs : t -> Obs.Registry.t
 (** The registry this engine (and the network built on it) records
     into. *)
 
+val now_int : t -> int
+(** Current simulated time in nanoseconds, as a native int. Inside an
+    event handler this is the executing event's timestamp on {e every}
+    engine — on a sharded engine the handler's own shard clock, never
+    the round base — so time-dependent code (link serialization, packet
+    timestamps) behaves identically at every shard count. From the
+    coordinator between rounds it is the engine clock. *)
+
 val now : t -> int64
-(** Current simulated time in nanoseconds. Inside an event handler this
-    is the executing event's timestamp on {e every} engine — on a
-    sharded engine the handler's own shard clock, never the round base —
-    so time-dependent code (link serialization, packet timestamps)
-    behaves identically at every shard count. From the coordinator
-    between rounds it is the engine clock. *)
+(** {!now_int} as an [int64]. *)
 
 val now_s : t -> float
 (** Current simulated time in seconds. *)
@@ -123,19 +126,23 @@ val shard_now : t -> shard:int -> int64
 
 type handle
 
-val schedule : t -> delay:int64 -> (unit -> unit) -> handle
-(** [schedule t ~delay f] runs [f] at [delay] nanoseconds after the
+val schedule_int : t -> delay:int -> (unit -> unit) -> handle
+(** [schedule_int t ~delay f] runs [f] at [delay] nanoseconds after the
     caller's clock — the engine clock from the coordinator, the
     executing shard's clock from inside a handler (the event stays on
     that shard). [delay] must be non-negative — a negative delay raises
-    [Invalid_argument] rather than being clamped. Events scheduled for
-    the same instant on the same shard run in scheduling order. *)
+    [Invalid_argument] rather than being clamped, as does a delay that
+    carries the clock past [max_int]. Events scheduled for the same
+    instant on the same shard run in scheduling order. *)
+
+val schedule : t -> delay:int64 -> (unit -> unit) -> handle
+(** {!schedule_int} with an [int64] delay. *)
 
 val schedule_s : t -> delay_s:float -> (unit -> unit) -> handle
 (** Same with the delay in (fractional) seconds. *)
 
-val post : t -> shard:int -> at:int64 -> (unit -> unit) -> handle
-(** [post t ~shard ~at f] runs [f] at absolute simulated time [at] on
+val post_int : t -> shard:int -> at:int -> (unit -> unit) -> handle
+(** [post_int t ~shard ~at f] runs [f] at absolute simulated time [at] on
     [shard] — the shard-addressed primitive the PDES workloads are built
     on (it works identically at [shards = 1], where every post lands on
     the only lane). Posting to one's own shard, or from the coordinator
@@ -143,6 +150,9 @@ val post : t -> shard:int -> at:int64 -> (unit -> unit) -> handle
     ([Invalid_argument] otherwise). Posting to {e another} shard from
     inside a round requires [at >= horizon] of the round in flight and
     raises {!Lookahead_violation} below it — never a silent reorder. *)
+
+val post : t -> shard:int -> at:int64 -> (unit -> unit) -> handle
+(** {!post_int} with an [int64] time. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op.

@@ -19,7 +19,7 @@ type perturb = Packet.t -> (Packet.t * int64) list
 type t = {
   engine : Engine.t;
   bandwidth_bps : int;
-  latency : int64;
+  latency : int; (* ns *)
   queue_capacity : int;
   deliver : Packet.t -> unit;
   c_sent_packets : Obs.Counter.t;
@@ -31,10 +31,20 @@ type t = {
   c_drop_shed : Obs.Counter.t;
   h_queue : Obs.Histogram.t;
   mutable up : bool;
+  (* Instants the administrative state changed, newest first, back to
+     one latency ago: what a delivery needs to recover the state at its
+     packet's serialization end. *)
+  mutable flips : int list;
   mutable perturb : perturb option;
   mutable gate : gate option;
+  (* The drop-tail queue as (serialization end, bytes) pairs, oldest
+     first: [count] pairs from int index [head] of [ring], whose length
+     is 0 until the first send and a power of two after. *)
+  mutable ring : int array;
+  mutable head : int;
+  mutable count : int;
   mutable queued_bytes : int;
-  mutable busy_until : int64;
+  mutable busy_until : int;
   mutable max_queue_bytes : int;
 }
 
@@ -59,7 +69,7 @@ let create engine ~bandwidth_bps ~latency ?(queue_bytes = 128 * 1024) ?label
   in
   { engine;
     bandwidth_bps;
-    latency;
+    latency = Int64.to_int latency;
     queue_capacity = queue_bytes;
     deliver;
     c_sent_packets = Obs.Registry.counter obs ~labels "net.link.sent_packets";
@@ -73,24 +83,43 @@ let create engine ~bandwidth_bps ~latency ?(queue_bytes = 128 * 1024) ?label
     h_queue =
       Obs.Registry.histogram obs ~labels "net.link.queue_occupancy_bytes";
     up = true;
+    flips = [];
     perturb = None;
     gate = None;
+    ring = [||];
+    head = 0;
+    count = 0;
     queued_bytes = 0;
-    busy_until = 0L;
+    busy_until = 0;
     max_queue_bytes = 0
   }
 
-let transmission_time t bytes =
-  (* ns = bytes * 8 * 1e9 / bandwidth; computed in int64 to avoid
-     overflow on large byte counts. *)
-  Int64.div
-    (Int64.mul (Int64.of_int (bytes * 8)) 1_000_000_000L)
-    (Int64.of_int t.bandwidth_bps)
+(* ns = bytes * 8 * 1e9 / bandwidth; 63 bits hold it for any packet
+   under 500 MB. *)
+let transmission_time t bytes = bytes * 8_000_000_000 / t.bandwidth_bps
 
-let set_up t up = t.up <- up
+let set_up t up =
+  if up <> t.up then begin
+    let now = Engine.now_int t.engine in
+    t.flips <- now :: List.filter (fun f -> f > now - t.latency) t.flips;
+    t.up <- up
+  end
+
 let is_up t = t.up
 let set_perturb t f = t.perturb <- f
 let set_gate t f = t.gate <- f
+
+(* Whether the link was up at instant [at], a serialization end no
+   later than that of any packet still in flight: the current state,
+   flipped once per change made after [at]. A change at [at] itself
+   counts as made before it. Changes up to [at] are forgotten. *)
+let up_at t at =
+  match t.flips with
+  | [] -> t.up
+  | flips ->
+    let later = List.filter (fun f -> f > at) flips in
+    t.flips <- later;
+    if List.length later land 1 = 0 then t.up else not t.up
 
 let count_drop t bytes reason =
   Obs.Counter.inc t.c_dropped_packets;
@@ -101,20 +130,39 @@ let count_drop t bytes reason =
     | Link_down -> t.c_drop_down
     | Shed -> t.c_drop_shed)
 
-(* End of serialization: hand the packet to the propagation stage, where
-   the fault layer's perturbation hook may lose, corrupt, duplicate or
-   delay (reorder) the wire image. Without a hook the delivery is
-   scheduled directly, with no list per hop. *)
-let propagate t p =
-  match t.perturb with
-  | None -> ignore (Engine.schedule t.engine ~delay:t.latency (fun () -> t.deliver p))
-  | Some f ->
-    List.iter
-      (fun (p, extra) ->
-        ignore
-          (Engine.schedule t.engine ~delay:(Int64.add t.latency extra)
-             (fun () -> t.deliver p)))
-      (f p)
+(* The end of serialization decides a packet's fate: a link down at
+   that instant loses it, otherwise it is sent. *)
+let serialized t bytes ~up =
+  if up then begin
+    Obs.Counter.inc t.c_sent_packets;
+    Obs.Counter.add t.c_sent_bytes bytes
+  end
+  else count_drop t bytes Link_down;
+  up
+
+(* Forget the packets whose serialization ended strictly before [now]. *)
+let retire t now =
+  let mask = Array.length t.ring - 1 in
+  while t.count > 0 && Array.unsafe_get t.ring t.head < now do
+    t.queued_bytes <- t.queued_bytes - Array.unsafe_get t.ring (t.head + 1);
+    t.head <- (t.head + 2) land mask;
+    t.count <- t.count - 1
+  done
+
+let enqueue t done_tx bytes =
+  let len = Array.length t.ring in
+  if 2 * t.count = len then begin
+    let ring = Array.make (Int.max 16 (2 * len)) 0 in
+    for i = 0 to len - 1 do
+      ring.(i) <- t.ring.((t.head + i) land (len - 1))
+    done;
+    t.ring <- ring;
+    t.head <- 0
+  end;
+  let i = (t.head + (2 * t.count)) land (Array.length t.ring - 1) in
+  t.ring.(i) <- done_tx;
+  t.ring.(i + 1) <- bytes;
+  t.count <- t.count + 1
 
 let send t p =
   let bytes = Packet.size p in
@@ -131,33 +179,44 @@ let send t p =
     count_drop t bytes Shed;
     Dropped Shed
   end
-  else if t.queued_bytes + bytes > t.queue_capacity then begin
-    count_drop t bytes Queue_full;
-    Dropped Queue_full
-  end
   else begin
-    let now = Engine.now t.engine in
-    t.queued_bytes <- t.queued_bytes + bytes;
-    if t.queued_bytes > t.max_queue_bytes then
-      t.max_queue_bytes <- t.queued_bytes;
-    Obs.Histogram.add t.h_queue t.queued_bytes;
-    let start = if Int64.compare t.busy_until now > 0 then t.busy_until else now in
-    let done_tx = Int64.add start (transmission_time t bytes) in
-    t.busy_until <- done_tx;
-    (* Dequeue at end of serialization; deliver after propagation. A
-       link taken down mid-serialization drops the in-flight packet. *)
-    ignore
-      (Engine.schedule t.engine
-         ~delay:(Int64.sub done_tx now)
-         (fun () ->
-           t.queued_bytes <- t.queued_bytes - bytes;
-           if not t.up then count_drop t bytes Link_down
-           else begin
-             Obs.Counter.inc t.c_sent_packets;
-             Obs.Counter.add t.c_sent_bytes bytes;
-             propagate t p
-           end));
-    Sent
+    let now = Engine.now_int t.engine in
+    retire t now;
+    if t.queued_bytes + bytes > t.queue_capacity then begin
+      count_drop t bytes Queue_full;
+      Dropped Queue_full
+    end
+    else begin
+      t.queued_bytes <- t.queued_bytes + bytes;
+      if t.queued_bytes > t.max_queue_bytes then
+        t.max_queue_bytes <- t.queued_bytes;
+      Obs.Histogram.add t.h_queue t.queued_bytes;
+      let done_tx = Int.max t.busy_until now + transmission_time t bytes in
+      t.busy_until <- done_tx;
+      enqueue t done_tx bytes;
+      (match t.perturb with
+       | None ->
+         (* One event: the delivery, which looks back at the link's
+            state at the end of serialization. *)
+         ignore
+           (Engine.schedule_int t.engine ~delay:(done_tx + t.latency - now)
+              (fun () -> if serialized t bytes ~up:(up_at t done_tx) then t.deliver p))
+       | Some f ->
+         (* The fault stage keeps an event at the end of serialization,
+            where the hook may lose, corrupt, duplicate or delay
+            (reorder) the wire image. *)
+         ignore
+           (Engine.schedule_int t.engine ~delay:(done_tx - now) (fun () ->
+                if serialized t bytes ~up:t.up then
+                  List.iter
+                    (fun (p, extra) ->
+                      ignore
+                        (Engine.schedule_int t.engine
+                           ~delay:(t.latency + Int64.to_int extra)
+                           (fun () -> t.deliver p)))
+                    (f p))));
+      Sent
+    end
   end
 
 let stats t =

@@ -7,6 +7,42 @@
     where a discriminatory ISP's delaying/dropping (as opposed to
     classifying) ultimately takes effect.
 
+    {2 One event per packet}
+
+    A FIFO link knows when a packet's serialization will end as soon as
+    it is queued, so a send on a link without a fault hook schedules one
+    engine event: the delivery, a latency after that end. There is no
+    dequeue event. Each link keeps a ring of (serialization end, bytes)
+    pairs, allocated at its first send, and every send first retires
+    the pairs whose serialization ended {e strictly} before now. A send
+    at the very instant a packet's serialization ends therefore still
+    counts that packet as queued. A separate dequeue event at the
+    serialization end gave the same answer whenever the sending event
+    was queued before the departing packet was sent, because the
+    earlier-queued event ran first at the tie. That is the usual case
+    on a path: the next packet's arrival is scheduled a whole upstream
+    latency ahead. So the strict rule keeps the order the two-event
+    link produced on every benchmark workload; retiring at [<=] instead
+    changes the AS-scale digest.
+
+    The administrative state is judged at the serialization end. A
+    packet whose serialization ends while the link is down is dropped
+    as [Link_down] when its delivery falls due, even if the link is up
+    again by then. A link that goes down after that end, or goes down
+    and comes back up within one serialization, still delivers.
+    {!set_up} keeps its state changes for one latency to answer this,
+    and a change at the serialization end itself counts as made before
+    it. The [sent] counters move at the delivery instant, so they match
+    a dequeue-at-serialization-end model once the engine drains.
+
+    {2 The fault stage}
+
+    A packet sent while a perturbation hook is installed ({!set_perturb})
+    keeps a second event at its serialization end. That event reads the
+    link state, runs the hook once, in FIFO order per link, and
+    schedules each packet the hook returns a latency (plus its extra
+    delay) later.
+
     Each link publishes monotonic counters [net.link.sent_packets],
     [net.link.sent_bytes], [net.link.dropped_packets],
     [net.link.dropped_bytes], a per-reason [net.link.drops{reason}]
@@ -68,14 +104,15 @@ val send : t -> Packet.t -> send_result
 
 val set_up : t -> bool -> unit
 (** Administrative state. A down link refuses new packets ([Dropped
-    Link_down]) and drops packets still in its transmit queue when
-    their serialization completes. *)
+    Link_down]) and drops every packet whose serialization ends while
+    it is down. *)
 
 val is_up : t -> bool
 
 val set_perturb : t -> perturb option -> unit
 (** Installs (or clears) the fault-injection hook run at the start of
-    propagation. The default is the identity ([[(p, 0L)]]). *)
+    propagation. The default is the identity ([[(p, 0L)]]). The hook
+    in place when a packet is sent is the one that sees it. *)
 
 val set_gate : t -> gate option -> unit
 (** Installs (or clears) an admission gate consulted on every {!send}

@@ -194,15 +194,16 @@ let rec receive t nid (p : Packet.t) =
   end
 
 and transit t nid d (p : Packet.t) =
-  match Packet.decrement_ttl p with
-  | None -> drop t `Ttl
-  | Some p ->
-    (match d.chain with
-     | [] -> forward t nid p
-     | chain ->
-       apply_middlewares t chain p (function
-         | None -> ()
-         | Some p -> forward t nid p))
+  if p.ttl <= 1 then drop t `Ttl
+  else begin
+    let p = { p with ttl = p.ttl - 1 } in
+    match d.chain with
+    | [] -> forward t nid p
+    | chain ->
+      apply_middlewares t chain p (function
+        | None -> ()
+        | Some p -> forward t nid p)
+  end
 
 and forward t nid (p : Packet.t) =
   let next = Routing.next_hop t.routing t.topo ~from:nid p.dst in
@@ -223,14 +224,13 @@ let service ?(kind = Other) t nid ~cost k =
      (crypto op at the neutralizer, vanilla forward, ...). *)
   Obs.Histogram.add t.h_service.(service_index kind) (Int64.to_int cost);
   let st = node_state t nid in
-  let now = Int64.to_int (Engine.now t.engine) in
+  let now = Engine.now_int t.engine in
   let finish = Int.max st.busy_until now + Int64.to_int cost in
   st.busy_until <- finish;
-  ignore
-    (Engine.schedule t.engine ~delay:(Int64.of_int (finish - now)) (fun () -> k ()))
+  ignore (Engine.schedule_int t.engine ~delay:(finish - now) k)
 
 let backlog t nid =
-  let now = Int64.to_int (Engine.now t.engine) in
+  let now = Engine.now_int t.engine in
   Int64.of_int (Int.max 0 ((node_state t nid).busy_until - now))
 
 (* Cover every node and domain, instantiate link objects for any

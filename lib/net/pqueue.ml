@@ -13,7 +13,7 @@
    heap.
 
    Timestamps are native 63-bit ints (simulated nanoseconds up to ~146
-   years), range-checked on push. *)
+   years); the [int64] [push] range-checks its argument. *)
 
 type 'a t = {
   mutable keys : int array; (* 3 ints per entry, [cap] entries *)
@@ -73,9 +73,7 @@ let grow q =
   Array.blit q.vals 0 nv 0 cap;
   q.vals <- nv
 
-let push q time seq value =
-  let t = Int64.to_int time in
-  if Int64.of_int t <> time then invalid_arg "Pqueue.push: time out of range";
+let push_int q t seq value =
   if q.len = Array.length q.vals then grow q;
   let keys = q.keys in
   let n = q.len in
@@ -102,6 +100,13 @@ let push q time seq value =
   Array.unsafe_set keys h t;
   Array.unsafe_set keys (h + 1) seq;
   Array.unsafe_set keys (h + 2) slot
+
+let native time =
+  let t = Int64.to_int time in
+  if Int64.of_int t <> time then invalid_arg "Pqueue.push: time out of range";
+  t
+
+let push q time seq value = push_int q (native time) seq value
 
 let pop_value q =
   if q.len = 0 then invalid_arg "Pqueue.pop_value: empty";

@@ -539,6 +539,188 @@ let test_link_perturb_at_serialization_end () =
     [ (2_000_000L, 0); (3_000_000L, 1); (4_000_000L, 2) ]
     (List.rev !delivered)
 
+(* The two-event link, kept as an oracle: a dequeue event at the end of
+   serialization takes the packet's bytes off the queue, drops it if the
+   link is down and otherwise schedules its delivery a latency later.
+   [ends] records every serialization end, so a scenario can stay clear
+   of the instants where the two models order ties differently. *)
+module Two_event_link = struct
+  type t = {
+    engine : Engine.t;
+    bandwidth_bps : int;
+    latency : int64;
+    capacity : int;
+    deliver : Packet.t -> unit;
+    mutable up : bool;
+    mutable queued : int;
+    mutable busy_until : int64;
+    mutable ends : int64 list;
+    mutable stats : Link.stats;
+    mutable queue_drops : int;
+    mutable down_drops : int;
+  }
+
+  let create engine ~bandwidth_bps ~latency ~queue_bytes ~deliver =
+    { engine;
+      bandwidth_bps;
+      latency;
+      capacity = queue_bytes;
+      deliver;
+      up = true;
+      queued = 0;
+      busy_until = 0L;
+      ends = [];
+      stats =
+        { sent_packets = 0;
+          sent_bytes = 0;
+          dropped_packets = 0;
+          dropped_bytes = 0;
+          max_queue_bytes = 0
+        };
+      queue_drops = 0;
+      down_drops = 0
+    }
+
+  let drop t bytes reason =
+    t.stats <-
+      { t.stats with
+        dropped_packets = t.stats.dropped_packets + 1;
+        dropped_bytes = t.stats.dropped_bytes + bytes
+      };
+    (match reason with
+     | Link.Queue_full -> t.queue_drops <- t.queue_drops + 1
+     | Link.Link_down -> t.down_drops <- t.down_drops + 1
+     | Link.Shed -> ());
+    Link.Dropped reason
+
+  let send t p =
+    let bytes = Packet.size p in
+    if not t.up then drop t bytes Link.Link_down
+    else if t.queued + bytes > t.capacity then drop t bytes Link.Queue_full
+    else begin
+      let now = Engine.now t.engine in
+      t.queued <- t.queued + bytes;
+      t.stats <-
+        { t.stats with max_queue_bytes = max t.stats.max_queue_bytes t.queued };
+      let tx =
+        Int64.div
+          (Int64.mul (Int64.of_int (bytes * 8)) 1_000_000_000L)
+          (Int64.of_int t.bandwidth_bps)
+      in
+      let done_tx = Int64.add (max t.busy_until now) tx in
+      t.busy_until <- done_tx;
+      t.ends <- done_tx :: t.ends;
+      ignore
+        (Engine.schedule t.engine ~delay:(Int64.sub done_tx now) (fun () ->
+             t.queued <- t.queued - bytes;
+             if not t.up then ignore (drop t bytes Link.Link_down)
+             else begin
+               t.stats <-
+                 { t.stats with
+                   sent_packets = t.stats.sent_packets + 1;
+                   sent_bytes = t.stats.sent_bytes + bytes
+                 };
+               ignore
+                 (Engine.schedule t.engine ~delay:t.latency (fun () ->
+                      t.deliver p))
+             end));
+      Link.Sent
+    end
+end
+
+type link_op = Send of int | Flip
+
+(* A scenario: bandwidth, latency, queue capacity, and ops each after a
+   gap (ns) from the previous one. *)
+let gen_link_scenario =
+  let open QCheck2.Gen in
+  let* bw = oneofl [ 1_000_000; 8_000_000; 100_000_000; 1_000_000_000 ] in
+  let* latency = oneof [ pure 0; int_range 1 3_000_000 ] in
+  let* cap = int_range 28 6000 in
+  let* ops =
+    list_size (int_range 1 60)
+      (pair (int_range 0 400_000)
+         (frequency
+            [ (9, map (fun n -> Send n) (int_range 28 1500)); (1, pure Flip) ]))
+  in
+  return (bw, latency, cap, ops)
+
+let print_link_scenario (bw, latency, cap, ops) =
+  Printf.sprintf "bw=%d latency=%d cap=%d ops=[%s]" bw latency cap
+    (String.concat "; "
+       (List.map
+          (fun (gap, op) ->
+            match op with
+            | Send n -> Printf.sprintf "+%d send %d" gap n
+            | Flip -> Printf.sprintf "+%d flip" gap)
+          ops))
+
+(* Plays a scenario on one link model: every op is an event at its
+   instant, scheduled up front in op order. Returns the send results in
+   op order, the deliveries as (time, seq) in order, and the op
+   instants. *)
+let play_link_scenario (_, _, _, ops) ~send ~flip engine delivered =
+  let results = ref [] and instants = ref [] in
+  ignore
+    (List.fold_left
+       (fun (at, seq) (gap, op) ->
+         let at = Int64.add at (Int64.of_int gap) in
+         instants := at :: !instants;
+         ignore
+           (Engine.schedule engine ~delay:at (fun () ->
+                match op with
+                | Send n -> results := (seq, send (sized ~seq n)) :: !results
+                | Flip -> flip ()));
+         (at, seq + 1))
+       (0L, 0) ops);
+  Engine.run engine;
+  (List.rev !results, List.rev !delivered, !instants)
+
+let prop_link_matches_two_event_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"one-event link = two-event reference off serialization ends"
+       ~print:print_link_scenario gen_link_scenario
+       (fun ((bw, latency, cap, _) as scenario) ->
+         let record engine delivered p =
+           delivered := (Engine.now engine, p.Packet.meta.seq) :: !delivered
+         in
+         let e_ref = Engine.create ~obs:(Obs.Registry.create ()) () in
+         let d_ref = ref [] in
+         let reference =
+           Two_event_link.create e_ref ~bandwidth_bps:bw
+             ~latency:(Int64.of_int latency) ~queue_bytes:cap
+             ~deliver:(record e_ref d_ref)
+         in
+         let want =
+           play_link_scenario scenario e_ref d_ref
+             ~send:(Two_event_link.send reference)
+             ~flip:(fun () -> reference.up <- not reference.up)
+         in
+         let _, _, instants = want in
+         QCheck2.assume
+           (not (List.exists (fun at -> List.mem at reference.ends) instants));
+         let e = Engine.create ~obs:(Obs.Registry.create ()) () in
+         let d = ref [] in
+         let link =
+           Link.create e ~bandwidth_bps:bw ~latency:(Int64.of_int latency)
+             ~queue_bytes:cap ~label:"t-oracle" ~deliver:(record e d) ()
+         in
+         let got =
+           play_link_scenario scenario e d ~send:(Link.send link)
+             ~flip:(fun () -> Link.set_up link (not (Link.is_up link)))
+         in
+         let drops reason =
+           Obs.Counter.value
+             (Obs.Registry.counter (Engine.obs e)
+                ~labels:[ ("reason", reason); ("link", "t-oracle") ]
+                "net.link.drops")
+         in
+         got = want
+         && Link.stats link = reference.stats
+         && drops "queue" = reference.queue_drops
+         && drops "down" = reference.down_drops))
+
 (* ---- Topology / Routing / Network ---- *)
 
 let star () =
@@ -1139,7 +1321,8 @@ let () =
           Alcotest.test_case "tail drop tie at serialization end" `Quick
             test_link_tail_tie;
           Alcotest.test_case "perturb hook at serialization end" `Quick
-            test_link_perturb_at_serialization_end
+            test_link_perturb_at_serialization_end;
+          prop_link_matches_two_event_model
         ] );
       ( "topology-routing",
         [ Alcotest.test_case "addresses" `Quick test_topology_addresses;

@@ -10,31 +10,36 @@ let nonce_len = Protocol.nonce_len
 let key_len = Protocol.key_len
 let grant_len = 1 + nonce_len + key_len
 
-let encode_grant (epoch, nonce, key) =
+(* Writes one grant at [off] of [b]. *)
+let encode_grant b off epoch nonce key =
   if String.length nonce <> nonce_len || String.length key <> key_len then
     invalid_arg "Session.encode_inner: bad grant sizes";
-  String.make 1 (Char.chr (epoch land 0xff)) ^ nonce ^ key
+  Bytes.set b off (Char.chr (epoch land 0xff));
+  Bytes.blit_string nonce 0 b (off + 1) nonce_len;
+  Bytes.blit_string key 0 b (off + 1 + nonce_len) key_len
 
 let decode_grant s off =
   ( Char.code s.[off],
     String.sub s (off + 1) nonce_len,
     String.sub s (off + 1 + nonce_len) key_len )
 
+(* Flags byte, then each grant present, then the application bytes,
+   written into one buffer of the exact size. *)
 let encode_inner i =
-  let buf = Buffer.create (32 + String.length i.app) in
-  let flags =
-    (if i.refresh <> None then 1 else 0)
-    lor if i.reverse_key <> None then 2 else 0
-  in
-  Buffer.add_char buf (Char.chr flags);
+  let has = function None -> 0 | Some _ -> 1 in
+  let refresh = has i.refresh and reverse = has i.reverse_key in
+  let off = 1 + ((refresh + reverse) * grant_len) in
+  let b = Bytes.create (off + String.length i.app) in
+  Bytes.set b 0 (Char.chr (refresh lor (reverse lsl 1)));
   (match i.refresh with
    | None -> ()
-   | Some r -> Buffer.add_string buf (encode_grant (r.Shim.r_epoch, r.r_nonce, r.r_key)));
+   | Some r -> encode_grant b 1 r.Shim.r_epoch r.r_nonce r.r_key);
   (match i.reverse_key with
    | None -> ()
-   | Some g -> Buffer.add_string buf (encode_grant g));
-  Buffer.add_string buf i.app;
-  Buffer.contents buf
+   | Some (epoch, nonce, key) ->
+     encode_grant b (off - grant_len) epoch nonce key);
+  Bytes.blit_string i.app 0 b off (String.length i.app);
+  Bytes.unsafe_to_string b
 
 let decode_inner s =
   if String.length s < 1 then None

@@ -50,7 +50,6 @@ let rec atomic_max a v =
    half a step later. *)
 type cell = {
   mutable a_count : int;
-  mutable a_bytes : int;
   mutable a_lat_ns : int;
 }
 
@@ -58,12 +57,13 @@ type spill = {
   entry : int;  (* path index where the boundary domain is entered *)
   egress : int;  (* last path index still inside it *)
   terminal : bool;  (* the path ends inside this domain *)
-  target : Ipaddr.t;  (* concrete probe destination (never anycast) *)
   station_node : Topology.node_id;
   entry_node : Topology.node_id;
   entry_shard : int;
   cell : cell;  (* shared by the cohort's spills with this station *)
-  probe : Packet.t;  (* the representative, to be stamped with seq and time *)
+  (* The representative, addressed to the station (never anycast), to
+     be stamped with seq and time. *)
+  probe : Packet.t;
 }
 
 type dir_edge = {
@@ -76,12 +76,8 @@ type dir_edge = {
 type cohort = {
   id : int;
   app : string;
-  protocol : Packet.protocol;
-  dscp : int;
-  dst_port : int;
   clients : int;
   rate_bps : int;  (* per client *)
-  src : Topology.node_id;
   dst : Ipaddr.t;
   path : Topology.node_id array;
   edges : dir_edge array;  (* edges.(i) carries path.(i) -> path.(i + 1) *)
@@ -235,21 +231,21 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
       let cell =
         match List.find_opt (fun sp -> sp.station_node = station_node) !spills with
         | Some sp -> sp.cell
-        | None -> { a_count = 0; a_bytes = 0; a_lat_ns = 0 }
+        | None -> { a_count = 0; a_lat_ns = 0 }
       in
-      let target = (Topology.node t.topo station_node).Topology.addr in
       spills :=
         { entry = !i;
           egress = !j;
           terminal;
-          target;
           station_node;
           entry_node;
           entry_shard = Topology.shard_of t.topo ~shards entry_node;
           cell;
           probe =
             Packet.make ~protocol ~dscp ~dst_port ~flow_id:id ~app
-              ~src:src_addr ~dst:target t.payload
+              ~src:src_addr
+              ~dst:(Topology.node t.topo station_node).Topology.addr
+              t.payload
         }
         :: !spills
     end;
@@ -259,12 +255,8 @@ let add_cohort ?(app = "agg") ?(protocol = Packet.Udp) ?(dscp = 0)
   let c =
     { id;
       app;
-      protocol;
-      dscp;
-      dst_port;
       clients;
       rate_bps;
-      src;
       dst;
       path;
       edges;
@@ -312,7 +304,9 @@ let rec walk t c ~step ~s ~idx ~through ~seg_lat ~lat_ns =
       ignore (Atomic.fetch_and_add t.loads.(step mod 3).(de.idx) through);
       let prev = Atomic.get t.loads.((step + 2) mod 3).(de.idx) in
       let overloaded = de.cap_step > 0 && prev > de.cap_step in
-      let through = if overloaded then through * de.cap_step / prev else through in
+      let through =
+        if overloaded then through * de.cap_step / prev else through
+      in
       let hop = if overloaded then de.e_lat + de.q_delay else de.e_lat in
       walk t c ~step ~s ~idx:(idx + 1) ~through ~seg_lat:(seg_lat + hop)
         ~lat_ns:(lat_ns + hop)
@@ -333,7 +327,6 @@ and inject t c ~s ~through ~lat_ns =
   let sp = c.spills.(s) in
   let cell = sp.cell in
   cell.a_count <- 0;
-  cell.a_bytes <- 0;
   cell.a_lat_ns <- 0;
   let meta = sp.probe.Packet.meta in
   let sent_at = Int64.of_int (Engine.now_int t.engine) in
@@ -391,7 +384,6 @@ let station_handler t _net nid (p : Packet.t) =
     if !i < Array.length spills then begin
       let cell = spills.(!i).cell in
       cell.a_count <- cell.a_count + 1;
-      cell.a_bytes <- cell.a_bytes + Packet.size p;
       cell.a_lat_ns <-
         cell.a_lat_ns + Engine.now_int t.engine
         - Int64.to_int p.Packet.meta.sent_at

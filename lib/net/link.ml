@@ -200,7 +200,8 @@ let send t p =
             state at the end of serialization. *)
          ignore
            (Engine.schedule_int t.engine ~delay:(done_tx + t.latency - now)
-              (fun () -> if serialized t bytes ~up:(up_at t done_tx) then t.deliver p))
+              (fun () ->
+                if serialized t bytes ~up:(up_at t done_tx) then t.deliver p))
        | Some f ->
          (* The fault stage keeps an event at the end of serialization,
             where the hook may lose, corrupt, duplicate or delay

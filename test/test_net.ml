@@ -448,7 +448,8 @@ let down_flips flips =
       ()
   in
   List.iter
-    (fun (at, up) -> ignore (Engine.schedule e ~delay:at (fun () -> Link.set_up link up)))
+    (fun (at, up) ->
+      ignore (Engine.schedule e ~delay:at (fun () -> Link.set_up link up)))
     flips;
   Alcotest.(check bool) "sent" true (Link.send link (sized 1000) = Link.Sent);
   Engine.run e;
@@ -468,7 +469,9 @@ let test_link_down_at_serialization_end () =
   Alcotest.(check int) "dropped" 1 stats.dropped_packets;
   (* Back up before the delivery instant: the state at the end of
      serialization still decides. *)
-  let arrivals, down, _ = down_flips [ (500_000L, false); (1_500_000L, true) ] in
+  let arrivals, down, _ =
+    down_flips [ (500_000L, false); (1_500_000L, true) ]
+  in
   Alcotest.(check (list int64)) "up again in flight: still lost" [] arrivals;
   Alcotest.(check int) "still link_down" 1 down
 

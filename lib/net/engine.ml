@@ -92,6 +92,13 @@ let to_native l =
   else if Int64.compare l (Int64.of_int min_int) <= 0 then min_int
   else Int64.to_int l
 
+(* An [int64] time that an event will carry, which must fit a native
+   int. *)
+let exact what l =
+  let n = Int64.to_int l in
+  if Int64.of_int n <> l then invalid_arg (what ^ ": time out of range");
+  n
+
 let create ?(obs = Obs.Registry.default) ?capacity ?(shards = 1) ?lookahead
     ?topo () =
   (* Validate here with engine-phrased errors rather than letting the
@@ -222,7 +229,8 @@ let schedule_int t ~delay f =
   push_event s ~time ev;
   ev
 
-let schedule t ~delay f = schedule_int t ~delay:(to_native delay) f
+let schedule t ~delay f =
+  schedule_int t ~delay:(exact "Engine.schedule" delay) f
 
 let schedule_s t ~delay_s f =
   if delay_s < 0.0 then invalid_arg "Engine.schedule_s: negative delay";
@@ -261,7 +269,7 @@ let post_int t ~shard ~at f =
   end;
   ev
 
-let post t ~shard ~at f = post_int t ~shard ~at:(to_native at) f
+let post t ~shard ~at f = post_int t ~shard ~at:(exact "Engine.post" at) f
 
 let cancel ev = ev.cancelled <- true
 

@@ -136,7 +136,8 @@ val schedule_int : t -> delay:int -> (unit -> unit) -> handle
     instant on the same shard run in scheduling order. *)
 
 val schedule : t -> delay:int64 -> (unit -> unit) -> handle
-(** {!schedule_int} with an [int64] delay. *)
+(** {!schedule_int} with an [int64] delay, which must fit a native
+    int. *)
 
 val schedule_s : t -> delay_s:float -> (unit -> unit) -> handle
 (** Same with the delay in (fractional) seconds. *)
@@ -152,7 +153,7 @@ val post_int : t -> shard:int -> at:int -> (unit -> unit) -> handle
     raises {!Lookahead_violation} below it — never a silent reorder. *)
 
 val post : t -> shard:int -> at:int64 -> (unit -> unit) -> handle
-(** {!post_int} with an [int64] time. *)
+(** {!post_int} with an [int64] time, which must fit a native int. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op.

@@ -245,6 +245,12 @@ let test_engine_negative_delay () =
   Alcotest.check_raises "negative seconds"
     (Invalid_argument "Engine.schedule_s: negative delay") (fun () ->
       ignore (Engine.schedule_s e ~delay_s:(-0.5) (fun () -> ())));
+  Alcotest.check_raises "past a native int"
+    (Invalid_argument "Engine.schedule: time out of range") (fun () ->
+      ignore (Engine.schedule e ~delay:Int64.max_int (fun () -> ())));
+  Alcotest.check_raises "posted past a native int"
+    (Invalid_argument "Engine.post: time out of range") (fun () ->
+      ignore (Engine.post e ~shard:0 ~at:Int64.max_int (fun () -> ())));
   Alcotest.(check int) "rejection scheduled nothing" 0 (Engine.scheduled e)
 
 let test_engine_invariants () =

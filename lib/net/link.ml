@@ -194,28 +194,26 @@ let send t p =
       let done_tx = Int.max t.busy_until now + transmission_time t bytes in
       t.busy_until <- done_tx;
       enqueue t done_tx bytes;
-      (match t.perturb with
-       | None ->
-         (* One event: the delivery, which looks back at the link's
-            state at the end of serialization. *)
-         ignore
-           (Engine.schedule_int t.engine ~delay:(done_tx + t.latency - now)
-              (fun () ->
-                if serialized t bytes ~up:(up_at t done_tx) then t.deliver p))
-       | Some f ->
-         (* The fault stage keeps an event at the end of serialization,
-            where the hook may lose, corrupt, duplicate or delay
-            (reorder) the wire image. *)
-         ignore
-           (Engine.schedule_int t.engine ~delay:(done_tx - now) (fun () ->
-                if serialized t bytes ~up:t.up then
-                  List.iter
-                    (fun (p, extra) ->
-                      ignore
-                        (Engine.schedule_int t.engine
-                           ~delay:(t.latency + Int64.to_int extra)
-                           (fun () -> t.deliver p)))
-                    (f p))));
+      (* One event: the delivery, which looks back at the link's state
+         at the end of serialization. A fault hook sees the packet
+         there and may lose, corrupt, duplicate or delay (reorder) the
+         wire image. *)
+      ignore
+        (Engine.schedule_int t.engine ~delay:(done_tx + t.latency - now)
+           (fun () ->
+             if serialized t bytes ~up:(up_at t done_tx) then
+               match t.perturb with
+               | None -> t.deliver p
+               | Some f ->
+                 List.iter
+                   (fun (p, extra) ->
+                     if Int64.equal extra 0L then t.deliver p
+                     else
+                       ignore
+                         (Engine.schedule_int t.engine
+                            ~delay:(Int64.to_int extra)
+                            (fun () -> t.deliver p)))
+                   (f p)));
       Sent
     end
   end

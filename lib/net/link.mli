@@ -10,8 +10,8 @@
     {2 One event per packet}
 
     A FIFO link knows when a packet's serialization will end as soon as
-    it is queued, so a send on a link without a fault hook schedules one
-    engine event: the delivery, a latency after that end. There is no
+    it is queued, so a send schedules one engine event: the delivery, a
+    latency after that end. There is no
     dequeue event. Each link keeps a ring of (serialization end, bytes)
     pairs, allocated at its first send, and every send first retires
     the pairs whose serialization ended {e strictly} before now. A send
@@ -37,11 +37,12 @@
 
     {2 The fault stage}
 
-    A packet sent while a perturbation hook is installed ({!set_perturb})
-    keeps a second event at its serialization end. That event reads the
-    link state, runs the hook once, in FIFO order per link, and
-    schedules each packet the hook returns a latency (plus its extra
-    delay) later.
+    A perturbation hook ({!set_perturb}) runs inside the delivery event,
+    after the link-state check: it sees each packet that survives that
+    check once, in FIFO order per link, at its delivery instant, and
+    never sees a packet dropped as [Link_down]. A packet it returns with
+    no extra delay is delivered at once; one with an extra delay is
+    delivered that much later.
 
     Each link publishes monotonic counters [net.link.sent_packets],
     [net.link.sent_bytes], [net.link.dropped_packets],
@@ -52,9 +53,8 @@
 
     Two control surfaces exist for the fault layer: an administrative
     up/down state ({!set_up}) modeling link failure, and a perturbation
-    hook ({!set_perturb}) applied to each packet at the start of
-    propagation, modeling in-flight loss, corruption, duplication and
-    reordering. *)
+    hook ({!set_perturb}) applied to each packet as it arrives, modeling
+    in-flight loss, corruption, duplication and reordering. *)
 
 type t
 
@@ -82,7 +82,8 @@ type perturb = Packet.t -> (Packet.t * int64) list
     [(packet, extra_delay_ns)] actually delivered: [[]] is loss, a
     modified packet is corruption of the wire image, two entries are
     duplication, and a positive extra delay causes (bounded)
-    reordering against later traffic. *)
+    reordering against later traffic. An extra delay must not be
+    negative. *)
 
 val create :
   Engine.t ->
@@ -110,9 +111,9 @@ val set_up : t -> bool -> unit
 val is_up : t -> bool
 
 val set_perturb : t -> perturb option -> unit
-(** Installs (or clears) the fault-injection hook run at the start of
-    propagation. The default is the identity ([[(p, 0L)]]). The hook
-    in place when a packet is sent is the one that sees it. *)
+(** Installs (or clears) the fault-injection hook run at each delivery.
+    The default is the identity ([[(p, 0L)]]). The hook in place at a
+    packet's delivery instant is the one that sees it. *)
 
 val set_gate : t -> gate option -> unit
 (** Installs (or clears) an admission gate consulted on every {!send}

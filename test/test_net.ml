@@ -521,7 +521,10 @@ let test_link_tail_tie () =
   Alcotest.(check bool) "just after it: sent" true
     (attempt 1L = Some Link.Sent)
 
-let test_link_perturb_at_serialization_end () =
+(* The fault hook runs inside the delivery event: once per packet, in
+   FIFO order, at the delivery instant, and a packet it passes through
+   with no extra delay is delivered then. *)
+let test_link_perturb_at_delivery () =
   let e = Engine.create ~obs:(Obs.Registry.create ()) () in
   let hooked = ref [] and delivered = ref [] in
   let link =
@@ -540,12 +543,55 @@ let test_link_perturb_at_serialization_end () =
   done;
   Engine.run e;
   Alcotest.(check (list (pair int64 int)))
-    "once per packet, at each serialization end, FIFO"
-    [ (1_000_000L, 0); (2_000_000L, 1); (3_000_000L, 2) ]
+    "once per packet, at each delivery, FIFO"
+    [ (2_000_000L, 0); (3_000_000L, 1); (4_000_000L, 2) ]
     (List.rev !hooked);
   Alcotest.(check (list (pair int64 int)))
-    "delivered a latency later"
+    "delivered a latency after serialization"
     [ (2_000_000L, 0); (3_000_000L, 1); (4_000_000L, 2) ]
+    (List.rev !delivered)
+
+(* A packet whose serialization ends while the link is down is dropped
+   as [Link_down] before the hook could see it; the next one, sent once
+   the link is back up, reaches the hook, which duplicates it with the
+   copy delayed. *)
+let test_link_perturb_skips_link_down () =
+  let e = Engine.create ~obs:(Obs.Registry.create ()) () in
+  let hooked = ref [] and delivered = ref [] in
+  let link =
+    Link.create e ~bandwidth_bps:8_000_000 ~latency:1_000_000L
+      ~label:"t-hook-down"
+      ~deliver:(fun p ->
+        delivered := (Engine.now e, p.Packet.meta.seq) :: !delivered)
+      ()
+  in
+  Link.set_perturb link
+    (Some
+       (fun p ->
+         hooked := p.Packet.meta.seq :: !hooked;
+         [ (p, 0L); (p, 250_000L) ]));
+  let flip at up =
+    ignore (Engine.schedule e ~delay:at (fun () -> Link.set_up link up))
+  in
+  flip 500_000L false;
+  flip 1_500_000L true;
+  ignore
+    (Engine.schedule e ~delay:1_600_000L (fun () ->
+         ignore (Link.send link (sized ~seq:1 1000))));
+  ignore (Link.send link (sized ~seq:0 1000));
+  Engine.run e;
+  let down =
+    Obs.Counter.value
+      (Obs.Registry.counter (Engine.obs e)
+         ~labels:[ ("reason", "down"); ("link", "t-hook-down") ]
+         "net.link.drops")
+  in
+  Alcotest.(check int) "first packet dropped as link_down" 1 down;
+  Alcotest.(check (list int)) "the hook saw only the second" [ 1 ]
+    (List.rev !hooked);
+  Alcotest.(check (list (pair int64 int)))
+    "delivered at 3.6 ms, the copy 0.25 ms later"
+    [ (3_600_000L, 1); (3_850_000L, 1) ]
     (List.rev !delivered)
 
 (* The two-event link, kept as an oracle: a dequeue event at the end of
@@ -1329,8 +1375,11 @@ let () =
             `Quick test_link_down_up_within_serialization;
           Alcotest.test_case "tail drop tie at serialization end" `Quick
             test_link_tail_tie;
-          Alcotest.test_case "perturb hook at serialization end" `Quick
-            test_link_perturb_at_serialization_end;
+          Alcotest.test_case "perturb hook at delivery" `Quick
+            test_link_perturb_at_delivery;
+          Alcotest.test_case "perturb hook skips link_down, delays a copy"
+            `Quick
+            test_link_perturb_skips_link_down;
           prop_link_matches_two_event_model
         ] );
       ( "topology-routing",

@@ -1,17 +1,25 @@
-(* Command-line driver: run any experiment of the reproduction, or the
-   interactive demo, from one binary. *)
+(* Command-line entry point: run any experiment of the reproduction from
+   one binary. *)
+
+open Cmdliner
 
 let quick_flag =
   let doc = "Shorter measurement windows and smaller workloads." in
-  Cmdliner.Arg.(value & flag & info [ "quick" ] ~doc)
+  Arg.(value & flag & info [ "quick" ] ~doc)
 
 let metrics_opt =
   let doc =
     "After the run, export every obs metric family (engine, links, \
      datapath, neutralizer, crypto) as JSON to $(docv)."
   in
-  Cmdliner.Arg.(
-    value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+
+(* A [--seed] option that falls back on the environment variable [var],
+   then on [default]. *)
+let seed_opt var default doc =
+  Arg.(
+    value & opt int default
+    & info [ "seed" ] ~env:(Cmd.Env.info var) ~docv:"N" ~doc)
 
 (* Write [json] to [file], naming it [what] in the messages; an
    unwritable path exits 1. *)
@@ -31,9 +39,10 @@ let write_metrics = function
   | Some file ->
     write_json "metrics" file (Obs.Export.to_json Obs.Registry.default)
 
-(* A short end-to-end neutralized exchange on the Fig. 1 world, run only
-   to populate the metric families for `stats` / `--metrics`. *)
-let metrics_workload () =
+(* `netneutral stats`: a short end-to-end neutralized exchange on the
+   Fig. 1 world, run only to populate the metric families, then the
+   whole registry. *)
+let run_stats metrics =
   let world = Scenario.World.create () in
   let client =
     Scenario.World.make_client world world.Scenario.World.ann_host
@@ -43,112 +52,9 @@ let metrics_workload () =
     Core.Client.send_to_name client ~name:"google.example" ~app:"web"
       (Printf.sprintf "probe-%d" i)
   done;
-  Scenario.World.run world
-
-let run_stats metrics =
-  metrics_workload ();
-  print_string (Obs.Export.to_text Obs.Registry.default);
-  write_metrics metrics
-
-let run_e1 quick =
-  Experiments.E1_key_setup.(
-    print (run ~min_time:(if quick then 0.1 else 0.5) ()))
-
-let run_e2 quick =
-  Experiments.E2_data_path.(
-    print (run ~min_time:(if quick then 0.1 else 0.5) ()))
-
-let run_e3 quick =
-  Experiments.E3_crypto_ops.(
-    print (run ~min_time:(if quick then 0.1 else 0.5) ()))
-
-let run_e4 quick =
-  Experiments.E4_vs_onion.(
-    print (if quick then run ~sources:20 ~flows_per_source:2 () else run ()))
-
-let run_e5 quick =
-  Experiments.E5_voip.(
-    print (if quick then run ~duration_s:3.0 () else run ()))
-
-let run_e6 quick =
-  Experiments.E6_dos.(
-    print
-      (if quick then run ~duration_s:1.5 ~attack_pps:20_000 () else run ()))
-
-let run_e7 quick =
-  Experiments.E7_multihome.(
-    print (if quick then run ~packets:150 () else run ()))
-
-let run_e8 _quick = Experiments.E8_market.(print (run ()))
-
-let run_e9 quick =
-  Experiments.E9_traffic_analysis.(
-    print (run ~duration_s:(if quick then 4.0 else 8.0) ()))
-
-let run_e10 quick =
-  Experiments.E10_detection.(
-    print (run ~duration_s:(if quick then 3.0 else 5.0) ()))
-
-let run_e11 quick =
-  Experiments.E11_blunt_instruments.(
-    print (run ~duration_s:(if quick then 4.0 else 8.0) ()))
-
-let run_e12 quick =
-  Experiments.E12_chaos.(
-    print (run ~duration_s:(if quick then 10.0 else 30.0) ()))
-
-let run_e13 quick = Experiments.E13_overload.(print (run ~quick ()))
-
-let run_ablations quick =
-  Experiments.Ablations.(
-    print (run ~min_time:(if quick then 0.1 else 0.4) ()))
-
-let run_all quick =
-  run_e1 quick;
-  run_e2 quick;
-  run_e3 quick;
-  run_e4 quick;
-  run_e5 quick;
-  run_e6 quick;
-  run_e7 quick;
-  run_e8 quick;
-  run_e9 quick;
-  run_e10 quick;
-  run_e11 quick;
-  run_e12 quick;
-  run_e13 quick;
-  run_ablations quick
-
-let demo () =
-  (* A narrated end-to-end exchange on the Figure-1 topology. *)
-  let world = Scenario.World.create () in
-  let client =
-    Scenario.World.make_client world world.Scenario.World.ann_host
-      ~seed:"demo" ()
-  in
-  Core.Client.set_receiver client (fun ~peer msg ->
-      Printf.printf "  ann <- %s: %S\n" (Net.Ipaddr.to_string peer) msg);
-  print_endline "Ann (inside AT&T) sends three requests to google.example";
-  print_endline "via Cogent's neutralizer; AT&T watches every packet.";
-  for i = 1 to 3 do
-    Core.Client.send_to_name client ~name:"google.example" ~app:"web"
-      (Printf.sprintf "hello-%d" i)
-  done;
   Scenario.World.run world;
-  let google = Scenario.World.site world "google" in
-  let leaks =
-    Scenario.World.observed_address_leaks world.Scenario.World.att_trace
-      google.Scenario.World.node.addr
-  in
-  Printf.printf
-    "\nAT&T observed %d packets; %d of them revealed google's address.\n"
-    (Net.Trace.length world.Scenario.World.att_trace)
-    leaks;
-  let c = Core.Client.counters client in
-  Printf.printf
-    "client: %d DNS lookups, %d key setups, %d data sent, %d replies, %d refreshes\n"
-    c.dns_lookups c.key_setups_completed c.data_sent c.data_received
-    c.refreshes_applied
+  Experiments.Table.print_obs ~title:"obs registry" ();
+  write_metrics metrics
 
 let topology () =
   (* Dump the Figure-1 world: domains, nodes, links, anycast groups. *)
@@ -356,53 +262,154 @@ let fig2 () =
       | _ -> failwith "no refresh stamped"));
   print_endline line
 
-(* `netneutral chaos`: run a fault plan (from a file, or the default
-   neutralizer-1 flap) against the Figure-1 world with a steady flow,
-   and print the recovery histogram straight from the obs registry. *)
-let run_chaos quick seed plan_file corrupt =
-  let plan =
-    match plan_file with
-    | None -> Experiments.E12_chaos.default_plan
-    | Some file ->
-      let text =
-        match open_in file with
-        | exception Sys_error msg ->
-          Printf.eprintf "netneutral: cannot read plan: %s\n" msg;
-          exit 1
-        | ic ->
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-      in
-      (match Fault.Plan.parse text with
-       | Ok plan -> plan
-       | Error msg ->
-         Printf.eprintf "netneutral: bad fault plan %s: %s\n" file msg;
-         exit 1)
-  in
-  let r =
-    (* A plan can be well-formed yet name nodes the Fig. 1 world does
-       not have; E12 rejects it when scheduling. *)
-    match
-      Experiments.E12_chaos.run ?seed ~plan ~corrupt
-        ~duration_s:(if quick then 10.0 else 30.0)
-        ()
-    with
-    | r -> r
-    | exception Invalid_argument msg ->
-      Printf.eprintf "netneutral: %s\n" msg;
-      exit 1
-  in
-  Experiments.E12_chaos.print r;
-  Experiments.Table.print_obs ~title:"chaos: client failure handling"
-    ~prefixes:[ "core.client." ]
-    ()
+(* One entry per experiment: [run quick] is the default run that `all`
+   calls, and [term] reads the subcommand's arguments into the run they
+   ask for. *)
+type experiment = {
+  name : string;
+  doc : string;
+  run : bool -> unit;
+  term : (unit -> unit) Term.t;
+}
 
-(* `netneutral overload`: the E13 load sweep with explicit control over
-   seed and chaos composition. *)
-let run_overload quick seed chaos =
+let plain name doc run =
+  let term = Term.(const (fun quick () -> run quick) $ quick_flag) in
+  { name; doc; run; term }
+
+let min_time quick = if quick then 0.1 else 0.5
+
+(* A fault plan file, or exit 1 naming what is wrong with it. *)
+let read_plan file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error msg ->
+    Printf.eprintf "netneutral: cannot read plan: %s\n" msg;
+    exit 1
+  | text -> (
+      match Fault.Plan.parse text with
+      | Ok plan -> plan
+      | Error msg ->
+        Printf.eprintf "netneutral: bad fault plan %s: %s\n" file msg;
+        exit 1)
+
+let run_e12 quick seed plan corrupt =
+  (* A plan can be well-formed yet name nodes the Fig. 1 world does not
+     have; E12 rejects it when scheduling. *)
+  match
+    Experiments.E12_chaos.run ?seed ?plan ~corrupt
+      ~duration_s:(if quick then 10.0 else 30.0)
+      ()
+  with
+  | r -> Experiments.E12_chaos.print r
+  | exception Invalid_argument msg ->
+    Printf.eprintf "netneutral: %s\n" msg;
+    exit 1
+
+let e12 =
+  let seed =
+    seed_opt "FAULT_SEED" 1
+      "Fault-injection seed. Identical seeds reproduce the fault timeline \
+       exactly."
+  in
+  let plan =
+    let doc =
+      "Fault plan file (one directive per line: 'at <s> \
+       node_crash|node_restart|link_down|link_up|partition|heal ...' or \
+       'flap <node> <mean-up-s> <mean-down-s>'). Defaults to flapping \
+       neutralizer-1."
+    in
+    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
+  in
+  let corrupt =
+    let doc =
+      "Per-packet bit-flip probability on every link (e.g. 0.001). Mangled \
+       frames are dropped-and-counted by the strict shim decoders \
+       (core.proto.reject.*), never crashes."
+    in
+    Arg.(value & opt float 0.0 & info [ "corrupt" ] ~docv:"PROB" ~doc)
+  in
+  { name = "e12";
+    doc =
+      "chaos: seeded faults against the Fig. 1 world, nearest neutralizer \
+       killed mid-flow (robustness)";
+    run = (fun quick -> run_e12 quick None None 0.0);
+    term =
+      Term.(
+        const (fun quick seed plan corrupt () ->
+            run_e12 quick (Some seed) (Option.map read_plan plan) corrupt)
+        $ quick_flag $ seed $ plan $ corrupt)
+  }
+
+let run_e13 quick seed chaos =
   Experiments.E13_overload.(print (run ?seed ~chaos ~quick ()))
+
+let e13 =
+  let seed =
+    seed_opt "OVERLOAD_SEED" 1
+      "Overload seed. Identical seeds reproduce the sweep exactly, byte for \
+       byte."
+  in
+  let chaos =
+    let doc =
+      "Crash and restart the neutralizer mid-sweep (composes the overload \
+       machinery with lib/fault)."
+    in
+    Arg.(value & flag & info [ "chaos" ] ~doc)
+  in
+  { name = "e13";
+    doc =
+      "overload: offered load 0.5x-10x box capacity, admission control + \
+       retry budgets ON vs OFF";
+    run = (fun quick -> run_e13 quick None false);
+    term =
+      Term.(
+        const (fun quick seed chaos () -> run_e13 quick (Some seed) chaos)
+        $ quick_flag $ seed $ chaos)
+  }
+
+let experiments =
+  let open Experiments in
+  [ plain "e1" "key-setup throughput (paper section 4)" (fun quick ->
+        E1_key_setup.(print (run ~min_time:(min_time quick) ())));
+    plain "e2" "data-path vs vanilla forwarding throughput" (fun quick ->
+        E2_data_path.(print (run ~min_time:(min_time quick) ())));
+    plain "e3" "raw crypto operation rates" (fun quick ->
+        E3_crypto_ops.(print (run ~min_time:(min_time quick) ())));
+    plain "e4" "resource comparison with onion routing (section 5)"
+      (fun quick ->
+        E4_vs_onion.(
+          print
+            (if quick then run ~sources:20 ~flows_per_source:2 ()
+             else run ())));
+    plain "e5" "VoIP discrimination and DSCP tiering" (fun quick ->
+        E5_voip.(print (if quick then run ~duration_s:3.0 () else run ())));
+    plain "e6" "key-setup flood and pushback defense" (fun quick ->
+        E6_dos.(
+          print
+            (if quick then run ~duration_s:1.5 ~attack_pps:20_000 ()
+             else run ())));
+    plain "e7" "multi-homed neutralizer selection and failover" (fun quick ->
+        E7_multihome.(print (if quick then run ~packets:150 () else run ())));
+    plain "e8" "market model of the section-1 hypothesis" (fun _ ->
+        E8_market.(print (run ())));
+    plain "e9" "traffic analysis vs adaptive masking (extension)"
+      (fun quick ->
+        E9_traffic_analysis.(
+          print (run ~duration_s:(if quick then 4.0 else 8.0) ())));
+    plain "e10" "Glasnost-style discrimination detection (extension)"
+      (fun quick ->
+        E10_detection.(
+          print (run ~duration_s:(if quick then 3.0 else 5.0) ())));
+    plain "e11" "3.6's residual vectors lose selectivity (extension)"
+      (fun quick ->
+        E11_blunt_instruments.(
+          print (run ~duration_s:(if quick then 4.0 else 8.0) ())));
+    e12;
+    e13;
+    plain "ablations" "design-choice ablations A1-A4" (fun quick ->
+        Ablations.(print (run ~min_time:(if quick then 0.1 else 0.4) ())))
+  ]
+
+let run_all quick = List.iter (fun e -> e.run quick) experiments
 
 (* `netneutral scale`: the E14 fluid-aggregate capstone — equivalence
    gate, cross-shard digest gate, then the million-client run on a
@@ -438,19 +445,6 @@ let run_scale quick out =
    mid-window swaps. Any neutralization invariant violation exits 1,
    with the failing regime and its replay recipe printed. *)
 let run_fuzzpolicy quick seed regimes windows out =
-  let seed =
-    match seed with
-    | Some s -> s
-    | None -> (
-        match Sys.getenv_opt "POLICY_SEED" with
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some s -> s
-            | None ->
-              Printf.eprintf "netneutral: bad POLICY_SEED %S\n" s;
-              exit 1)
-        | None -> 2006)
-  in
   Printf.printf "fuzzpolicy: POLICY_SEED %d\n" seed;
   let r =
     if quick then
@@ -528,37 +522,20 @@ let run_vectors write dir =
          vectors --write`)\n";
       exit 1
 
-let experiments =
-  [ ("e1", "key-setup throughput (paper section 4)", run_e1);
-    ("e2", "data-path vs vanilla forwarding throughput", run_e2);
-    ("e3", "raw crypto operation rates", run_e3);
-    ("e4", "resource comparison with onion routing (section 5)", run_e4);
-    ("e5", "VoIP discrimination and DSCP tiering", run_e5);
-    ("e6", "key-setup flood and pushback defense", run_e6);
-    ("e7", "multi-homed neutralizer selection and failover", run_e7);
-    ("e8", "market model of the section-1 hypothesis", run_e8);
-    ("e9", "traffic analysis vs adaptive masking (extension)", run_e9);
-    ("e10", "Glasnost-style discrimination detection (extension)", run_e10);
-    ("e11", "3.6's residual vectors lose selectivity (extension)", run_e11);
-    ("e12", "chaos: nearest neutralizer killed mid-flow (robustness)", run_e12);
-    ("e13", "overload: admission control + retry budgets vs collapse", run_e13);
-    ("ablations", "design-choice ablations A1-A4", run_ablations);
-    ("all", "every experiment in order", run_all)
-  ]
-
 let () =
-  let open Cmdliner in
-  let with_metrics f quick metrics =
-    f quick;
-    write_metrics metrics
+  let experiment_cmd e =
+    Cmd.v (Cmd.info e.name ~doc:e.doc)
+      Term.(
+        const (fun run metrics ->
+            run ();
+            write_metrics metrics)
+        $ e.term $ metrics_opt)
   in
   let exp_cmds =
-    List.map
-      (fun (name, doc, f) ->
-        Cmd.v (Cmd.info name ~doc)
-          Term.(const (with_metrics f) $ quick_flag $ metrics_opt))
-      experiments
+    List.map experiment_cmd
+      (experiments @ [ plain "all" "every experiment in order" run_all ])
   in
+  let unit_cmd name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ()) in
   let stats_cmd =
     Cmd.v
       (Cmd.info "stats"
@@ -566,62 +543,6 @@ let () =
            "Run a short neutralized exchange and print/export the obs \
             metric registry")
       Term.(const run_stats $ metrics_opt)
-  in
-  let demo_cmd =
-    Cmd.v
-      (Cmd.info "demo" ~doc:"Narrated end-to-end exchange on the Fig. 1 world")
-      Term.(const demo $ const ())
-  in
-  let topology_cmd =
-    Cmd.v
-      (Cmd.info "topology" ~doc:"Print the Figure-1 world")
-      Term.(const topology $ const ())
-  in
-  let fig2_cmd =
-    Cmd.v
-      (Cmd.info "fig2"
-         ~doc:"Re-enact Figure 2 of the paper, packet by packet, with real bytes")
-      Term.(const fig2 $ const ())
-  in
-  let trace_cmd =
-    Cmd.v
-      (Cmd.info "trace"
-         ~doc:"Dump AT&T's packet capture of one neutralized exchange")
-      Term.(const trace $ const ())
-  in
-  let chaos_cmd =
-    let seed_opt =
-      let doc =
-        "Fault-injection seed. Identical seeds reproduce the fault \
-         timeline exactly; defaults to $(b,FAULT_SEED), then 1."
-      in
-      Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc)
-    in
-    let plan_opt =
-      let doc =
-        "Fault plan file (one directive per line: 'at <s> \
-         node_crash|node_restart|link_down|link_up|partition|heal ...' \
-         or 'flap <node> <mean-up-s> <mean-down-s>'). Defaults to \
-         flapping neutralizer-1."
-      in
-      Arg.(
-        value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
-    in
-    let corrupt_opt =
-      let doc =
-        "Per-packet bit-flip probability on every link (e.g. 0.001). \
-         Mangled frames are dropped-and-counted by the strict shim \
-         decoders (core.proto.reject.*), never crashes."
-      in
-      Arg.(
-        value & opt float 0.0 & info [ "corrupt" ] ~docv:"PROB" ~doc)
-    in
-    Cmd.v
-      (Cmd.info "chaos"
-         ~doc:
-           "Seeded fault injection against the Fig. 1 world: run a fault \
-            plan under a steady flow and print recovery-time statistics")
-      Term.(const run_chaos $ quick_flag $ seed_opt $ plan_opt $ corrupt_opt)
   in
   let scale_cmd =
     let out_opt =
@@ -640,36 +561,11 @@ let () =
             any gate failure exits 1")
       Term.(const run_scale $ quick_flag $ out_opt)
   in
-  let overload_cmd =
-    let seed_opt =
-      let doc =
-        "Overload seed. Identical seeds reproduce the sweep exactly, \
-         byte for byte; defaults to $(b,OVERLOAD_SEED), then 1."
-      in
-      Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc)
-    in
-    let chaos_flag =
-      let doc =
-        "Crash and restart the neutralizer mid-sweep (composes the \
-         overload machinery with lib/fault)."
-      in
-      Arg.(value & flag & info [ "chaos" ] ~doc)
-    in
-    Cmd.v
-      (Cmd.info "overload"
-         ~doc:
-           "E13 graceful-degradation sweep: offered load 0.5x-10x box \
-            capacity, admission control + retry budgets ON vs OFF")
-      Term.(const run_overload $ quick_flag $ seed_opt $ chaos_flag)
-  in
   let fuzzpolicy_cmd =
-    let seed_opt =
-      let doc =
+    let seed =
+      seed_opt "POLICY_SEED" 2006
         "Policy-fuzzer seed. Identical seeds reproduce every generated \
-         regime, observation and window exactly; defaults to \
-         $(b,POLICY_SEED), then 2006."
-      in
-      Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N" ~doc)
+         regime, observation and window exactly."
     in
     let regimes_opt =
       let doc = "Number of generated regimes in the semantic tier." in
@@ -695,8 +591,8 @@ let () =
             neutralization-invariant violation exits 1 with the failing \
             seed printed")
       Term.(
-        const run_fuzzpolicy $ quick_flag $ seed_opt $ regimes_opt
-        $ windows_opt $ out_opt)
+        const run_fuzzpolicy $ quick_flag $ seed $ regimes_opt $ windows_opt
+        $ out_opt)
   in
   let vectors_cmd =
     let write_flag =
@@ -718,19 +614,6 @@ let () =
             byte drift from the codec")
       Term.(const run_vectors $ write_flag $ dir_opt)
   in
-  (* `netneutral --metrics out.json` with no subcommand is the quickest
-     way to get a measured run: silent workload, JSON out. *)
-  let default =
-    Term.(
-      ret
-        (const (function
-           | Some _ as metrics ->
-             metrics_workload ();
-             write_metrics metrics;
-             `Ok ()
-           | None -> `Help (`Pager, None))
-         $ metrics_opt))
-  in
   let info =
     Cmd.info "netneutral" ~version:"1.0.0"
       ~doc:
@@ -739,7 +622,15 @@ let () =
   in
   exit
     (Cmd.eval
-       (Cmd.group ~default info
-          (demo_cmd :: topology_cmd :: trace_cmd :: fig2_cmd :: stats_cmd
-           :: chaos_cmd :: overload_cmd :: scale_cmd :: fuzzpolicy_cmd
-           :: vectors_cmd :: exp_cmds)))
+       (Cmd.group
+          ~default:Term.(ret (const (`Help (`Pager, None))))
+          info
+          (unit_cmd "topology" "Print the Figure-1 world" topology
+           :: unit_cmd "trace"
+                "Dump AT&T's packet capture of one neutralized exchange" trace
+           :: unit_cmd "fig2"
+                "Re-enact Figure 2 of the paper, packet by packet, with real \
+                 bytes"
+                fig2
+           :: stats_cmd :: scale_cmd :: fuzzpolicy_cmd :: vectors_cmd
+           :: exp_cmds)))

@@ -60,7 +60,11 @@ let default_plan =
 let period_s = 0.02
 
 let run ?seed ?(plan = default_plan) ?(corrupt = 0.0) ?(duration_s = 30.0) () =
-  let seed = match seed with Some s -> s | None -> Fault.Inject.env_seed () in
+  let seed =
+    match seed with
+    | Some s -> s
+    | None -> Fault.Prng.env_seed "FAULT_SEED" ~default:1
+  in
   let world = Scenario.World.create () in
   let engine = world.Scenario.World.engine in
   let inj = Fault.Inject.create ~seed world.Scenario.World.net in

@@ -29,9 +29,6 @@ type result = {
       (** per-crash latency from crash to the next delivered reply *)
 }
 
-val default_plan : Fault.Plan.t
-(** Flap "neutralizer-1": mean 2 s up, 1 s down. *)
-
 val run :
   ?seed:int ->
   ?plan:Fault.Plan.t ->
@@ -40,7 +37,8 @@ val run :
   unit ->
   result
 (** [duration_s] (default 30) of one request every 20 ms from Ann to
-    google.example under [plan]. [corrupt] (default 0) adds per-packet
+    google.example under [plan] (default: flap "neutralizer-1", mean
+    2 s up, 1 s down). [corrupt] (default 0) adds per-packet
     bit-flip probability on every link; leaving it 0 installs no hook at
     all, keeping the default run's fault timeline (and its pinned golden
     digest) bit-exact. *)

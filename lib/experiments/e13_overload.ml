@@ -400,7 +400,11 @@ let default_multipliers = [ 0.5; 1.0; 2.0; 5.0; 10.0 ]
 let quick_multipliers = [ 1.0; 10.0 ]
 
 let run ?seed ?(chaos = false) ?(quick = false) ?multipliers ?duration_s () =
-  let seed = match seed with Some s -> s | None -> Overload.Seed.env () in
+  let seed =
+    match seed with
+    | Some s -> s
+    | None -> Fault.Prng.env_seed "OVERLOAD_SEED" ~default:1
+  in
   let duration_s =
     match duration_s with Some d -> d | None -> if quick then 0.6 else 2.0
   in

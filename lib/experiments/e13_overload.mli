@@ -15,7 +15,7 @@
     while the OFF rows collapse below 50%.
 
     All randomness derives from one SplitMix64 root seeded by
-    [OVERLOAD_SEED] (see {!Overload.Seed.env}); equal seeds produce
+    [OVERLOAD_SEED] (see {!Fault.Prng.env_seed}); equal seeds produce
     byte-identical tables. *)
 
 type row = {

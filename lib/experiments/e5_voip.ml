@@ -5,6 +5,7 @@ type row = {
   loss : float;
   mean_latency_ms : float;
   mos : float;
+  hits : int;
 }
 
 type result = { rows : row list }
@@ -40,16 +41,14 @@ let install_policy world kind =
            ( And (Looks_encrypted, Not (Dscp Core.Protocol.dscp_ef)),
              throttle ~rate_bps:48_000 ))
   in
-  Option.iter
-    (fun p ->
-      Net.Network.add_middleware world.Scenario.World.net
-        world.Scenario.World.att
-        (middleware (compile ~engine:world.Scenario.World.engine p)))
+  Option.map
+    (Control.install world.Scenario.World.net
+       ~domains:[ world.Scenario.World.att ])
     policy
 
 let run_condition ~condition ~mode ~policy ~duration_s ~pps =
   let world = Scenario.World.create () in
-  install_policy world policy;
+  let control = install_policy world policy in
   let vonage = Scenario.World.site world "vonage" in
   let flows = Net.Flow.create () in
   Net.Host.on_deliver vonage.Scenario.World.host (fun p ->
@@ -92,7 +91,8 @@ let run_condition ~condition ~mode ~policy ~duration_s ~pps =
     sent = report.sent;
     loss = report.loss;
     mean_latency_ms = report.mean_latency_ms;
-    mos = Net.Flow.mos report
+    mos = Net.Flow.mos report;
+    hits = Option.fold ~none:0 ~some:Discrimination.Dsl.Control.hits control
   }
 
 let run ?(duration_s = 10.0) ?(pps = 50) () =
@@ -116,14 +116,16 @@ let print r =
   Table.print
     ~title:
       "E5: VoIP discrimination (Ann -> Vonage, 50pps G.711-style call)"
-    ~header:[ "condition"; "delivered"; "loss"; "latency"; "MOS" ]
+    ~header:
+      [ "condition"; "delivered"; "loss"; "latency"; "MOS"; "policy hits" ]
     (List.map
        (fun row ->
          [ row.condition;
            Printf.sprintf "%d/%d" row.delivered row.sent;
            Table.pct row.loss;
            Printf.sprintf "%.1fms" row.mean_latency_ms;
-           Table.f2 row.mos
+           Table.f2 row.mos;
+           string_of_int row.hits
          ])
        r.rows)
 ;

@@ -7,7 +7,9 @@
     as VoIP or addressed to Vonage.
 
     Five conditions, each a fresh Figure-1 world running a 10-second
-    G.711-style call (50 pps, 160-byte frames):
+    G.711-style call (50 pps, 160-byte frames). The policy is installed
+    on AT&T's domain with {!Discrimination.Dsl.Control.install}, and
+    each row counts its hits:
 
     - [baseline]: no discrimination, plain UDP — the healthy call;
     - [targeted-plain]: the throttle sees ports/DPI/addresses and
@@ -27,6 +29,9 @@ type row = {
   loss : float;
   mean_latency_ms : float;
   mos : float;  (** 1.0 (unusable) .. 4.5 (perfect) *)
+  hits : int;
+      (** verdicts of AT&T's policy other than forward
+          ({!Discrimination.Dsl.Control.hits}); 0 with no policy *)
 }
 
 type result = { rows : row list }

@@ -25,21 +25,16 @@ let print ~title ~header rows =
 
 (* Attach the obs registry's view of a run to the report: every metric
    family under one of [prefixes] (all families when empty), rendered
-   with the same aligned-table style as the result rows. *)
+   with the same aligned-table style as the result rows. A row's key
+   starts with its family name. *)
 let print_obs ?(prefixes = []) ~title () =
-  let keep (m : Obs.Export.metric) =
+  let keep row =
+    let key = List.hd row in
     prefixes = []
-    || List.exists (fun p -> String.starts_with ~prefix:p m.Obs.Export.name) prefixes
+    || List.exists (fun p -> String.starts_with ~prefix:p key) prefixes
   in
-  let rows =
-    Obs.Export.snapshot Obs.Registry.default
-    |> List.filter keep
-    |> List.map (fun m ->
-           [ Obs.Export.key_to_string m;
-             Obs.Export.value_summary m.Obs.Export.value
-           ])
-  in
-  if rows <> [] then print ~title ~header:[ "metric"; "value" ] rows
+  let rows = List.filter keep (Obs.Export.to_table Obs.Registry.default) in
+  if rows <> [] then print ~title ~header:[ "metric"; "kind"; "value" ] rows
 
 let kops v =
   if v >= 1e9 then Printf.sprintf "%.2fG" (v /. 1e9)

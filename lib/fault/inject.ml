@@ -25,17 +25,12 @@ type t = {
   mutable injected_total : int;
 }
 
-let env_seed () =
-  match Sys.getenv_opt "FAULT_SEED" with
-  | None -> 1
-  | Some s ->
-    (match int_of_string_opt s with
-     | Some n -> n
-     | None ->
-       Printf.ksprintf failwith "FAULT_SEED must be an integer, got %S" s)
-
 let create ?seed net =
-  let seed = match seed with Some s -> s | None -> env_seed () in
+  let seed =
+    match seed with
+    | Some s -> s
+    | None -> Prng.env_seed "FAULT_SEED" ~default:1
+  in
   { net;
     prng = Prng.create ~seed;
     crashed = Hashtbl.create 4;

@@ -36,13 +36,9 @@ val calm : profile
 
 type t
 
-val env_seed : unit -> int
-(** The [FAULT_SEED] environment variable, or [1] when unset. A
-    malformed value fails loudly rather than silently changing the
-    run. *)
-
 val create : ?seed:int -> Net.Network.t -> t
-(** [seed] defaults to {!env_seed}[ ()]. *)
+(** [seed] defaults to the [FAULT_SEED] environment variable, then 1
+    ({!Prng.env_seed}). *)
 
 val network : t -> Net.Network.t
 val prng : t -> Prng.t

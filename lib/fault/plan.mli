@@ -3,7 +3,7 @@
     A plan is a reproducible fault timeline: a list of absolute-time
     one-shot faults plus Markov up/down flapping processes with
     exponential holding times. Plans are written in a one-directive-per-
-    line text format (what [netneutral chaos --plan FILE] reads):
+    line text format (what [netneutral e12 --plan FILE] reads):
 
     {v
     # seconds are simulated time from the start of the run

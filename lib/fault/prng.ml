@@ -25,6 +25,14 @@ let of_int64 seed =
 
 let create ~seed = of_int64 (Int64.of_int seed)
 
+let env_seed var ~default =
+  match Sys.getenv_opt var with
+  | None -> default
+  | Some s ->
+    (match int_of_string_opt s with
+     | Some n -> n
+     | None -> Printf.ksprintf failwith "%s must be an integer, got %S" var s)
+
 let bits t =
   t.state <- Int64.add t.state golden;
   mix64 t.state

@@ -13,6 +13,12 @@ type t
 
 val create : seed:int -> t
 
+val env_seed : string -> default:int -> int
+(** [env_seed var ~default] is the integer in environment variable
+    [var] ([FAULT_SEED], [OVERLOAD_SEED], ...), or [default] when it is
+    unset. A malformed value fails loudly rather than silently changing
+    the run. *)
+
 val split : t -> label:string -> t
 (** Child stream keyed by [label]. Splitting does not consume state:
     the same (root seed, label) always yields the same stream, and the

@@ -18,8 +18,6 @@ type metric = {
   value : value;
 }
 
-type snapshot = metric list
-
 let snapshot reg =
   List.map
     (fun (name, labels, m) ->
@@ -132,7 +130,7 @@ let json_of_snapshot snap =
 
 let to_json reg = json_of_snapshot (snapshot reg)
 
-(* ---- text table ---- *)
+(* ---- table rows ---- *)
 
 let kind_of = function
   | Counter _ -> "counter"
@@ -143,30 +141,3 @@ let to_table reg =
   List.map
     (fun m -> [ key_to_string m; kind_of m.value; value_summary m.value ])
     (snapshot reg)
-
-let to_text reg =
-  let header = [ "metric"; "kind"; "value" ] in
-  let rows = to_table reg in
-  let all = header :: rows in
-  let width c =
-    List.fold_left
-      (fun acc row ->
-        max acc (String.length (try List.nth row c with _ -> "")))
-      0 all
-  in
-  let widths = List.init (List.length header) width in
-  let line row =
-    String.concat "  "
-      (List.mapi
-         (fun i cell ->
-           let w = List.nth widths i in
-           cell ^ String.make (w - String.length cell) ' ')
-         row)
-    |> String.trim
-    |> fun s -> s ^ "\n"
-  in
-  String.concat ""
-    (line header
-     :: (String.concat "  " (List.map (fun w -> String.make w '-') widths)
-         ^ "\n")
-     :: List.map line rows)

@@ -6,7 +6,7 @@
     term. Jitter draws come from a {!Fault.Prng.t} child stream, so two
     runs with equal seeds produce byte-identical retry timelines —
     overload experiments stay reproducible (OVERLOAD_SEED, see
-    {!Seed.env}).
+    {!Fault.Prng.env_seed}).
 
     A backoff instance only computes delays; whether a retry may be
     spent at all is the caller's retry {e budget} (a shared

@@ -20,13 +20,7 @@
 open Discrimination
 module Prng = Fault.Prng
 
-let root_seed =
-  match Sys.getenv_opt "POLICY_SEED" with
-  | Some s ->
-    (try int_of_string s
-     with Failure _ ->
-       Printf.ksprintf failwith "POLICY_SEED must be an integer, got %S" s)
-  | None -> 2006
+let root_seed = Prng.env_seed "POLICY_SEED" ~default:2006
 
 let () =
   Printf.printf "dsl root seed: %d (override with POLICY_SEED)\n%!" root_seed

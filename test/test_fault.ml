@@ -13,7 +13,7 @@
 open Net
 module W = Scenario.World
 
-let root_seed = Fault.Inject.env_seed ()
+let root_seed = Fault.Prng.env_seed "FAULT_SEED" ~default:1
 
 let () =
   Printf.printf "fault root seed: %d (override with FAULT_SEED)\n%!" root_seed

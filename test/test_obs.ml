@@ -143,17 +143,15 @@ let test_export_text_and_json () =
   Obs.Gauge.set (Obs.Registry.gauge r "k.huge") 1e300;
   Obs.Gauge.set (Obs.Registry.gauge r "k.nan") nan;
   List.iter (H.add (Obs.Registry.histogram r "k.hist")) [ 1; 12; 12; 300; 5000 ];
-  let text = Obs.Export.to_text r in
+  let rows = Obs.Export.to_table r in
   List.iter
     (fun needle ->
       if
         not
           (List.exists
-             (fun line ->
-               String.length line >= String.length needle
-               && String.sub line 0 (String.length needle) = needle)
-             (String.split_on_char '\n' text))
-      then Alcotest.failf "text export missing %S:\n%s" needle text)
+             (fun row -> String.starts_with ~prefix:needle (List.hd row))
+             rows)
+      then Alcotest.failf "table rows missing %S" needle)
     [ "k.count"; "k.gauge"; "k.hist" ];
   (* Golden bytes: JSON string escapes, a finite gauge in %.1f and in
      %.17g form, nan written as null, and a histogram's bucket list. *)
@@ -207,13 +205,15 @@ let prop_text_quantiles_match_live =
         Printf.sprintf "p50=%.0f p99=%.0f" (H.quantile h 0.5)
           (H.quantile h 0.99)
       in
-      let text = Obs.Export.to_text r in
       let n = String.length want in
-      let rec found i =
-        i + n <= String.length text
-        && (String.sub text i n = want || found (i + 1))
+      let contains cell =
+        let rec from i =
+          i + n <= String.length cell
+          && (String.sub cell i n = want || from (i + 1))
+        in
+        from 0
       in
-      found 0)
+      List.exists (List.exists contains) (Obs.Export.to_table r))
 
 let prop_counter_monotone =
   prop ~name:"counter: value never decreases"

@@ -409,7 +409,19 @@ let experiments =
         Ablations.(print (run ~min_time:(if quick then 0.1 else 0.4) ())))
   ]
 
-let run_all quick = List.iter (fun e -> e.run quick) experiments
+(* E12 and E13 read their seeds from FAULT_SEED and OVERLOAD_SEED: a
+   malformed value exits with cmdliner's command-line error status
+   before E1 starts, as it does on `e12` and `e13`. *)
+let run_all quick =
+  List.iter
+    (fun var ->
+      match Fault.Prng.env_seed var ~default:1 with
+      | _ -> ()
+      | exception Failure msg ->
+        prerr_endline ("netneutral: " ^ msg);
+        exit Cmd.Exit.cli_error)
+    [ "FAULT_SEED"; "OVERLOAD_SEED" ];
+  List.iter (fun e -> e.run quick) experiments
 
 (* `netneutral scale`: the E14 fluid-aggregate capstone — equivalence
    gate, cross-shard digest gate, then the million-client run on a

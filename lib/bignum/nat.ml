@@ -276,6 +276,16 @@ let divmod a b =
 
 let rem a b = snd (divmod a b)
 
+(* The short division of [divmod_small] keeping only the running
+   remainder: nothing is allocated. *)
+let rem_int a d =
+  if d <= 0 || d >= base then invalid_arg "Nat.rem_int: divisor out of range";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl base_bits) lor a.(i)) mod d
+  done;
+  !r
+
 (* Byte i from the end lands at bit 8i, straddling a limb boundary when
    its offset is past 18 (the mirror of [byte_at] below). *)
 let of_bytes_be s =

@@ -49,6 +49,11 @@ val divmod : t -> t -> t * t
 
 val rem : t -> t -> t
 
+(** [rem_int a d] is [a mod d] for a divisor [0 < d < 2^26] (one limb),
+    computed without allocating. Raises [Invalid_argument] for any other
+    [d]. *)
+val rem_int : t -> int -> int
+
 (** [shift_left n k] is [n * 2^k]; [k >= 0]. *)
 val shift_left : t -> int -> t
 

@@ -13,10 +13,14 @@ let small_primes =
       done
     end
   done;
-  List.rev !primes
+  Array.of_list (List.rev !primes)
 
-(* [n mod d] for a small divisor without allocating a quotient. *)
-let rem_small n d = Nat.to_int (Nat.rem n (Nat.of_int d))
+(* Whether a small prime from index [i] on divides [n]: one short
+   division per prime, keeping only the remainder, so trial division
+   allocates nothing. *)
+let rec has_small_factor n i =
+  i < Array.length small_primes
+  && (Nat.rem_int n small_primes.(i) = 0 || has_small_factor n (i + 1))
 
 (* [ctx] is a Montgomery context for [n], shared across every witness of
    one candidate: the context setup (a wide reduction for R^2) is paid
@@ -41,10 +45,11 @@ let miller_rabin_witness ctx n ~d ~s a =
 
 let is_probable_prime n state =
   if Nat.compare n Nat.two < 0 then false
-  else if List.exists (fun p -> Nat.equal n (Nat.of_int p)) small_primes then
+  (* Only a value of at most 10 bits can be one of the primes below 1000. *)
+  else if Nat.bit_length n <= 10 && Array.mem (Nat.to_int n) small_primes then
     true
   else if Nat.is_even n then false
-  else if List.exists (fun p -> rem_small n p = 0) small_primes then false
+  else if has_small_factor n 0 then false
   else begin
     (* Write n - 1 = d * 2^s with d odd. *)
     let n1 = Nat.pred n in

@@ -28,6 +28,7 @@ let golden_rows () =
   let master = Core.Master_key.of_seed ~seed:"e1-golden" in
   let drbg = Crypto.Drbg.create ~seed:"e1-golden" in
   let rng n = Crypto.Drbg.generate drbg n in
+  Scenario.Keyring.prepare ~e2e:[] ~onetime:(List.init 8 Fun.id);
   List.map
     (fun i ->
       let onetime = Scenario.Keyring.onetime (i mod 8) in

@@ -17,6 +17,8 @@ type result = {
 let run ?(sources = 50) ?(flows_per_source = 4) ?(packets_per_flow = 20) () =
   let total_packets = sources * flows_per_source * packets_per_flow in
   (* --- onion side: one 3-hop circuit per flow, real module runs --- *)
+  Scenario.Keyring.prepare ~e2e:[ 10; 11; 12 ]
+    ~onetime:(List.init (min sources 16) Fun.id);
   let st = Random.State.make [| 0xe4 |] in
   let relays =
     List.init 3 (fun i ->

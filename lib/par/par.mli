@@ -1,14 +1,17 @@
 (** Fixed-size domain pool whose one primitive is a barrier round, and
     {!both}, a two-way fork onto one process-wide helper domain.
 
-    The pool exists for the sharded event engine ({!Net.Engine}): each
-    conservative-lookahead window is one {!round} with one task per
-    shard, and the engine thread is the submitter. Determinism comes
+    Pools have two users. The sharded event engine ({!Net.Engine}) runs
+    each conservative-lookahead window as one {!round} with one task per
+    shard, the engine thread submitting. {!Scenario.Keyring.prepare}
+    generates fixture RSA keys as one round with one task per key, on a
+    pool it starts and shuts down around that round. Determinism comes
     from indexing, not scheduling: task [i] writes only state owned by
     index [i], and the round returns only when every task has finished,
     so the output is bit-for-bit identical to running the same tasks in
     order on one domain — property-tested at shard counts 1, 2 and 4 in
-    [test/test_pdes.ml] and [test/test_scale.ml].
+    [test/test_pdes.ml] and [test/test_scale.ml], and for the keyring in
+    [test/test_par.ml].
 
     Built on stdlib [Domain]/[Atomic]/[Mutex]/[Condition] only; no
     domainslib. A pool of size [n] uses [n - 1] worker domains plus the
@@ -22,11 +25,11 @@
     pool does not steal the cores its own domains need.
 
     Concurrency contract of a pool: submit from one thread at a time
-    (in this repo, the engine thread); {!both} has no such rule. Tasks
-    must not call {!round} recursively on the same pool and may only
-    bump {e pre-resolved} obs counters/gauges (which are atomic, see
-    {!Obs.Counter}); resolving new metrics mutates the registry
-    hashtable and belongs on the submitting thread. *)
+    (the engine thread, or the keyring's caller); {!both} has no such
+    rule. Tasks must not call {!round} recursively on the same pool and
+    may only bump {e pre-resolved} obs counters/gauges (which are
+    atomic, see {!Obs.Counter}); resolving new metrics mutates the
+    registry hashtable and belongs on the submitting thread. *)
 
 type pool
 

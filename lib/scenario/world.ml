@@ -39,6 +39,10 @@ let mbps n = n * 1_000_000
 let gbps n = n * 1_000_000_000
 
 let create ?(costs = Core.Protocol.default_costs) ?offload_via () =
+  (* The resolver's and the sites' keys, and the one-time key every
+     client made by [make_client] draws first. *)
+  Keyring.prepare ~e2e:(List.init (1 + List.length site_names) Fun.id)
+    ~onetime:[ 0 ];
   let topo = Net.Topology.create () in
   let att = Net.Topology.add_domain topo ~name:"att" ~prefix:"10.1.0.0/16" in
   let cogent =

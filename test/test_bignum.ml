@@ -190,8 +190,24 @@ let division_props =
       (fun (a, b) ->
         QCheck2.assume (not (N.is_zero b));
         let _, r = N.divmod a b in
-        N.equal r (N.rem a b))
+        N.equal r (N.rem a b));
+    (* Small primes (trial division's divisors) and any one-limb value. *)
+    prop "rem_int = rem, one-limb divisors"
+      QCheck2.Gen.(
+        tup2 gen_wide_nat
+          (oneof [ int_range 1 1000; int_range 1 ((1 lsl 26) - 1) ]))
+      (fun (a, d) -> N.to_string a ^ " mod " ^ string_of_int d)
+      (fun (a, d) -> N.rem_int a d = N.to_int (N.rem a (N.of_int d)))
   ]
+
+let test_rem_int_range () =
+  Alcotest.(check int) "zero dividend" 0 (N.rem_int N.zero 7);
+  List.iter
+    (fun d ->
+      Alcotest.check_raises (string_of_int d)
+        (Invalid_argument "Nat.rem_int: divisor out of range") (fun () ->
+          ignore (N.rem_int N.one d)))
+    [ 0; -3; 1 lsl 26 ]
 
 (* ---- octet-string codec ---- *)
 
@@ -451,6 +467,17 @@ let test_small_primes () =
         (P.is_probable_prime (N.of_int c) st))
     [ 0; 1; 4; 100; 561 (* Carmichael *); 6601 (* Carmichael *); 7917 ]
 
+(* A 500-bit power of 997, the last prime trial division tries: the scan
+   runs to its end and must allocate nothing. *)
+let test_trial_division_alloc () =
+  let n = List.fold_left N.mul N.one (List.init 50 (fun _ -> N.of_int 997)) in
+  let st = Random.State.make [| 8 |] in
+  let before = Gc.minor_words () in
+  let prime = P.is_probable_prime n st in
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check bool) "composite" false prime;
+  Alcotest.(check int) "minor words" 0 words
+
 let test_generate () =
   let st = Random.State.make [| 7 |] in
   let p = P.generate ~bits:96 st in
@@ -505,7 +532,8 @@ let () =
           Alcotest.test_case "of_bytes_be edges" `Quick test_of_bytes_edges;
           Alcotest.test_case "hex codec" `Quick test_hex_codec;
           Alcotest.test_case "decimal" `Quick test_decimal;
-          Alcotest.test_case "random bounds" `Quick test_random_bounds
+          Alcotest.test_case "random bounds" `Quick test_random_bounds;
+          Alcotest.test_case "rem_int divisor range" `Quick test_rem_int_range
         ] );
       ("nat-properties", properties @ bytes_props);
       ("division-properties", division_props);
@@ -529,6 +557,8 @@ let () =
         :: montgomery_props );
       ( "prime",
         [ Alcotest.test_case "small primes" `Quick test_small_primes;
+          Alcotest.test_case "trial division allocates nothing" `Quick
+            test_trial_division_alloc;
           Alcotest.test_case "generate" `Slow test_generate
         ]
         @ prime_props )

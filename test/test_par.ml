@@ -462,6 +462,44 @@ let test_bignum_reentrant () =
     (run_from_domains ~domains:4 ~iters:16 (fun () ->
          Bignum.Nat.equal (Bignum.Nat.Montgomery.pow_mod ctx b e) pow))
 
+(* ---- the keyring's concurrent generation ---- *)
+
+let keygens () =
+  Obs.Counter.value
+    (Obs.Registry.counter Obs.Registry.default "crypto.rsa.keygens")
+
+(* [Keyring.prepare] generates its keys as round tasks on a pool: each
+   must be the key the sequential path derives from the same seed. No
+   earlier case in this binary touches a one-time key, so the first
+   [prepare] generates all four. Keys are records of canonical naturals,
+   so structural equality is value equality. *)
+let test_keyring_prepare () =
+  let before = keygens () in
+  Scenario.Keyring.prepare ~e2e:[] ~onetime:[ 0; 1; 2; 3 ];
+  Alcotest.(check int) "one keygen per missing key" 4 (keygens () - before);
+  List.iter
+    (fun i ->
+      let sequential =
+        Crypto.Rsa.generate ~e:3 ~bits:512 (Random.State.make [| 0x512; i |])
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "one-time key %d = sequential" i)
+        true
+        (Scenario.Keyring.onetime i = sequential))
+    [ 0; 1; 2; 3 ];
+  (* A digest of e2e 0's modulus and private exponent, as the
+     sequential keyring generated it. *)
+  let k = Scenario.Keyring.e2e 0 in
+  Alcotest.(check string) "e2e 0 fingerprint"
+    "9e6c0f6b7bc6b22c6f1c38c3a29072daf926f608efb52e6150ad58a25b947747"
+    (Crypto.Sha256.digest_hex
+       (Bignum.Nat.to_bytes_be k.Crypto.Rsa.public.Crypto.Rsa.n
+       ^ Bignum.Nat.to_bytes_be k.Crypto.Rsa.d));
+  let before = keygens () in
+  Scenario.Keyring.prepare ~e2e:[ 0 ] ~onetime:[ 3; 2; 1; 0; 0 ];
+  Alcotest.(check int) "memoized keys are not generated again" 0
+    (keygens () - before)
+
 (* ---- regressions for the specific hazards the reentrancy pass fixed ---- *)
 
 let test_aes_decrypt_shared_key () =
@@ -614,5 +652,9 @@ let () =
           Alcotest.test_case "datapath: shared session (regression)" `Quick
             test_datapath_session_shared
         ] );
-      ("keytab", [ keytab_model_stress ])
+      ("keytab", [ keytab_model_stress ]);
+      ( "keyring",
+        [ Alcotest.test_case "prepare = sequential keys, memoized once" `Quick
+            test_keyring_prepare
+        ] )
     ]
